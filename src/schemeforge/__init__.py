@@ -38,6 +38,7 @@ from .graphs import (
     to_graph6,
 )
 from .schemes import (
+    NoQPolynomialOrderingError,
     Scheme,
     SchemeRefutation,
     SchemeResult,
@@ -92,6 +93,7 @@ __all__ = [
     "KISSING_NUMBER_R4",
     "LocalGramProblem",
     "LocalSolution",
+    "NoQPolynomialOrderingError",
     "QuadNumber",
     "Scheme",
     "SchemeRefutation",

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -65,6 +66,12 @@ def _env_budget() -> int:
     try:
         return max(1, int(raw))
     except ValueError:
+        warnings.warn(
+            f"SCHEMEFORGE_BUDGET={raw!r} is not an integer; "
+            f"using the default budget {DEFAULT_BUDGET}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         return DEFAULT_BUDGET
 
 
@@ -808,14 +815,18 @@ def generate_diagrams(config: SearchConfig, known=None) -> SearchOutcome:
 def match_known(result: SearchResult, scheme) -> bool:
     """Does the result's diagram and cosine data equal the scheme's, up to a
     relabeling of relations fixing R0 and R1?"""
-    from .schemes import qpolynomial_spectra
+    from .schemes import (
+        NoQPolynomialOrderingError,
+        SplittingFieldError,
+        qpolynomial_spectra,
+    )
 
     diagram = result.diagram
     if scheme.d + 1 != diagram.n:
         return False
     try:
         sp, _orderings = qpolynomial_spectra(scheme)
-    except Exception:
+    except (SplittingFieldError, NoQPolynomialOrderingError):
         return False
     if scheme.valencies[1] != diagram.k1:
         return False

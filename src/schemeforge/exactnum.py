@@ -3,12 +3,22 @@
 Every eigenvalue, cosine, Krein parameter and Gram entry in this package is a
 QuadNumber; no floating point enters any decision anywhere.  Floats appear only
 through ``float()`` conversions used by sanity tests.
+
+A QuadNumber is stored as four plain ints, (x + y*sqrt(p))/d with d > 0,
+gcd(x, y, d) = 1, p square-free, and p = 1 exactly when y = 0; this form is
+unique, so equality and hashing compare fields.  Arithmetic stays on ints and
+reduces by one gcd; ``Fraction`` appears only at the public constructor and in
+the ``a``/``b`` views.  ``char_poly`` of a matrix whose entries are all rational
+integers (adjacency matrices, integer combinations of intersection matrices)
+runs Faddeev-LeVerrier on Python ints, where every division is exact;
+any other matrix takes the generic QuadNumber path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -31,32 +41,35 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return m, q
 
 
-@total_ordering
 class QuadNumber:
-    """Element a + b*sqrt(p) of Q[sqrt(p)], with p square-free (p = 1 means Q)."""
+    """Element (x + y*sqrt(p))/d of Q[sqrt(p)], p square-free (p = 1 means Q).
 
-    __slots__ = ("a", "b", "p")
+    The fields hold the normal form described in the module docstring; the
+    read-only views ``a`` and ``b`` give the value as a + b*sqrt(p) with
+    ``Fraction`` coefficients.
+    """
+
+    __slots__ = ("_x", "_y", "_d", "_p")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0, p: int = 1):
-        a = Fraction(a)
-        b = Fraction(b)
+        if type(a) is int and type(b) is int:
+            x, y, d = a, b, 1
+        else:
+            a = Fraction(a)
+            b = Fraction(b)
+            d = lcm(a.denominator, b.denominator)
+            x = a.numerator * (d // a.denominator)
+            y = b.numerator * (d // b.denominator)
         if p < 1:
             raise ValueError("radicand must be >= 1")
         if p > 1:
-            m, q = squarefree_decompose(p)
-            b *= m
-            p = q
+            m, p = squarefree_decompose(p)
+            y *= m
         if p == 1:
-            a += b
-            b = Fraction(0)
-        if b == 0:
-            p = 1
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, *_):
-        raise AttributeError("QuadNumber is immutable")
+            x, y = x + y, 0
+        g = gcd(x, y, d)
+        self._x, self._y, self._d = x // g, y // g, d // g
+        self._p = p if y else 1
 
     # -- constructors ------------------------------------------------------
 
@@ -68,98 +81,113 @@ class QuadNumber:
     def sqrt(cls, p: int) -> "QuadNumber":
         return cls(0, 1, p)
 
-    # -- predicates --------------------------------------------------------
+    # -- views and predicates ----------------------------------------------
+
+    @property
+    def a(self) -> Fraction:
+        """Rational part of a + b*sqrt(p)."""
+        return Fraction(self._x, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        """Coefficient of sqrt(p) in a + b*sqrt(p)."""
+        return Fraction(self._y, self._d)
+
+    @property
+    def p(self) -> int:
+        return self._p
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self._y
 
     @property
     def is_integer(self) -> bool:
-        return self.b == 0 and self.a.denominator == 1
+        return not self._y and self._d == 1
 
     def as_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self._y:
             raise ValueError(f"{self} is not rational")
-        return self.a
+        return Fraction(self._x, self._d)
 
     def conjugate(self) -> "QuadNumber":
-        return QuadNumber(self.a, -self.b, self.p)
+        return _make(self._x, -self._y, self._d, self._p)
 
     def conjugates(self) -> tuple["QuadNumber", ...]:
-        if self.b == 0:
+        if not self._y:
             return (self,)
         return (self, self.conjugate())
-
-    # -- field coercion ----------------------------------------------------
-
-    @staticmethod
-    def _coerce(x) -> "QuadNumber":
-        if isinstance(x, QuadNumber):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QuadNumber(x)
-        return NotImplemented  # type: ignore[return-value]
-
-    def _common_radicand(self, other: "QuadNumber") -> int:
-        if self.p == other.p:
-            return self.p
-        if self.p == 1:
-            return other.p
-        if other.p == 1:
-            return self.p
-        raise FieldMismatchError(
-            f"mixed radicands: sqrt({self.p}) vs sqrt({other.p})"
-        )
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self._common_radicand(other)
-        return QuadNumber(self.a + other.a, self.b + other.b, p)
+        if type(other) is not QuadNumber:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        p = _common_radicand(self, other)
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._x + other._x, self._y + other._y, d, p)
+        return _make(self._x * e + other._x * d, self._y * e + other._y * d, d * e, p)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadNumber(-self.a, -self.b, self.p)
+        return _make(-self._x, -self._y, self._d, self._p)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not QuadNumber:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        p = _common_radicand(self, other)
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._x - other._x, self._y - other._y, d, p)
+        return _make(self._x * e - other._x * d, self._y * e - other._y * d, d * e, p)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self._common_radicand(other)
-        a = self.a * other.a + self.b * other.b * p
-        b = self.a * other.b + self.b * other.a
-        return QuadNumber(a, b, p)
+        if type(other) is not QuadNumber:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        p = _common_radicand(self, other)
+        x, y, u, v = self._x, self._y, other._x, other._y
+        return _make(x * u + y * v * p, x * v + y * u, self._d * other._d, p)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadNumber":
-        if self.a == 0 and self.b == 0:
+        x, y, d = self._x, self._y, self._d
+        if not x and not y:
             raise ZeroDivisionError("division by zero QuadNumber")
-        norm = self.a * self.a - self.b * self.b * self.p
-        return QuadNumber(self.a / norm, -self.b / norm, self.p)
+        # d/(x + y sqrt p) = d (x - y sqrt p) / norm, norm != 0 for p square-free
+        norm = x * x - y * y * self._p
+        if norm < 0:
+            norm, d = -norm, -d
+        return _make(d * x, -d * y, norm, self._p)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        if type(other) is not QuadNumber:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        u, e = other._x, other._d
+        if other._y or not u:
+            return self * other.inverse()
+        if u < 0:
+            u, e = -u, -e
+        return _make(self._x * e, self._y * e, self._d * u, self._p)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -177,57 +205,69 @@ class QuadNumber:
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(p)."""
-        a, b, p = self.a, self.b, self.p
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 p (equality impossible, sqrt(p)
-        # irrational for square-free p > 1)
-        if a > 0:  # b < 0
-            return 1 if a * a > b * b * p else -1
-        return -1 if a * a > b * b * p else 1
+        return _sign(self._x, self._y, self._p)
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.b == 0 and other.b == 0:
-            return self.a == other.a
-        return self.p == other.p and self.a == other.a and self.b == other.b
+    def _cmp(self, other):
+        """Sign of self - other, or NotImplemented for a foreign type."""
+        if type(other) is not QuadNumber:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        p = _common_radicand(self, other)
+        d, e = self._d, other._d
+        return _sign(self._x * e - other._x * d, self._y * e - other._y * d, p)
 
     def __lt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() < 0
+        s = self._cmp(other)
+        return s if s is NotImplemented else s < 0
+
+    def __le__(self, other):
+        s = self._cmp(other)
+        return s if s is NotImplemented else s <= 0
+
+    def __gt__(self, other):
+        s = self._cmp(other)
+        return s if s is NotImplemented else s > 0
+
+    def __ge__(self, other):
+        s = self._cmp(other)
+        return s if s is NotImplemented else s >= 0
+
+    def __eq__(self, other):
+        if type(other) is not QuadNumber:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return (
+            self._x == other._x
+            and self._y == other._y
+            and self._d == other._d
+            and self._p == other._p
+        )
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.p))
+        if not self._y:
+            return hash(self._x) if self._d == 1 else hash(self.a)
+        return hash((self.a, self.b, self._p))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return bool(self._x or self._y)
 
     # -- conversions -------------------------------------------------------
 
     def __float__(self):
-        return float(self.a) + float(self.b) * self.p ** 0.5
+        return float(self.a) + float(self.b) * self._p ** 0.5
 
     def __repr__(self):
-        return f"QuadNumber({self.a!r}, {self.b!r}, {self.p})"
+        return f"QuadNumber({self.a!r}, {self.b!r}, {self._p})"
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        if self.b < 0:
-            return f"{self.a}-{-self.b}*sqrt({self.p})"
-        return f"{self.a}+{self.b}*sqrt({self.p})"
+        a, b = self.a, self.b
+        if not b:
+            return str(a)
+        if b < 0:
+            return f"{a}-{-b}*sqrt({self._p})"
+        return f"{a}+{b}*sqrt({self._p})"
 
     @classmethod
     def parse(cls, text: str) -> "QuadNumber":
@@ -248,6 +288,53 @@ class QuadNumber:
         return cls(0, Fraction(head), p)
 
 
+_new = object.__new__
+
+
+def _make(x: int, y: int, d: int, p: int) -> QuadNumber:
+    """(x + y*sqrt(p))/d in normal form; requires d > 0 and p square-free."""
+    g = gcd(x, y, d)
+    if g != 1:
+        x //= g
+        y //= g
+        d //= g
+    q = _new(QuadNumber)
+    q._x = x
+    q._y = y
+    q._d = d
+    q._p = p if y else 1
+    return q
+
+
+def _coerce(v):
+    if isinstance(v, QuadNumber):
+        return v
+    if isinstance(v, int):
+        return _make(int(v), 0, 1, 1)
+    if isinstance(v, Fraction):
+        return _make(v.numerator, 0, v.denominator, 1)
+    return NotImplemented
+
+
+def _common_radicand(u: QuadNumber, v: QuadNumber) -> int:
+    p, q = u._p, v._p
+    if p == q or q == 1:
+        return p
+    if p == 1:
+        return q
+    raise FieldMismatchError(f"mixed radicands: sqrt({p}) vs sqrt({q})")
+
+
+def _sign(x: int, y: int, p: int) -> int:
+    """Exact sign of x + y*sqrt(p), for p square-free or y = 0."""
+    if x >= 0 and y >= 0:
+        return 1 if x or y else 0
+    if x <= 0 and y <= 0:
+        return -1
+    # opposite signs: x^2 = y^2 p is impossible (sqrt(p) is irrational)
+    return 1 if (x * x > y * y * p) == (x > 0) else -1
+
+
 ZERO = QuadNumber(0)
 ONE = QuadNumber(1)
 
@@ -255,7 +342,7 @@ ONE = QuadNumber(1)
 def as_quad(x) -> QuadNumber:
     if isinstance(x, QuadNumber):
         return x
-    return QuadNumber(Fraction(x))
+    return QuadNumber(x)
 
 
 class ExactPolynomial:
@@ -397,12 +484,16 @@ class ExactMatrix:
 
 
 def char_poly(m: ExactMatrix) -> ExactPolynomial:
-    """Monic characteristic polynomial det(tI - m), exact (Faddeev-LeVerrier)."""
+    """Monic characteristic polynomial det(tI - m), exact (Faddeev-LeVerrier).
+
+    A matrix of rational integers runs the recurrence on Python ints."""
     if m.rows != m.cols:
         raise ValueError("char_poly requires a square matrix")
     n = m.rows
     if n == 0:
         return ExactPolynomial([1])
+    if all(not x._y and x._d == 1 for row in m.entries for x in row):
+        return ExactPolynomial(_int_char_poly([[x._x for x in row] for row in m.entries]))
     coeffs = [QuadNumber(0)] * (n + 1)
     coeffs[n] = QuadNumber(1)
     mk = m
@@ -424,35 +515,37 @@ def char_poly(m: ExactMatrix) -> ExactPolynomial:
     return ExactPolynomial(coeffs)
 
 
-def rank(m: ExactMatrix) -> int:
-    """Exact rank via Gaussian elimination over the field."""
-    grid = [row[:] for row in m.entries]
-    rows, cols = m.rows, m.cols
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if grid[i][c]), None)
-        if pivot is None:
-            continue
-        grid[r], grid[pivot] = grid[pivot], grid[r]
-        inv = grid[r][c].inverse()
-        grid[r] = [x * inv for x in grid[r]]
-        for i in range(rows):
-            if i != r and grid[i][c]:
-                f = grid[i][c]
-                grid[i] = [x - f * y for x, y in zip(grid[i], grid[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+def _int_char_poly(a: list[list[int]]) -> list[int]:
+    """Faddeev-LeVerrier over Z: M_1 = A, M_k = A (M_(k-1) + c_(n-k+1) I) and
+    c_(n-k) = -tr(M_k)/k, which is an integer for an integer matrix A."""
+    n = len(a)
+    coeffs = [0] * n + [1]
+    mk, ck = a, 1
+    for k in range(1, n + 1):
+        if k > 1:
+            shifted = [row[:] for row in mk]
+            for i in range(n):
+                shifted[i][i] += ck
+            cols = list(zip(*shifted))
+            mk = [[sum(map(mul, row, col)) for col in cols] for row in a]
+        ck, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError(
+                f"Faddeev-LeVerrier over Z: trace of M_{k} is not divisible by {k}"
+            )
+        coeffs[n - k] = ck
+    return coeffs
 
 
-def nullspace(m: ExactMatrix) -> list[list[QuadNumber]]:
-    """Basis of the right nullspace, exact."""
+def _rref(m: ExactMatrix) -> tuple[list[list[QuadNumber]], list[int]]:
+    """Reduced row echelon form over the field, with its pivot columns."""
     grid = [row[:] for row in m.entries]
     rows, cols = m.rows, m.cols
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         pivot = next((i for i in range(r, rows) if grid[i][c]), None)
         if pivot is None:
             continue
@@ -464,13 +557,20 @@ def nullspace(m: ExactMatrix) -> list[list[QuadNumber]]:
                 f = grid[i][c]
                 grid[i] = [x - f * y for x, y in zip(grid[i], grid[r])]
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    return grid, pivots
+
+
+def rank(m: ExactMatrix) -> int:
+    """Exact rank via Gaussian elimination over the field."""
+    return len(_rref(m)[1])
+
+
+def nullspace(m: ExactMatrix) -> list[list[QuadNumber]]:
+    """Basis of the right nullspace, exact."""
+    grid, pivots = _rref(m)
     basis = []
-    for fc in free:
-        vec = [QuadNumber(0)] * cols
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        vec = [QuadNumber(0)] * m.cols
         vec[fc] = QuadNumber(1)
         for pr, pc in enumerate(pivots):
             vec[pc] = -grid[pr][fc]
@@ -518,6 +618,7 @@ def bounded_algebraic_integers(k: RationalLike, radicand: int = 1) -> list[QuadN
     if p == 1:
         raise ValueError("radicand must not be a perfect square")
     bmax = _floor_fraction(2 * k)
+    kq = QuadNumber(k)
     for b in range(-bmax, bmax + 1):
         # roots of t^2 + b t + c in [-k, k]: need f(-k) >= 0, f(k) >= 0,
         # vertex -b/2 in [-k, k], and positive discriminant b^2 - 4c
@@ -530,14 +631,14 @@ def bounded_algebraic_integers(k: RationalLike, radicand: int = 1) -> list[QuadN
         chi = (b * b - 1) // 4  # discriminant > 0
         for c in range(clo, chi + 1):
             disc = b * b - 4 * c
-            if disc <= 0:
+            if disc <= 0 or disc % p:
                 continue
-            m, q = squarefree_decompose(disc)
-            if q != p:
+            # the square-free part of disc is p iff disc/p is a square
+            m = isqrt(disc // p)
+            if m * m * p != disc:
                 continue
-            root_hi = QuadNumber(Fraction(-b, 2), Fraction(m, 2), p)
-            root_lo = QuadNumber(Fraction(-b, 2), Fraction(-m, 2), p)
-            kq = QuadNumber(k)
+            root_hi = _make(-b, m, 2, p)
+            root_lo = _make(-b, -m, 2, p)
             if -kq <= root_lo and root_hi <= kq:
                 out.extend([root_lo, root_hi])
     out.sort()
@@ -599,8 +700,6 @@ def quad_sqrt(x: QuadNumber) -> QuadNumber | None:
 def _fraction_sqrt(x: Fraction) -> Fraction | None:
     if x < 0:
         return None
-    from math import isqrt
-
     num, den = x.numerator, x.denominator
     rn, rdn = isqrt(num), isqrt(den)
     if rn * rn == num and rdn * rdn == den:

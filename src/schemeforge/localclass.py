@@ -38,8 +38,6 @@ __all__ = [
     "LocalGramProblem",
     "LocalSolution",
     "ClassifyLocalResult",
-    "NotQuadraticError",
-    "quad_from_sympy",
     "rank_constraints",
     "classify_local",
     "GEOMETRIC_LABELS",
@@ -52,42 +50,6 @@ def delsarte_bound(d: int, s: int) -> int:
     if d < 1 or s < 1:
         raise ValueError("need d >= 1 and s >= 1")
     return comb(d + s - 1, d - 1) + comb(d + s - 2, d - 1)
-
-
-class NotQuadraticError(ValueError):
-    """A value does not live in Q or a real quadratic field."""
-
-
-def quad_from_sympy(expr) -> QuadNumber:
-    """Convert a sympy number of degree <= 2 over Q to a QuadNumber.
-
-    The minimal polynomial decides the field; for a quadratic value the
-    correct conjugate is selected numerically and the result is certified
-    exactly afterwards (its minimal polynomial vanishes by construction).
-    """
-    expr = sp.nsimplify(expr)
-    if expr.is_Rational:
-        return QuadNumber(Fraction(int(expr.p), int(expr.q)))
-    x = sp.Symbol("x")
-    mp = sp.Poly(sp.minimal_polynomial(expr, x), x)
-    if mp.degree() == 1:
-        c1, c0 = mp.all_coeffs()
-        r = sp.Rational(-c0, c1)
-        return QuadNumber(Fraction(int(r.p), int(r.q)))
-    if mp.degree() != 2:
-        raise NotQuadraticError(f"degree {mp.degree()} value: {expr}")
-    c2, c1, c0 = [sp.Rational(c) for c in mp.all_coeffs()]
-    bb = Fraction(int((c1 / c2).p), int((c1 / c2).q))
-    cc = Fraction(int((c0 / c2).p), int((c0 / c2).q))
-    disc = bb * bb - 4 * cc
-    if disc <= 0:
-        raise NotQuadraticError(f"complex quadratic value: {expr}")
-    m, p = squarefree_decompose(disc.numerator * disc.denominator)
-    half_sqrt_disc = Fraction(m, 2 * disc.denominator)
-    plus = QuadNumber(-bb / 2, half_sqrt_disc, p)
-    minus = QuadNumber(-bb / 2, -half_sqrt_disc, p)
-    target = float(expr)
-    return plus if abs(float(plus) - target) <= abs(float(minus) - target) else minus
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,10 @@ class SplittingFieldError(ValueError):
     """Raised when the splitting field has degree > 2 over the rationals."""
 
 
+class NoQPolynomialOrderingError(ValueError):
+    """Raised when no ordering of the idempotents makes a scheme cometric."""
+
+
 @dataclass(frozen=True)
 class SchemeRefutation:
     """Structured refutation naming the first violated axiom with a witness."""
@@ -285,12 +289,7 @@ def spectra(s: Scheme) -> Spectra:
             for h in range(d + 1)
         ]
         poly = char_poly(ExactMatrix(combo))
-        try:
-            roots, radicand = _factor_eigenvalues(
-                [x.as_fraction() for x in poly.coeffs]
-            )
-        except SplittingFieldError as err:
-            raise err
+        roots, radicand = _factor_eigenvalues([x.as_fraction() for x in poly.coeffs])
         if len(set(roots)) != d + 1:
             last_err = ValueError("eigenvalue collision in generic combination")
             continue
@@ -446,7 +445,7 @@ def qpolynomial_spectra(s: Scheme) -> tuple[Spectra, list[tuple[int, ...]]]:
     sp = spectra(s)
     orderings = sorted(q_poly_orderings(sp))
     if not orderings:
-        raise ValueError("scheme has no Q-polynomial ordering")
+        raise NoQPolynomialOrderingError("scheme has no Q-polynomial ordering")
     return sp.reordered(orderings[0]), orderings
 
 

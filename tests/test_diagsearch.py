@@ -2,6 +2,7 @@
 
 import pytest
 
+from schemeforge import schemes
 from schemeforge.catalogue import catalogue_scheme
 from schemeforge.diagsearch import (
     KISSING_NUMBER_R4,
@@ -11,6 +12,7 @@ from schemeforge.diagsearch import (
     match_known,
 )
 from schemeforge.exactnum import QuadNumber
+from schemeforge.schemes import NoQPolynomialOrderingError, SplittingFieldError
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +153,8 @@ class TestBudget:
         monkeypatch.setenv("SCHEMEFORGE_BUDGET", "2")
         assert SearchConfig(k1=4, a1=0).node_budget == 2
         monkeypatch.setenv("SCHEMEFORGE_BUDGET", "junk")
-        assert SearchConfig(k1=4, a1=0).node_budget == 2_000_000
+        with pytest.warns(RuntimeWarning, match="'junk'"):
+            assert SearchConfig(k1=4, a1=0).node_budget == 2_000_000
 
 
 class TestMatchKnown:
@@ -159,3 +162,23 @@ class TestMatchKnown:
         (res,) = run_3_0.results
         assert match_known(res, catalogue_scheme("AS06[3]"))
         assert not match_known(res, catalogue_scheme("AS09[3]"))
+
+    @pytest.mark.parametrize(
+        "error", [SplittingFieldError, NoQPolynomialOrderingError]
+    )
+    def test_expected_spectra_failures_mean_no_match(self, run_3_0, monkeypatch, error):
+        def fail(_scheme):
+            raise error("expected")
+
+        monkeypatch.setattr(schemes, "spectra", fail)
+        (res,) = run_3_0.results
+        assert not match_known(res, catalogue_scheme("AS06[3]"))
+
+    def test_other_spectra_failures_propagate(self, run_3_0, monkeypatch):
+        def fail(_scheme):
+            raise TypeError("bug in spectra")
+
+        monkeypatch.setattr(schemes, "spectra", fail)
+        (res,) = run_3_0.results
+        with pytest.raises(TypeError, match="bug in spectra"):
+            match_known(res, catalogue_scheme("AS06[3]"))

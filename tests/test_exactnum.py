@@ -1,6 +1,7 @@
 """Exact arithmetic in Q and Q[sqrt(p)]: field axioms, matrices, bounds."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from schemeforge.exactnum import (
     rank,
     squarefree_decompose,
 )
+from schemeforge.graphs import named_graph
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 radicands = st.sampled_from([1, 2, 3, 5, 6, 7, 10])
@@ -146,9 +148,213 @@ class TestNumberTheory:
             assert is_algebraic_integer(x)
             assert all(abs(float(c)) <= 2 + 1e-9 for c in x.conjugates())
 
+    @pytest.mark.parametrize("k", [1, 2, Fraction(5, 2), 4])
+    @pytest.mark.parametrize("p", [2, 5, 13])
+    def test_bounded_algebraic_integers_complete(self, k, p):
+        # every root of an integer t^2 + b t + c whose discriminant has
+        # square-free part p, when both roots lie in [-k, k]
+        want = {QuadNumber(v) for v in range(-int(k), int(k) + 1)}
+        for b in range(-20, 21):
+            for c in range(-20, 21):
+                disc = b * b - 4 * c
+                if disc > 0 and squarefree_decompose(disc)[1] == p:
+                    roots = [QuadNumber(Fraction(-b, 2), Fraction(sg, 2), disc) for sg in (-1, 1)]
+                    if all(-k <= r <= k for r in roots):
+                        want.update(roots)
+        assert bounded_algebraic_integers(k, radicand=p) == sorted(want)
+
     def test_quad_sqrt(self):
         x = QuadNumber(3, 2, 2)  # (1 + sqrt(2))^2
         s = quad_sqrt(x)
         assert s is not None and s * s == x
         assert quad_sqrt(QuadNumber(2)) is None  # sqrt(2) is not in Q
         assert quad_sqrt(QuadNumber(0, 1, 3)) is None
+
+
+# -- differential tests of the integer core ---------------------------------
+
+
+class FractionPairQuad:
+    """Reference a + b*sqrt(p) on a pair of Fractions, with the formulas
+    QuadNumber used before it moved to plain ints.  Test-only."""
+
+    def __init__(self, a=0, b=0, p=1):
+        a, b = Fraction(a), Fraction(b)
+        if p > 1:
+            m, p = squarefree_decompose(p)
+            b *= m
+        if p == 1:
+            a, b = a + b, Fraction(0)
+        if b == 0:
+            p = 1
+        self.a, self.b, self.p = a, b, p
+
+    def _radicand(self, other):
+        if self.p == other.p or other.p == 1:
+            return self.p
+        if self.p == 1:
+            return other.p
+        raise FieldMismatchError
+
+    def __add__(self, other):
+        return FractionPairQuad(self.a + other.a, self.b + other.b, self._radicand(other))
+
+    def __neg__(self):
+        return FractionPairQuad(-self.a, -self.b, self.p)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        p = self._radicand(other)
+        return FractionPairQuad(
+            self.a * other.a + self.b * other.b * p, self.a * other.b + self.b * other.a, p
+        )
+
+    def inverse(self):
+        if self.a == 0 and self.b == 0:
+            raise ZeroDivisionError
+        norm = self.a * self.a - self.b * self.b * self.p
+        return FractionPairQuad(self.a / norm, -self.b / norm, self.p)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def sign(self):
+        a, b, p = self.a, self.b, self.p
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a == 0:
+            return 1 if b > 0 else -1
+        if (a > 0) == (b > 0):
+            return 1 if a > 0 else -1
+        if a > 0:
+            return 1 if a * a > b * b * p else -1
+        return -1 if a * a > b * b * p else 1
+
+    def __lt__(self, other):
+        return (self - other).sign() < 0
+
+    def __eq__(self, other):
+        if self.b == 0 and other.b == 0:
+            return self.a == other.a
+        return (self.a, self.b, self.p) == (other.a, other.b, other.p)
+
+    def __hash__(self):
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.p))
+
+    def __repr__(self):
+        return f"QuadNumber({self.a!r}, {self.b!r}, {self.p})"
+
+    def __str__(self):
+        if self.b == 0:
+            return str(self.a)
+        if self.b < 0:
+            return f"{self.a}-{-self.b}*sqrt({self.p})"
+        return f"{self.a}+{self.b}*sqrt({self.p})"
+
+
+def assert_same(q: QuadNumber, r: FractionPairQuad):
+    """q equals the reference value r in value, text, hash and normal form."""
+    assert (q.a, q.b, q.p) == (r.a, r.b, r.p)
+    assert (str(q), repr(q), hash(q)) == (str(r), repr(r), hash(r))
+    x, y, d = q._x, q._y, q._d
+    assert d > 0 and gcd(x, y, d) == 1 and (y == 0) == (q.p == 1)
+
+
+def outcome(op, *args):
+    """op(*args), or the type of the exception it raised."""
+    try:
+        return op(*args)
+    except (ZeroDivisionError, FieldMismatchError) as err:
+        return type(err)
+
+
+@st.composite
+def operand_pairs(draw):
+    """A QuadNumber and its reference, over Q or Q[sqrt 5] (radicands 20 and 45
+    reduce to 5; 2 exercises the field mismatch), from Fraction or int input."""
+    p = draw(st.sampled_from([1, 5, 20, 45, 2]))
+    a = draw(fractions | st.integers(-40, 40))
+    b = draw(fractions | st.integers(-40, 40)) if p > 1 else 0
+    return QuadNumber(a, b, p), FractionPairQuad(a, b, p)
+
+
+class TestIntegerCoreAgainstFractionPairs:
+    @given(operand_pairs(), operand_pairs())
+    @settings(max_examples=300)
+    def test_binary_operations(self, u, v):
+        (x, rx), (y, ry) = u, v
+        assert_same(x, rx)
+        for op in (
+            lambda s, t: s + t,
+            lambda s, t: s - t,
+            lambda s, t: s * t,
+            lambda s, t: s / t,
+        ):
+            got, want = outcome(op, x, y), outcome(op, rx, ry)
+            if isinstance(want, FractionPairQuad):
+                assert_same(got, want)
+            else:
+                assert got is want
+        assert outcome(lambda s, t: s < t, x, y) == outcome(lambda s, t: s < t, rx, ry)
+        assert (x == y) == (rx == ry)
+        assert x.sign() == rx.sign()
+
+    @given(operand_pairs(), fractions | st.integers(-40, 40))
+    def test_mixed_with_rationals(self, u, c):
+        x, rx = u
+        rc = FractionPairQuad(c)
+        assert_same(x + c, rx + rc)
+        assert_same(c - x, rc - rx)
+        assert_same(c * x, rc * rx)
+        if c:
+            assert_same(x / c, rx / rc)
+        if x:
+            assert_same(c / x, rc / rx)
+        assert (x < c, x <= c, x > c, x >= c) == (rx < rc, not rc < rx, rc < rx, not rx < rc)
+        assert (x == c) == (rx == rc)
+
+    @given(operand_pairs())
+    def test_inverse_and_round_trip(self, u):
+        x, rx = u
+        if x:
+            assert_same(x.inverse(), rx.inverse())
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        assert_same(QuadNumber.parse(str(x)), rx)
+        assert QuadNumber.parse(str(x)) == x
+
+    def test_text_and_hash_examples(self):
+        for args in [(0,), (3,), (Fraction(-7, 4),), (0, 1, 5), (Fraction(1, 2), Fraction(-1, 2), 5),
+                     (2, Fraction(3, 4), 12)]:
+            assert_same(QuadNumber(*args), FractionPairQuad(*args))
+        assert hash(QuadNumber(3)) == hash(3) == hash(Fraction(3))
+        assert hash(QuadNumber(Fraction(1, 3))) == hash(Fraction(1, 3))
+
+
+def _generic_char_poly_coeffs(rows):
+    """Integer char-poly coefficients through the generic QuadNumber path:
+    A/2 has non-integer entries and det(tI - A/2) = 2^-n det(2t I - A)."""
+    n = len(rows)
+    half = char_poly(ExactMatrix([[Fraction(v, 2) for v in row] for row in rows]))
+    return [c * 2 ** (n - i) for i, c in enumerate(half.coeffs)]
+
+
+class TestIntegerCharPoly:
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    @settings(max_examples=60)
+    def test_random_integer_matrices(self, rows):
+        coeffs = char_poly(ExactMatrix(rows)).coeffs
+        assert list(coeffs) == _generic_char_poly_coeffs(rows)
+
+    @pytest.mark.parametrize("name", ["K3xK3", "Q4", "24-cell"])
+    def test_adjacency_matrices(self, name):
+        g = named_graph(name)
+        rows = [[g.adj[i] >> j & 1 for j in range(g.n)] for i in range(g.n)]
+        coeffs = char_poly(ExactMatrix(rows)).coeffs
+        assert all(c.is_integer for c in coeffs)
+        assert list(coeffs) == _generic_char_poly_coeffs(rows)
