@@ -24,6 +24,7 @@ from .exactnum import (
     nullspace,
     quad_sqrt,
     rank,
+    split_integer_polynomial,
     squarefree_decompose,
 )
 from .graphs import (
@@ -62,7 +63,6 @@ from .localclass import (
     LocalSolution,
     classify_local,
     delsarte_bound,
-    rank_constraints,
 )
 from .diagsearch import (
     KISSING_NUMBER_R4,
@@ -131,9 +131,9 @@ __all__ = [
     "qpolynomial_spectra",
     "quad_sqrt",
     "rank",
-    "rank_constraints",
     "scheme_from_graph_distances",
     "spectra",
+    "split_integer_polynomial",
     "squarefree_decompose",
     "to_graph6",
     "verify_scheme",

@@ -25,13 +25,12 @@ from __future__ import annotations
 import itertools
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .exactnum import (
     QuadNumber,
-    as_quad,
     bounded_algebraic_integers,
     is_algebraic_integer,
     quad_sqrt,
@@ -55,6 +54,8 @@ __all__ = [
 ]
 
 KISSING_NUMBER_R4 = 24  # maximum spherical [-1,1/2]-code in R^4
+
+M1 = 4  # first multiplicity; the dual recurrence below is written for it
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -84,7 +85,6 @@ class SearchConfig:
 
     k1: int
     a1: int
-    m1: int = 4
     radicand: int = 1
     max_depth: Optional[int] = None
     budget: Optional[int] = None
@@ -94,12 +94,10 @@ class SearchConfig:
             raise ValueError("need k1 >= 3")
         if not 0 <= self.a1 < self.k1:
             raise ValueError("need 0 <= a1 < k1")
-        if self.m1 < 3:
-            raise ValueError("need m1 >= 3")
 
     @property
     def light_tail(self) -> bool:
-        return self.a1 == 0 and self.k1 == self.m1
+        return self.a1 == 0 and self.k1 == M1
 
     @property
     def depth_limit(self) -> int:
@@ -274,7 +272,7 @@ def initial_state(config: SearchConfig):
     diagram = DistributionDiagram.seed(config.k1, config.a1)
     todo = [1]
     one = QuadNumber(1)
-    m1 = QuadNumber(config.m1)
+    m1 = QuadNumber(M1)
     seeds = []
     for w1 in _cosine_candidates(config.k1, config.radicand):
         if not (-one < w1 < one):

@@ -74,10 +74,6 @@ class QuadNumber:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def rational(cls, x: RationalLike) -> "QuadNumber":
-        return cls(Fraction(x))
-
-    @classmethod
     def sqrt(cls, p: int) -> "QuadNumber":
         return cls(0, 1, p)
 
@@ -404,10 +400,6 @@ class ExactMatrix:
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -593,6 +585,147 @@ def is_psd(m: ExactMatrix) -> bool:
         if s != 0 and s != (1 if (n - i) % 2 == 0 else -1):
             return False
     return True
+
+
+def split_integer_polynomial(
+    coeffs: Sequence[int],
+) -> tuple[list[tuple[QuadNumber, int]], int]:
+    """Roots in Q and in real quadratic fields of a monic integer polynomial.
+
+    ``coeffs`` are ascending.  Returns ``(roots, leftover)``: ``roots`` holds
+    (root, multiplicity) once per integer root, and twice per irreducible
+    factor t^2 + b*t + c with positive discriminant, the larger root first;
+    ``leftover`` is the degree of what remains (irreducible factors of degree
+    >= 3, and quadratics without real roots).  Factors come in the usual
+    order of a factorization: by degree, then multiplicity, then coefficients
+    from the leading one down.
+
+    Every root has modulus below a power of two R.  The integer roots divide
+    the constant term and are stripped by exact division.  The rest has no
+    rational root, so Sturm sequences at dyadic points isolate each of its
+    distinct real roots in an interval narrower than 1/(8R).  The midpoints
+    m, m' of the intervals of the roots of t^2 + b*t + c give
+    b = -round(m + m') and c = round(m*m'), each off by less than 1/8; so
+    every pair of intervals names one candidate, kept if it divides exactly.
+    A kept candidate is irreducible, as the rest has no rational root, and
+    by those error bounds its discriminant exceeds -1, so it is positive.
+    """
+    f = list(coeffs)
+    if not f or f[-1] != 1:
+        raise ValueError("need a monic polynomial")
+    r_max = _root_bound(f)
+    linear = []  # (multiplicity, -root): the sort key of the factor t - root
+    f, m = _strip(f, [0, 1])
+    if m:
+        linear.append((m, 0))
+    for r in range(1, r_max):
+        if len(f) == 1:
+            break
+        for root in (r, -r):
+            if f[0] % root == 0:
+                f, m = _strip(f, [-root, 1])
+                if m:
+                    linear.append((m, -root))
+    quadratic = []  # (multiplicity, b, c)
+    mids = [(a + b) / 2 for a, b in _isolate_real_roots(f, r_max)]
+    for i, u in enumerate(mids):
+        for v in mids[i + 1:]:
+            b, c = -round(u + v), round(u * v)
+            f, m = _strip(f, [c, b, 1])
+            if m:
+                quadratic.append((m, b, c))
+    roots = [(QuadNumber(-neg), m) for m, neg in sorted(linear)]
+    for m, b, c in sorted(quadratic):
+        s, p = squarefree_decompose(b * b - 4 * c)
+        roots += [(_make(-b, s, 2, p), m), (_make(-b, -s, 2, p), m)]
+    return roots, len(f) - 1
+
+
+def _root_bound(f: list[int]) -> int:
+    """Least power of two R with R^n > sum of |f_i| R^i over i < n; by
+    Cauchy's bound every root of the monic f has modulus below R."""
+    n = len(f) - 1
+    r = 1
+    while r ** n <= sum(abs(c) * r ** i for i, c in enumerate(f[:-1])):
+        r *= 2
+    return r
+
+
+def _strip(f: list[int], d: list[int]) -> tuple[list[int], int]:
+    """(f / d^m, m) for the largest m with d^m dividing f; d is monic."""
+    k = len(d) - 1
+    m = 0
+    while len(f) > k:
+        rem = f[:]
+        quot = [0] * (len(f) - k)
+        for i in range(len(quot) - 1, -1, -1):
+            c = quot[i] = rem[i + k]
+            for j in range(k):
+                rem[i + j] -= c * d[j]
+        if any(rem[:k]):
+            break
+        f, m = quot, m + 1
+    return f, m
+
+
+def _isolate_real_roots(f: list[int], r_max: int) -> list[tuple[Fraction, Fraction]]:
+    """Intervals (a, b] narrower than 1/(8 r_max), one around each distinct
+    real root of f, which has no rational root and no root of modulus
+    r_max or more; a and b are dyadic, so f never vanishes there."""
+    chain = _sturm_chain(f)
+    width = Fraction(1, 8 * r_max)
+    lo, hi = Fraction(-r_max), Fraction(r_max)
+    todo = [(lo, _variations(chain, lo), hi, _variations(chain, hi))]
+    out = []
+    while todo:
+        a, va, b, vb = todo.pop()
+        if va == vb:
+            continue
+        if va - vb == 1 and b - a < width:
+            out.append((a, b))
+            continue
+        mid = (a + b) / 2
+        vm = _variations(chain, mid)
+        todo += [(a, va, mid, vm), (mid, vm, b, vb)]
+    return out
+
+
+def _sturm_chain(f: list[int]) -> list[list[int]]:
+    """f, f', then minus each remainder, every term scaled by a positive
+    rational to primitive integer coefficients (signs are all that count)."""
+    chain = [f, [i * c for i, c in enumerate(f)][1:]]
+    while len(chain[-1]) > 1:
+        rem = [Fraction(c) for c in chain[-2]]
+        div = chain[-1]
+        while len(rem) >= len(div):
+            c = rem[-1] / div[-1]
+            shift = len(rem) - len(div)
+            for j, x in enumerate(div):
+                rem[shift + j] -= c * x
+            rem.pop()
+        while rem and not rem[-1]:
+            rem.pop()
+        if not rem:
+            break
+        scale = lcm(*(x.denominator for x in rem))
+        ints = [-int(x * scale) for x in rem]
+        g = gcd(*ints)
+        chain.append([x // g for x in ints])
+    return chain
+
+
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    """Sign changes along the chain at x, zeros skipped."""
+    num, den = x.numerator, x.denominator
+    signs = []
+    for h in chain:
+        acc, scale = 0, 1  # den^(deg h) * h(x), by Horner
+        for c in reversed(h):
+            acc = acc * num + c * scale
+            scale *= den
+        if acc:
+            signs.append(acc > 0)
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def _floor_fraction(x: Fraction) -> int:

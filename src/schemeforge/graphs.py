@@ -8,14 +8,14 @@ exact and deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "_canon", "beyond_diameter")
+    __slots__ = ("n", "adj", "_canon")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         adj = [0] * n
@@ -29,7 +29,6 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         self._canon: Optional[tuple] = None
-        self.beyond_diameter = False
 
     @classmethod
     def from_adj(cls, adj: Sequence[int]) -> "Graph":
@@ -37,7 +36,6 @@ class Graph:
         g.n = len(adj)
         g.adj = tuple(adj)
         g._canon = None
-        g.beyond_diameter = False
         return g
 
     @classmethod
@@ -236,20 +234,6 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     return g.canonical_form() == h.canonical_form()
 
 
-def automorphism_count(g: Graph) -> int:
-    """Order of the automorphism group by brute force over canonical colours.
-
-    Only used on small graphs in tests."""
-    count = 0
-    for perm in itertools.permutations(range(g.n)):
-        if all(
-            g.has_edge(perm[u], perm[v]) == g.has_edge(u, v)
-            for u, v in itertools.combinations(range(g.n), 2)
-        ):
-            count += 1
-    return count
-
-
 def dedupe_isomorphs(graphs: Iterable[Graph]) -> list[Graph]:
     seen = {}
     for g in graphs:
@@ -270,22 +254,17 @@ def distance_i_graph(g: Graph, i: int) -> Graph:
     if i < 1:
         raise ValueError("i must be >= 1")
     edges = []
-    reachable = False
     for v in range(g.n):
         dv = g.distances_from(v)
-        if any(d >= i for d in dv):
-            reachable = True
         edges.extend((v, u) for u in range(v + 1, g.n) if dv[u] == i)
-    out = Graph(g.n, edges)
-    out.beyond_diameter = not reachable
-    return out
+    return Graph(g.n, edges)
 
 
 # ---------------------------------------------------------------------------
 # enumeration of regular graphs (isomorphism class representatives)
 
 
-def enumerate_regular_graphs(n: int, k: int, include_disconnected: bool = True) -> list[Graph]:
+def enumerate_regular_graphs(n: int, k: int) -> list[Graph]:
     """One representative per isomorphism class of k-regular graphs on n
     vertices (disconnected ones included).  Intended for n <= 9."""
     if not 0 <= k < max(n, 1):
@@ -353,10 +332,7 @@ def enumerate_regular_graphs(n: int, k: int, include_disconnected: bool = True) 
         rem0[u] -= 1
     rem0[0] = 0
     rec(adj0, rem0)
-    result = dedupe_isomorphs(found)
-    if not include_disconnected:
-        result = [g for g in result if g.is_connected()]
-    return result
+    return dedupe_isomorphs(found)
 
 
 # ---------------------------------------------------------------------------
@@ -738,57 +714,3 @@ def from_graph6(text: str) -> Graph:
                 edges.append((i, j))
             idx += 1
     return Graph(n, edges)
-
-
-# ---------------------------------------------------------------------------
-# distance profiles (the c_i / a_i / b_i numbers)
-
-
-@dataclass
-class DistanceProfile:
-    """Per-vertex distance layers and c_i/a_i/b_i numbers from a base vertex."""
-
-    base: int
-    dist: list[int]
-    cab: dict[int, tuple[int, int, int]] = field(default_factory=dict)
-
-
-def distance_profile(g: Graph, base: int) -> DistanceProfile:
-    dist = g.distances_from(base)
-    prof = DistanceProfile(base, dist)
-    for y in range(g.n):
-        if dist[y] < 0:
-            continue
-        i = dist[y]
-        c = a = b = 0
-        for z in g.neighbours(y):
-            if dist[z] == i - 1:
-                c += 1
-            elif dist[z] == i:
-                a += 1
-            elif dist[z] == i + 1:
-                b += 1
-        prof.cab[y] = (c, a, b)
-    return prof
-
-
-def intersection_numbers_if_uniform(g: Graph) -> Optional[list[tuple[int, int, int]]]:
-    """The (c_i, a_i, b_i) array when independent of base vertex, else None."""
-    if not g.is_connected():
-        return None
-    ref: Optional[list[Optional[tuple[int, int, int]]]] = None
-    diam = g.diameter()
-    for base in range(g.n):
-        prof = distance_profile(g, base)
-        arr: list[Optional[tuple[int, int, int]]] = [None] * (diam + 1)
-        for y, cab in prof.cab.items():
-            i = prof.dist[y]
-            if arr[i] is None:
-                arr[i] = cab
-            elif arr[i] != cab:
-                return None
-        if ref is None:
-            ref = arr
-        elif ref != arr:
-            return None
-    return ref  # type: ignore[return-value]

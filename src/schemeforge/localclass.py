@@ -21,15 +21,13 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-import sympy as sp
-
 from .exactnum import (
     ExactMatrix,
     QuadNumber,
     char_poly,
     is_psd,
     rank,
-    squarefree_decompose,
+    split_integer_polynomial,
 )
 from .graphs import Graph, enumerate_regular_graphs, identify_graph
 
@@ -38,7 +36,6 @@ __all__ = [
     "LocalGramProblem",
     "LocalSolution",
     "ClassifyLocalResult",
-    "rank_constraints",
     "classify_local",
     "GEOMETRIC_LABELS",
 ]
@@ -74,16 +71,6 @@ class LocalGramProblem:
     def has_class2(self) -> bool:
         return self.valency <= self.n - 2
 
-    def sym_gram(self, b1, b2) -> sp.Matrix:
-        g = self.graph
-        return sp.Matrix(
-            self.n,
-            self.n,
-            lambda i, j: sp.Integer(1)
-            if i == j
-            else (b1 if g.adj[i] >> j & 1 else b2),
-        )
-
     def gram(
         self, beta1: Optional[QuadNumber], beta2: Optional[QuadNumber]
     ) -> ExactMatrix:
@@ -102,27 +89,6 @@ class LocalGramProblem:
                 for i in range(self.n)
             ]
         )
-
-
-def rank_constraints(problem: LocalGramProblem, b1=None, b2=None) -> list:
-    """Characteristic-polynomial coefficient equations forcing rank <= 3.
-
-    A Gram matrix of points in R^3 has 0 as an eigenvalue of multiplicity at
-    least n - 3, i.e. the coefficients of t^0 .. t^(n-4) all vanish.  Empty
-    system for n <= 3."""
-    if problem.n < 2:
-        raise ValueError("need at least 2 points")
-    if b1 is None:
-        b1 = sp.Symbol("b1")
-    if b2 is None:
-        b2 = sp.Symbol("b2")
-    n = problem.n
-    if n <= 3:
-        return []
-    t = sp.Symbol("t")
-    chi = problem.sym_gram(b1, b2).charpoly(t)
-    coeffs = chi.all_coeffs()  # descending: t^n .. t^0
-    return [sp.expand(coeffs[n - i]) for i in range(0, n - 3)]
 
 
 @dataclass
@@ -196,14 +162,15 @@ _WITNESS_GRID = [
 _MAX_FAMILY_WITNESSES = 3
 
 
-def _adjacency_eigenvalues(graph: Graph) -> Optional[list]:
-    """Eigenvalues of the adjacency matrix restricted to the complement of
-    the all-ones vector, as (QuadNumber | None, multiplicity) pairs.
+def _adjacency_eigenvalues(graph: Graph) -> list:
+    """Eigenvalues in Q or a real quadratic field of the adjacency matrix,
+    restricted to the complement of the all-ones vector, as
+    (QuadNumber, multiplicity) pairs.
 
-    Roots of irreducible factors of degree > 2 are reported as None: they
-    cannot force a zero Gram eigenvalue because the cosines live in a field
-    of degree at most 2.  Requires the graph regular (the all-ones vector is
-    then an eigenvector for the valency)."""
+    Eigenvalues of higher degree are left out: they cannot force a zero Gram
+    eigenvalue because the cosines live in a field of degree at most 2.  The
+    matrix is symmetric, so its spectrum is real.  Requires the graph regular
+    (the all-ones vector is then an eigenvector for the valency)."""
     n = graph.n
     a = ExactMatrix(
         [
@@ -211,33 +178,16 @@ def _adjacency_eigenvalues(graph: Graph) -> Optional[list]:
             for i in range(n)
         ]
     )
-    chi = char_poly(a)
-    t = sp.Symbol("t")
-    poly = sp.Poly(
-        [int(c.a) for c in reversed(chi.coeffs)], t, domain=sp.ZZ
+    roots, _ = split_integer_polynomial(
+        [int(c.as_fraction()) for c in char_poly(a).coeffs]
     )
-    k = graph.degree(0)
+    k = QuadNumber(graph.degree(0))
     out = []
-    for factor, mult in sp.factor_list(poly)[1]:
-        deg = factor.degree()
-        if deg == 1:
-            c1, c0 = factor.all_coeffs()
-            lam = QuadNumber(Fraction(int(-c0), int(c1)))
-            m = mult - 1 if lam == QuadNumber(k) else mult
-            if m:
-                out.append((lam, m))
-        elif deg == 2:
-            c2, c1, c0 = (Fraction(int(c)) for c in factor.all_coeffs())
-            bb, cc = c1 / c2, c0 / c2
-            disc = bb * bb - 4 * cc
-            if disc <= 0:
-                return None  # complex eigenvalues: not a symmetric matrix
-            m, p = squarefree_decompose(disc.numerator * disc.denominator)
-            half = Fraction(m, 2 * disc.denominator)
-            out.append((QuadNumber(-bb / 2, half, p), mult))
-            out.append((QuadNumber(-bb / 2, -half, p), mult))
-        else:
-            out.append((None, deg * mult))
+    for lam, mult in roots:
+        if lam == k:
+            mult -= 1
+        if mult:
+            out.append((lam, mult))
     return out
 
 
@@ -320,8 +270,6 @@ def _solve_problem(problem: LocalGramProblem) -> Optional[LocalSolution]:
         return finish(pairs, family=True)
 
     eigs = _adjacency_eigenvalues(problem.graph)
-    if eigs is None:
-        raise _Unresolved(problem.graph, "adjacency spectrum not real")
 
     def on_line(lam, b1):
         """b2 making the lam block vanish: (1+lam)*b2 = 1 + lam*b1."""
@@ -350,8 +298,6 @@ def _solve_problem(problem: LocalGramProblem) -> Optional[LocalSolution]:
                 if len(pairs) >= _MAX_FAMILY_WITNESSES:
                     break
     for lam, mult in eigs:
-        if lam is None:
-            continue
         if mult >= need:
             # one-parameter family along the lam line
             candidates = []
@@ -378,12 +324,6 @@ def _solve_problem(problem: LocalGramProblem) -> Optional[LocalSolution]:
     return finish(pairs, family)
 
 
-class _Unresolved(Exception):
-    def __init__(self, graph, reason):
-        self.graph = graph
-        self.reason = reason
-
-
 def classify_local(k_max: int = 9) -> ClassifyLocalResult:
     """Feasible neighbourhood graphs among all regular graphs on <= k_max
     vertices.  The size cap is the two-distance bound on S^2."""
@@ -392,15 +332,11 @@ def classify_local(k_max: int = 9) -> ClassifyLocalResult:
             f"more than {delsarte_bound(3, 2)} points cannot form a "
             "two-distance set on S^2"
         )
-    solutions, unresolved = [], []
+    solutions = []
     for n in range(3, k_max + 1):
         for k in range(0, n):
             for g in enumerate_regular_graphs(n, k):
-                try:
-                    sol = _solve_problem(LocalGramProblem(g))
-                except _Unresolved as u:
-                    unresolved.append((u.graph, u.reason))
-                    continue
+                sol = _solve_problem(LocalGramProblem(g))
                 if sol is not None:
                     solutions.append(sol)
-    return ClassifyLocalResult(solutions, unresolved)
+    return ClassifyLocalResult(solutions)

@@ -14,14 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import sympy
-
 from .exactnum import (
     ExactMatrix,
     QuadNumber,
     char_poly,
     nullspace,
-    squarefree_decompose,
+    split_integer_polynomial,
 )
 from .graphs import Graph, distance_i_graph
 
@@ -58,17 +56,6 @@ class Scheme:
 
     def __bool__(self):
         return True
-
-    def p_num(self, i: int, j: int, h: int) -> int:
-        return self.p[i][j][h]
-
-    def relation_matrix(self, i: int) -> ExactMatrix:
-        return ExactMatrix(
-            [
-                [1 if self.relations[x][y] == i else 0 for y in range(self.n)]
-                for x in range(self.n)
-            ]
-        )
 
     def scheme_graph(self, i: int) -> Graph:
         if i == 0:
@@ -215,49 +202,24 @@ class Spectra:
         )
 
 
-def _factor_eigenvalues(coeffs: list[Fraction]) -> tuple[list[QuadNumber], int]:
-    """Roots of a rational polynomial that factors into linear and quadratic
-    irreducible factors; raises SplittingFieldError otherwise.
+def _factor_eigenvalues(coeffs: list[int]) -> tuple[list[QuadNumber], int]:
+    """Roots, with multiplicity, of a monic integer polynomial that splits
+    over Q or one real quadratic field; raises SplittingFieldError otherwise.
 
     Returns (roots with multiplicity, common radicand)."""
-    t = sympy.Symbol("t")
-    poly = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
-        t,
-        domain="QQ",
-    )
-    _, factors = poly.factor_list()
-    roots: list[QuadNumber] = []
-    radicand = 1
-    for fac, mult in factors:
-        deg = fac.degree()
-        cs = [Fraction(str(c)) for c in fac.all_coeffs()]  # descending
-        if deg == 1:
-            root = QuadNumber(-cs[1] / cs[0])
-            roots.extend([root] * mult)
-        elif deg == 2:
-            a, b, c = cs
-            disc = b * b - 4 * a * c
-            if disc <= 0:
-                raise SplittingFieldError("complex or repeated quadratic factor")
-            m, q = squarefree_decompose(disc.numerator * disc.denominator)
-            scale = Fraction(m, disc.denominator)
-            if q == 1:
-                raise SplittingFieldError("unexpected rational quadratic factor")
-            if radicand == 1:
-                radicand = q
-            elif radicand != q:
-                raise SplittingFieldError(
-                    f"two distinct quadratic fields: sqrt({radicand}), sqrt({q})"
-                )
-            half = QuadNumber(-b / (2 * a), scale / (2 * a), q)
-            roots.extend([half, half.conjugate()] * mult)
-        else:
-            raise SplittingFieldError(
-                f"irreducible factor of degree {deg}; splitting field exceeds "
-                "a quadratic extension"
-            )
-    return roots, radicand
+    split, leftover = split_integer_polynomial(coeffs)
+    if leftover:
+        raise SplittingFieldError(
+            f"irreducible factors of total degree {leftover} do not split over "
+            "a real quadratic field"
+        )
+    radicands = sorted({root.p for root, _ in split} - {1})
+    if len(radicands) > 1:
+        raise SplittingFieldError(
+            f"two distinct quadratic fields: sqrt({radicands[0]}), sqrt({radicands[1]})"
+        )
+    roots = [root for root, mult in split for _ in range(mult)]
+    return roots, radicands[0] if radicands else 1
 
 
 _GENERIC_COEFF_VECTORS = [
@@ -289,7 +251,7 @@ def spectra(s: Scheme) -> Spectra:
             for h in range(d + 1)
         ]
         poly = char_poly(ExactMatrix(combo))
-        roots, radicand = _factor_eigenvalues([x.as_fraction() for x in poly.coeffs])
+        roots, radicand = _factor_eigenvalues([int(x.as_fraction()) for x in poly.coeffs])
         if len(set(roots)) != d + 1:
             last_err = ValueError("eigenvalue collision in generic combination")
             continue

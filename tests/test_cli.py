@@ -235,3 +235,23 @@ class TestSubcommands:
         s = catalogue_scheme("AS10[6]")
         sf = scheme_file_of(s, "AS10[6]")
         assert parse_scheme_file(serialize_scheme_file(sf)) == sf
+
+
+def test_import_does_not_load_sympy():
+    """sympy is a test-only oracle; the package and its CLI run without it."""
+    import os
+    import subprocess
+    import sys
+
+    import schemeforge
+
+    src = os.path.dirname(os.path.dirname(schemeforge.__file__))
+    code = "import sys, schemeforge, schemeforge.cli; print('sympy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"

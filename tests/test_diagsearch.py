@@ -42,6 +42,11 @@ class TestConfig:
         assert not SearchConfig(k1=4, a1=1).light_tail
         assert not SearchConfig(k1=3, a1=0).light_tail  # k1 != m1
 
+    def test_m1_is_not_a_parameter(self):
+        # the search is written for m1 = 4 only
+        with pytest.raises(TypeError):
+            SearchConfig(k1=4, a1=0, m1=5)
+
     def test_depth_limit_depends_on_field(self):
         assert SearchConfig(k1=4, a1=0).depth_limit == 9
         assert SearchConfig(k1=4, a1=0, radicand=5).depth_limit == 17

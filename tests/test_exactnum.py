@@ -1,12 +1,14 @@
 """Exact arithmetic in Q and Q[sqrt(p)]: field axioms, matrices, bounds."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schemeforge.catalogue import CATALOGUE, catalogue_scheme
 from schemeforge.exactnum import (
     ExactMatrix,
     ExactPolynomial,
@@ -20,9 +22,11 @@ from schemeforge.exactnum import (
     nullspace,
     quad_sqrt,
     rank,
+    split_integer_polynomial,
     squarefree_decompose,
 )
-from schemeforge.graphs import named_graph
+from schemeforge.graphs import enumerate_regular_graphs, named_graph
+from schemeforge.schemes import _GENERIC_COEFF_VECTORS, scheme_from_graph_distances
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 radicands = st.sampled_from([1, 2, 3, 5, 6, 7, 10])
@@ -358,3 +362,125 @@ class TestIntegerCharPoly:
         coeffs = char_poly(ExactMatrix(rows)).coeffs
         assert all(c.is_integer for c in coeffs)
         assert list(coeffs) == _generic_char_poly_coeffs(rows)
+
+
+def _sympy_split(coeffs):
+    """split_integer_polynomial's answer, read off sympy's factor_list."""
+    t = sympy.Symbol("t")
+    roots, leftover = [], 0
+    poly = sympy.Poly(list(reversed(coeffs)), t, domain=sympy.ZZ)
+    for factor, mult in poly.factor_list()[1]:
+        cs = [int(c) for c in factor.all_coeffs()]
+        if len(cs) == 2:
+            roots.append((QuadNumber(-cs[1]), mult))
+        elif len(cs) == 3 and cs[1] ** 2 - 4 * cs[2] > 0:
+            _, b, c = cs
+            s, p = squarefree_decompose(b * b - 4 * c)
+            for sign in (1, -1):
+                roots.append((QuadNumber(Fraction(-b, 2), Fraction(sign * s, 2), p), mult))
+        else:
+            leftover += (len(cs) - 1) * mult
+    return roots, leftover
+
+
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def _adjacency_coeffs(g):
+    rows = [[g.adj[i] >> j & 1 for j in range(g.n)] for i in range(g.n)]
+    return [int(c.as_fraction()) for c in char_poly(ExactMatrix(rows)).coeffs]
+
+
+def _scheme_combo_coeffs():
+    """Char polys of the six generic intersection-matrix combinations that
+    ``spectra`` tries, for each catalogue scheme and four distance schemes."""
+    schemes = [catalogue_scheme(sid) for sid in sorted(CATALOGUE)] + [
+        scheme_from_graph_distances(named_graph(name))
+        for name in ("C7", "petersen", "icosahedron", "cube")
+    ]
+    out = []
+    for s in schemes:
+        bmats = [s.intersection_matrix(i) for i in range(s.d + 1)]
+        for make in _GENERIC_COEFF_VECTORS:
+            c = make(s.d)
+            combo = [
+                [sum(c[i] * bmats[i][h][j] for i in range(s.d + 1)) for j in range(s.d + 1)]
+                for h in range(s.d + 1)
+            ]
+            out.append([int(x.as_fraction()) for x in char_poly(ExactMatrix(combo)).coeffs])
+    return out
+
+
+linear_factors = st.tuples(st.integers(-12, 12), st.integers(1, 3)).map(
+    lambda rm: ([-rm[0], 1], rm[1])
+)
+real_quadratic_factors = st.tuples(
+    st.integers(-9, 9), st.integers(-40, 40), st.integers(1, 3)
+).filter(
+    lambda bcm: bcm[0] ** 2 - 4 * bcm[1] > 0
+    and isqrt(bcm[0] ** 2 - 4 * bcm[1]) ** 2 != bcm[0] ** 2 - 4 * bcm[1]
+).map(lambda bcm: ([bcm[1], bcm[0], 1], bcm[2]))
+CUBIC = [1, -3, 0, 1]  # t^3 - 3t + 1, irreducible, three real roots
+
+
+class TestSplitIntegerPolynomial:
+    """Differential test against sympy's factorization, the test-only oracle."""
+
+    def test_regular_graphs_up_to_nine_vertices(self):
+        count = 0
+        for n in range(1, 10):
+            for k in range(n):
+                for g in enumerate_regular_graphs(n, k):
+                    coeffs = _adjacency_coeffs(g)
+                    assert split_integer_polynomial(coeffs) == _sympy_split(coeffs), g
+                    count += 1
+        assert count == 74
+
+    def test_generic_scheme_combinations(self):
+        polys = _scheme_combo_coeffs()
+        assert len(polys) == 72
+        for coeffs in polys:
+            assert split_integer_polynomial(coeffs) == _sympy_split(coeffs), coeffs
+
+    @given(st.lists(st.one_of(linear_factors, real_quadratic_factors), max_size=5),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_products_of_factors(self, factors, with_cubic):
+        coeffs = [1]
+        for factor, mult in factors:
+            for _ in range(mult):
+                coeffs = _poly_mul(coeffs, factor)
+        if with_cubic:
+            coeffs = _poly_mul(coeffs, CUBIC)
+        assert split_integer_polynomial(coeffs) == _sympy_split(coeffs)
+
+    @pytest.mark.parametrize("coeffs", [
+        [-545, 47, 1], [-379, 14, 1], [99, -48, 1], [130400, -25969, -2443, 3, 1],
+    ])
+    def test_roots_near_the_bound(self, coeffs):
+        # roots close to the power-of-two bound R: with isolating intervals
+        # of width 2/R instead of 1/(8R), midpoint rounding misses these
+        assert split_integer_polynomial(coeffs) == _sympy_split(coeffs)
+
+    def test_examples(self):
+        r5 = QuadNumber.sqrt(5)
+        # (t - 2)(t^2 + t - 1)^2: the adjacency char poly of C5
+        c5 = _poly_mul([-2, 1], _poly_mul([-1, 1, 1], [-1, 1, 1]))
+        assert split_integer_polynomial(c5) == (
+            [(QuadNumber(2), 1), ((r5 - 1) / 2, 2), ((-r5 - 1) / 2, 2)],
+            0,
+        )
+        assert split_integer_polynomial(CUBIC) == ([], 3)
+        # complex roots stay in the leftover
+        assert split_integer_polynomial(_poly_mul([1, 1, 1], [-3, 1])) == (
+            [(QuadNumber(3), 1)], 2,
+        )
+        assert split_integer_polynomial([0, 0, 1]) == ([(QuadNumber(0), 2)], 0)
+        assert split_integer_polynomial([1]) == ([], 0)
+        with pytest.raises(ValueError):
+            split_integer_polynomial([1, 2])

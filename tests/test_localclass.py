@@ -12,8 +12,8 @@ from schemeforge.localclass import (
     GEOMETRIC_LABELS,
     LocalGramProblem,
     classify_local,
+    _adjacency_eigenvalues,
     delsarte_bound,
-    rank_constraints,
 )
 
 EXPECTED_GRAPHS = {
@@ -23,6 +23,38 @@ EXPECTED_LABELS = {
     "triangle", "tetrahedron", "2-antiprism", "pentagon", "3-prism",
     "octahedron",
 }
+
+
+def sym_gram(problem: LocalGramProblem, b1, b2) -> sp.Matrix:
+    g = problem.graph
+    return sp.Matrix(
+        problem.n,
+        problem.n,
+        lambda i, j: sp.Integer(1)
+        if i == j
+        else (b1 if g.adj[i] >> j & 1 else b2),
+    )
+
+
+def rank_constraints(problem: LocalGramProblem, b1=None, b2=None) -> list:
+    """Characteristic-polynomial coefficient equations forcing rank <= 3.
+
+    A Gram matrix of points in R^3 has 0 as an eigenvalue of multiplicity at
+    least n - 3, i.e. the coefficients of t^0 .. t^(n-4) all vanish.  Empty
+    system for n <= 3.  A sympy oracle, independent of the exact solver."""
+    if problem.n < 2:
+        raise ValueError("need at least 2 points")
+    if b1 is None:
+        b1 = sp.Symbol("b1")
+    if b2 is None:
+        b2 = sp.Symbol("b2")
+    n = problem.n
+    if n <= 3:
+        return []
+    t = sp.Symbol("t")
+    chi = sym_gram(problem, b1, b2).charpoly(t)
+    coeffs = chi.all_coeffs()  # descending: t^n .. t^0
+    return [sp.expand(coeffs[n - i]) for i in range(0, n - 3)]
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +133,19 @@ class TestRankConstraints:
     def test_system_size(self):
         problem = LocalGramProblem(named_graph("octahedron"))
         assert len(rank_constraints(problem)) == problem.n - 3
+
+
+class TestAdjacencyEigenvalues:
+    def test_pentagon(self):
+        r5 = QuadNumber.sqrt(5)
+        assert _adjacency_eigenvalues(named_graph("C5")) == [
+            ((r5 - 1) / 2, 2), ((-r5 - 1) / 2, 2),
+        ]
+
+    def test_valency_counted_once_less(self):
+        # 2K2 has eigenvalue 1 twice; the all-ones vector takes one of them
+        one, minus_one = QuadNumber(1), QuadNumber(-1)
+        assert _adjacency_eigenvalues(named_graph("2K2")) == [(one, 1), (minus_one, 2)]
 
 
 def test_runtime_under_a_minute():
