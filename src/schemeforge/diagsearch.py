@@ -22,6 +22,7 @@ Structure of the search state:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import warnings
@@ -252,13 +253,12 @@ def candidate_radicands(k1: int) -> list:
     return sorted(seen)
 
 
-def _cosine_candidates(k: int, radicand: int) -> list:
-    """Possible cosines lambda/k with lambda a bounded algebraic integer."""
-    out = []
-    for lam in bounded_algebraic_integers(k, radicand):
-        w = lam / QuadNumber(k)
-        out.append(w)
-    return sorted(set(out))
+@functools.cache
+def _cosine_candidates(k: int, radicand: int) -> tuple:
+    """Possible cosines lambda/k with lambda a bounded algebraic integer,
+    sorted; memoised, so the result is an immutable tuple."""
+    kq = QuadNumber(k)
+    return tuple(sorted({lam / kq for lam in bounded_algebraic_integers(k, radicand)}))
 
 
 def initial_state(config: SearchConfig):

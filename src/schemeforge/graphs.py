@@ -166,16 +166,18 @@ def _bits(mask: int) -> list[int]:
 # colour refinement, canonical form, isomorphism
 
 
-def _refine(g: Graph, colours: list[int]) -> list[int]:
-    """1-dimensional Weisfeiler-Leman refinement to a stable colouring."""
-    n = g.n
+def _refine(nbrs: list[list[int]], colours: list[int]) -> list[int]:
+    """1-dimensional Weisfeiler-Leman refinement to a stable colouring.
+
+    nbrs[v] lists the neighbours of v.  Each pass renumbers the vertices by
+    the sorted (colour, sorted neighbour colours) signatures, so the result
+    does not depend on the vertex labels."""
     while True:
         sigs = [
-            (colours[v], tuple(sorted(colours[u] for u in g.neighbours(v))))
-            for v in range(n)
+            (colours[v], tuple(sorted([colours[u] for u in nb])))
+            for v, nb in enumerate(nbrs)
         ]
-        order = sorted(set(sigs))
-        lut = {s: i for i, s in enumerate(order)}
+        lut = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [lut[s] for s in sigs]
         if new == colours:
             return colours
@@ -185,45 +187,77 @@ def _refine(g: Graph, colours: list[int]) -> list[int]:
 def _canonical_form(g: Graph) -> tuple:
     """Canonical adjacency encoding via refinement plus backtracking.
 
-    Returns a tuple (n, canonical upper-triangle bitstring) minimal over the
-    explored labelings; adequate for the n <= 24 graphs used here.
-    """
+    Returns (n, c): c is the minimum, over all leaves of the
+    individualisation-refinement tree, of the upper-triangle adjacency
+    bitstring in the leaf's vertex order.  A node refines its colouring and
+    individualises, in turn, each vertex of its first non-singleton cell.
+
+    Automorphism pruning (McKay 1981) skips subtrees without changing c: two
+    leaves with the same code differ by an automorphism, and a child in the
+    orbit of an explored sibling under the recorded automorphisms that fix the
+    node's individualised vertices has the same leaf codes as that sibling,
+    because refinement, target cell and new colour are label-invariant."""
     n = g.n
-    best: list[Optional[int]] = [None]
+    adj = g.adj
+    nbrs = [_bits(a) for a in adj]
+    first_leaf: dict[int, list[int]] = {}  # code -> order of its first leaf
+    automorphisms: list[list[int]] = []
+    best: Optional[int] = None
 
-    def encode(perm_inv: list[int]) -> int:
-        # perm_inv[i] = original vertex placed at position i
-        code = 0
-        bit = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                code = (code << 1) | (g.adj[perm_inv[i]] >> perm_inv[j] & 1)
-        return code
-
-    def rec(colours: list[int]):
-        colours = _refine(g, colours)
+    def rec(colours: list[int], path: list[int]):
+        nonlocal best
+        colours = _refine(nbrs, colours)
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colours):
             cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
         if target is None:
-            perm_inv = [v for _, v in sorted((colours[v], v) for v in range(n))]
-            code = encode(perm_inv)
-            if best[0] is None or code < best[0]:
-                best[0] = code
+            # order[i] = original vertex placed at position i
+            order = [0] * n
+            for v, c in enumerate(colours):
+                order[c] = v
+            code = 0
+            for i in range(n):
+                row = adj[order[i]]
+                for j in range(i + 1, n):
+                    code = (code << 1) | (row >> order[j] & 1)
+            seen = first_leaf.setdefault(code, order)
+            if seen is not order:
+                gamma = [0] * n
+                for a, b in zip(seen, order):
+                    gamma[a] = b
+                automorphisms.append(gamma)
+            if best is None or code < best:
+                best = code
             return
-        nxt = max(colours) + 1
+        nxt = len(cells)  # refined colours are 0..len(cells) - 1
+        explored: list[int] = []
         for v in target:
+            if explored and v in _orbit(
+                explored, [a for a in automorphisms if all(a[u] == u for u in path)]
+            ):
+                continue
+            explored.append(v)
             branch = colours[:]
             branch[v] = nxt
-            rec(branch)
+            rec(branch, path + [v])
 
-    rec([0] * n)
-    return (n, best[0])
+    rec([0] * n, [])
+    return (n, best)
+
+
+def _orbit(seeds: list[int], generators: list[list[int]]) -> set[int]:
+    """Union of the orbits of seeds under the group the generators generate."""
+    orbit = set(seeds)
+    stack = list(seeds)
+    while stack:
+        x = stack.pop()
+        for gamma in generators:
+            y = gamma[x]
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return orbit
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -240,7 +274,7 @@ def dedupe_isomorphs(graphs: Iterable[Graph]) -> list[Graph]:
         key = g.canonical_form()
         if key not in seen:
             seen[key] = g
-    return [seen[k] for k in sorted(seen, key=lambda t: (t[0], t[1]))]
+    return [seen[k] for k in sorted(seen)]
 
 
 # ---------------------------------------------------------------------------

@@ -255,15 +255,18 @@ def spectra(s: Scheme) -> Spectra:
         if len(set(roots)) != d + 1:
             last_err = ValueError("eigenvalue collision in generic combination")
             continue
-        return _spectra_from_eigenvalues(s, combo, roots, radicand)
+        return _spectra_from_eigenvalues(s, bmats, combo, roots, radicand)
     raise last_err  # type: ignore[misc]
 
 
 def _spectra_from_eigenvalues(
-    s: Scheme, combo: list[list[int]], roots: list[QuadNumber], radicand: int
+    s: Scheme,
+    bmats: list[list[list[int]]],
+    combo: list[list[int]],
+    roots: list[QuadNumber],
+    radicand: int,
 ) -> Spectra:
     d = s.d
-    bmats = [s.intersection_matrix(i) for i in range(d + 1)]
     rows: list[tuple[QuadNumber, ...]] = []
     for theta in roots:
         shifted = ExactMatrix(
