@@ -58,6 +58,10 @@ KISSING_NUMBER_R4 = 24  # maximum spherical [-1,1/2]-code in R^4
 
 M1 = 4  # first multiplicity; the dual recurrence below is written for it
 
+_ONE = QuadNumber(1)
+_THREE = QuadNumber(3)
+_FOUR = QuadNumber(4)
+
 DEFAULT_BUDGET = 2_000_000
 
 
@@ -190,9 +194,7 @@ class CosineColumns:
     def second_from_first(self, w1: QuadNumber) -> QuadNumber:
         """Column-2 value forced by the dual recurrence
         m1*w1^2 = 1 + q111*w1 + (m1 - 1 - q111)*w2 with m1 = 4."""
-        four = QuadNumber(4)
-        rest = QuadNumber(3) - self.q111
-        return (four * w1 * w1 - QuadNumber(1) - self.q111 * w1) / rest
+        return (_FOUR * w1 * w1 - _ONE - self.q111 * w1) / (_THREE - self.q111)
 
 
 @dataclass
@@ -512,7 +514,8 @@ def solve_cosines(
     fresh vertices make both recurrences checks, one fresh vertex is linear,
     two reduce to a quadratic solved inside the field, and beyond that the
     surplus cosines are exhausted over the bounded-algebraic-integer
-    candidates.  Returns a list of CosineColumns (empty = prune)."""
+    candidates, the last of them through the closed-form discriminant of the
+    remaining quadratic.  Returns a list of CosineColumns (empty = prune)."""
     k1q = QuadNumber(diagram.k1)
     w11, w12 = cosines.values[1]
     known = {h: cosines.values[h] for h in range(len(cosines.values))}
@@ -559,70 +562,80 @@ def solve_cosines(
             out.values[f] = pair
         return out
 
-    def solve_tail(prefix):
-        """prefix fixes all but the last two fresh cosines; solve the rest."""
-        used1 = sum(
-            (wq * a for wq, a in zip(weights, prefix)), QuadNumber(0)
-        )
-        used2 = sum(
-            (wq * phi(a) for wq, a in zip(weights, prefix)), QuadNumber(0)
-        )
-        t1 = target1 - used1
-        t2 = target2 - used2
-        tailw = weights[len(prefix):]
-        sols = []
-        if len(tailw) == 1:
-            a = t1 / tailw[0]
-            if tailw[0] * phi(a) == t2:
-                sols.append(list(prefix) + [a])
-        else:
-            wa, wb = tailw
-            # b = (t1 - wa*a)/wb; wa*phi(a) + wb*phi(b) = t2
-            # phi(x) = (4x^2 - 1 - q*x)/(3 - q): quadratic in a
-            q = cosines.q111
-            three_q = QuadNumber(3) - q
-            four = QuadNumber(4)
-            one = QuadNumber(1)
-            # multiply the column-2 recurrence by (3 - q):
-            #   wa*(4a^2 - 1 - q*a) + wb*(4b^2 - 1 - q*b) = t2*(3 - q)
-            # and substitute b, using wb*4b^2 = 4*(t1 - wa*a)^2 / wb:
-            #   4wa*a^2 - wa - q*wa*a
-            #   + (4/wb)*(t1^2 - 2*t1*wa*a + wa^2*a^2)
-            #   - wb - q*t1 + q*wa*a - t2*(3 - q) = 0
-            A = four * wa + four * wa * wa / wb
-            B = -QuadNumber(8) * t1 * wa / wb
-            C = -wa + four * t1 * t1 / wb - wb - q * t1 - t2 * three_q
-            if not A:
-                if not B:
-                    return sols  # degenerate; no isolated solutions
-                roots = [-C / B]
-            else:
-                disc = B * B - four * A * C
-                root = quad_sqrt(disc) if disc.sign() >= 0 else None
-                if root is None:
-                    return sols
-                roots = [(-B + root) / (QuadNumber(2) * A)]
-                if root:
-                    roots.append((-B - root) / (QuadNumber(2) * A))
-            for a in roots:
-                if not _in_field(a, cosines.radicand):
-                    continue
-                b = (t1 - wa * a) / wb
-                sols.append(list(prefix) + [a, b])
-        return sols
-
-    results = []
     if len(fresh) == 1:
-        columns = solve_tail([])
+        a = target1 / weights[0]
+        columns = [[a]] if weights[0] * phi(a) == target2 else []
     else:
+        # The last two fresh cosines (a, b) with weights (wa, wb) solve
+        #   wa*a + wb*b = t1,  wa*phi(a) + wb*phi(b) = t2.
+        # Multiplying the second by (3 - q), phi(x) = (4x^2 - 1 - q*x)/(3 - q),
+        # and substituting b = (t1 - wa*a)/wb gives A*a^2 + B*a + C = 0 with
+        #   A = 4*wa*(wa + wb)/wb > 0,  B = -8*t1*wa/wb,
+        #   C = 4*t1^2/wb - wa - wb - q*t1 - (3 - q)*t2,
+        # whose discriminant is
+        #   B^2 - 4AC = c*t1^2 + 4Aq*t1 + 4A(3 - q)*t2 + 4A(wa + wb),
+        # where c = -64*wa/wb is what is left of the t1^2 terms of B^2 - 4AC.
+        q = cosines.q111
+        wa, wb = weights[-2:]
+        A = _FOUR * wa * (wa + wb) / wb
+        two_a = A + A
+        four_a = two_a + two_a
+        four_aq = four_a * q
+        four_a_rest = four_a * (_THREE - q)
+        four_a_w = four_a * (wa + wb)
+        c = QuadNumber(-64) * wa / wb
+        radicand = cosines.radicand
+
+        def tail_roots(prefix, t1, disc):
+            """The completions prefix + [a, b] for a tail with target t1 and
+            discriminant disc."""
+            root = quad_sqrt(disc)
+            if root is None:
+                return []
+            B = QuadNumber(-8) * t1 * wa / wb
+            roots = [(-B + root) / two_a]
+            if root:
+                roots.append((-B - root) / two_a)
+            return [
+                prefix + [a, (t1 - wa * a) / wb]
+                for a in roots
+                if _in_field(a, radicand)
+            ]
+
         surplus = len(fresh) - 2
         if surplus == 0:
-            columns = solve_tail([])
+            t1, t2 = target1, target2
+            disc = c * t1 * t1 + four_aq * t1 + four_a_rest * t2 + four_a_w
+            columns = tail_roots([], t1, disc)
         else:
+            # The last surplus cosine a, of weight w0, leaves t1 = T1 - w0*a
+            # and t2 = T2 - w0*phi(a); the discriminant is then P*a^2 + Q*a + R
+            # (the q*a terms cancel), so each candidate costs one Horner step
+            # and a sign test, and only discriminants >= 0 are solved.
             columns = []
-            cands = _fresh_candidates(diagram, v, fresh[0], cosines, config)
-            for combo in itertools.product(cands, repeat=surplus):
-                columns.extend(solve_tail(list(combo)))
+            cands = _fresh_candidates(
+                diagram.valencies[v] * diagram.weight(v, fresh[0]),
+                diagram.k1,
+                config.radicand,
+            )
+            w0 = weights[surplus - 1]
+            P = w0 * (c * w0 - QuadNumber(16) * A)
+            minus_2c_w0 = QuadNumber(-2) * c * w0
+            four_a_w0 = four_a * w0 + four_a_w
+            for outer in itertools.product(cands, repeat=surplus - 1):
+                T1, T2 = target1, target2
+                for wq, a in zip(weights, outer):
+                    T1 = T1 - wq * a
+                    T2 = T2 - wq * phi(a)
+                Q = minus_2c_w0 * T1
+                R = c * T1 * T1 + four_aq * T1 + four_a_rest * T2 + four_a_w0
+                prefix = list(outer)
+                for a in cands:
+                    disc = (P * a + Q) * a + R
+                    if disc.sign() < 0:
+                        continue
+                    columns.extend(tail_roots(prefix + [a], T1 - w0 * a, disc))
+    results = []
     seen = set()
     for col in columns:
         ext = extend(col)
@@ -645,20 +658,16 @@ def _interchangeable(diagram, v, fresh) -> bool:
     return len(set(ws)) < len(ws)
 
 
-def _fresh_candidates(diagram, v, f, cosines, config) -> list:
-    """Possible cosines of a fresh vertex: lambda/k for every valency k
-    consistent with the handshake back to v."""
-    kv = diagram.valencies[v]
-    wv = diagram.weight(v, f)
+@functools.cache
+def _fresh_candidates(num: int, k1: int, radicand: int) -> tuple:
+    """Possible cosines of a fresh vertex f made at v, for num = k_v*w(v->f):
+    lambda/k for every valency k = num/back allowed by the handshake
+    k_v*w(v->f) = k*w(f->v), back in 1..k1; sorted and memoised."""
     out = set()
-    for back in range(1, diagram.k1 + 1):
-        num = kv * wv
-        if num % back:
-            continue
-        k = num // back
-        for w in _cosine_candidates(k, config.radicand):
-            out.add(w)
-    return sorted(out)
+    for back in range(1, k1 + 1):
+        if not num % back:
+            out.update(_cosine_candidates(num // back, radicand))
+    return tuple(sorted(out))
 
 
 def check_solution_valid(cosines: CosineColumns, diagram: DistributionDiagram):
@@ -724,6 +733,15 @@ def _emission_checks(diagram: DistributionDiagram, cosines: CosineColumns):
     return True, ""
 
 
+@functools.cache
+def _catalogue() -> dict:
+    """The bundled catalogue schemes by id, built once per process (so each
+    one's Q-polynomial spectra are computed once too); read-only."""
+    from .catalogue import CATALOGUE, catalogue_scheme
+
+    return {sid: catalogue_scheme(sid) for sid in CATALOGUE}
+
+
 def generate_diagrams(config: SearchConfig, known=None) -> SearchOutcome:
     """Run the recursive generation for one configuration.
 
@@ -731,9 +749,7 @@ def generate_diagrams(config: SearchConfig, known=None) -> SearchOutcome:
     the bundled catalogue.  Unmatched feasible diagrams are kept in the
     result list with matched=None."""
     if known is None:
-        from .catalogue import CATALOGUE, catalogue_scheme
-
-        known = {sid: catalogue_scheme(sid) for sid in CATALOGUE}
+        known = _catalogue()
 
     stats = {
         "nodes": 0,
@@ -813,17 +829,13 @@ def generate_diagrams(config: SearchConfig, known=None) -> SearchOutcome:
 def match_known(result: SearchResult, scheme) -> bool:
     """Does the result's diagram and cosine data equal the scheme's, up to a
     relabeling of relations fixing R0 and R1?"""
-    from .schemes import (
-        NoQPolynomialOrderingError,
-        SplittingFieldError,
-        qpolynomial_spectra,
-    )
+    from .schemes import NoQPolynomialOrderingError, SplittingFieldError
 
     diagram = result.diagram
     if scheme.d + 1 != diagram.n:
         return False
     try:
-        sp, _orderings = qpolynomial_spectra(scheme)
+        sp, _orderings = scheme.qpolynomial
     except (SplittingFieldError, NoQPolynomialOrderingError):
         return False
     if scheme.valencies[1] != diagram.k1:

@@ -801,22 +801,20 @@ def quad_sqrt(x: QuadNumber) -> QuadNumber | None:
         return None
     if not x:
         return QuadNumber(0)
+    if not x._y:
+        r = _fraction_sqrt(x.as_fraction())
+        return None if r is None else QuadNumber(r)
+    # s^2 + t^2 p = a, 2 s t = b  =>  s^2 solves u^2 - a u + b^2 p / 4 = 0,
+    # whose discriminant a^2 - b^2 p = (x^2 - y^2 p)/d^2 must be a rational
+    # square: decided on ints before any Fraction is built
+    norm = x._x * x._x - x._y * x._y * x._p
+    if norm < 0:
+        return None
+    r = isqrt(norm)
+    if r * r != norm:
+        return None
     a, b, p = x.a, x.b, x.p
-    if b == 0:
-        # either sqrt(a) rational, or sqrt(a) = t*sqrt(p) with t rational
-        r = _fraction_sqrt(a)
-        if r is not None:
-            return QuadNumber(r, 0, 1) if p == 1 else QuadNumber(r, 0, p)
-        if p > 1:
-            t = _fraction_sqrt(a / p)
-            if t is not None:
-                return QuadNumber(0, t, p)
-        return None
-    # s^2 + t^2 p = a, 2 s t = b  =>  s^2 solves u^2 - a u + b^2 p / 4 = 0
-    disc = a * a - b * b * p
-    rd = _fraction_sqrt(disc)
-    if rd is None:
-        return None
+    rd = Fraction(r, x._d)
     for u in ((a + rd) / 2, (a - rd) / 2):
         if u < 0:
             continue

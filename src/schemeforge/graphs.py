@@ -7,6 +7,7 @@ exact and deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -518,15 +519,21 @@ def named_graph(name: str) -> Graph:
     raise KeyError(f"unknown graph name: {name!r}")
 
 
-def identify_graph(g: Graph) -> Optional[str]:
-    """Name of g among the catalogue graphs, or None."""
-    candidates = [
+@functools.cache
+def _identifiable_graphs() -> tuple:
+    """(name, graph) for every graph identify_graph knows, built once per
+    process so that each one's canonical form is computed once."""
+    names = [
         "K3", "N3", "K4", "N4", "2K2", "C4", "C5", "K3xK2", "octahedron",
         "K3,3", "K5", "K2,2,2,2", "K3xK3", "J(5,2)", "crown", "Q4",
         "24-cell", "icosahedron", "cube",
     ]
-    for name in candidates:
-        h = named_graph(name)
+    return tuple((name, named_graph(name)) for name in names)
+
+
+def identify_graph(g: Graph) -> Optional[str]:
+    """Name of g among the catalogue graphs, or None."""
+    for name, h in _identifiable_graphs():
         if h.n == g.n and is_isomorphic(g, h):
             return name
     return None

@@ -9,6 +9,7 @@ computations are exact throughout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,6 +76,12 @@ class Scheme:
         return [
             [self.p[i][j][h] for j in range(self.d + 1)] for h in range(self.d + 1)
         ]
+
+    @functools.cached_property
+    def qpolynomial(self) -> tuple["Spectra", list[tuple[int, ...]]]:
+        """qpolynomial_spectra(self), computed once per Scheme object; an
+        error is not kept, so the next access raises it again."""
+        return qpolynomial_spectra(self)
 
 
 SchemeResult = Union[Scheme, SchemeRefutation]

@@ -1,17 +1,29 @@
 """Relation-distribution diagram generation and its pruning rules."""
 
-import pytest
+import itertools
+import sys
+from fractions import Fraction
 
-from schemeforge import schemes
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from schemeforge import diagsearch, schemes
 from schemeforge.catalogue import catalogue_scheme
 from schemeforge.diagsearch import (
     KISSING_NUMBER_R4,
+    CosineColumns,
+    DistributionDiagram,
     SearchConfig,
+    _cosine_candidates,
+    _in_field,
+    _interchangeable,
     candidate_radicands,
     generate_diagrams,
     match_known,
+    solve_cosines,
 )
-from schemeforge.exactnum import QuadNumber
+from schemeforge.exactnum import QuadNumber, quad_sqrt
 from schemeforge.schemes import NoQPolynomialOrderingError, SplittingFieldError
 
 
@@ -187,3 +199,342 @@ class TestMatchKnown:
         (res,) = run_3_0.results
         with pytest.raises(TypeError, match="bug in spectra"):
             match_known(res, catalogue_scheme("AS06[3]"))
+
+
+# -- the closed-form tail discriminant against the solver it replaced -------
+
+
+def reference_solve_cosines(
+    diagram: DistributionDiagram,
+    cosines: CosineColumns,
+    v: int,
+    fresh: list,
+    config: SearchConfig,
+):
+    """solve_cosines as it was before the closed-form tail discriminant,
+    kept verbatim as the reference.  Extensions of the cosine columns to the
+    fresh vertices created at v.
+
+    The column-1 recurrence k1*w(1,1)*w(v,1) = sum_h p_{h1}^v * w(h,1) is one
+    linear equation; column 2 is the image of column 1 under the dual
+    recurrence, and the column-2 recurrence then closes the system: zero
+    fresh vertices make both recurrences checks, one fresh vertex is linear,
+    two reduce to a quadratic solved inside the field, and beyond that the
+    surplus cosines are exhausted over the bounded-algebraic-integer
+    candidates.  Returns a list of CosineColumns (empty = prune)."""
+    k1q = QuadNumber(diagram.k1)
+    w11, w12 = cosines.values[1]
+    known = {h: cosines.values[h] for h in range(len(cosines.values))}
+
+    def residuals(vals):
+        full = dict(known)
+        for f, pair in zip(fresh, vals):
+            full[f] = pair
+        res = []
+        for c in (0, 1):
+            lhs = k1q * cosines.values[1][c] * full[v][c]
+            rhs = QuadNumber(0)
+            for h in diagram.out_neighbours(v):
+                rhs = rhs + QuadNumber(diagram.weight(v, h)) * full[h][c]
+            res.append(lhs - rhs)
+        return res
+
+    if not fresh:
+        r1, r2 = residuals([])
+        return [cosines] if not r1 and not r2 else []
+
+    weights = [QuadNumber(diagram.weight(v, f)) for f in fresh]
+    target1 = k1q * w11 * cosines.values[v][0] - sum(
+        (QuadNumber(diagram.weight(v, h)) * known[h][0]
+         for h in diagram.out_neighbours(v) if h not in fresh),
+        QuadNumber(0),
+    )
+    target2 = k1q * w12 * cosines.values[v][1] - sum(
+        (QuadNumber(diagram.weight(v, h)) * known[h][1]
+         for h in diagram.out_neighbours(v) if h not in fresh),
+        QuadNumber(0),
+    )
+
+    phi = cosines.second_from_first
+
+    def extend(first_column):
+        vals = [(a, phi(a)) for a in first_column]
+        r1, r2 = residuals(vals)
+        if r1 or r2:
+            return None
+        out = cosines.copy()
+        out.values = list(out.values) + [None] * (max(fresh) + 1 - len(out.values))
+        for f, pair in zip(fresh, vals):
+            out.values[f] = pair
+        return out
+
+    def solve_tail(prefix):
+        """prefix fixes all but the last two fresh cosines; solve the rest."""
+        used1 = sum(
+            (wq * a for wq, a in zip(weights, prefix)), QuadNumber(0)
+        )
+        used2 = sum(
+            (wq * phi(a) for wq, a in zip(weights, prefix)), QuadNumber(0)
+        )
+        t1 = target1 - used1
+        t2 = target2 - used2
+        tailw = weights[len(prefix):]
+        sols = []
+        if len(tailw) == 1:
+            a = t1 / tailw[0]
+            if tailw[0] * phi(a) == t2:
+                sols.append(list(prefix) + [a])
+        else:
+            wa, wb = tailw
+            # b = (t1 - wa*a)/wb; wa*phi(a) + wb*phi(b) = t2
+            # phi(x) = (4x^2 - 1 - q*x)/(3 - q): quadratic in a
+            q = cosines.q111
+            three_q = QuadNumber(3) - q
+            four = QuadNumber(4)
+            one = QuadNumber(1)
+            # multiply the column-2 recurrence by (3 - q):
+            #   wa*(4a^2 - 1 - q*a) + wb*(4b^2 - 1 - q*b) = t2*(3 - q)
+            # and substitute b, using wb*4b^2 = 4*(t1 - wa*a)^2 / wb:
+            #   4wa*a^2 - wa - q*wa*a
+            #   + (4/wb)*(t1^2 - 2*t1*wa*a + wa^2*a^2)
+            #   - wb - q*t1 + q*wa*a - t2*(3 - q) = 0
+            A = four * wa + four * wa * wa / wb
+            B = -QuadNumber(8) * t1 * wa / wb
+            C = -wa + four * t1 * t1 / wb - wb - q * t1 - t2 * three_q
+            if not A:
+                if not B:
+                    return sols  # degenerate; no isolated solutions
+                roots = [-C / B]
+            else:
+                disc = B * B - four * A * C
+                root = quad_sqrt(disc) if disc.sign() >= 0 else None
+                if root is None:
+                    return sols
+                roots = [(-B + root) / (QuadNumber(2) * A)]
+                if root:
+                    roots.append((-B - root) / (QuadNumber(2) * A))
+            for a in roots:
+                if not _in_field(a, cosines.radicand):
+                    continue
+                b = (t1 - wa * a) / wb
+                sols.append(list(prefix) + [a, b])
+        return sols
+
+    results = []
+    if len(fresh) == 1:
+        columns = solve_tail([])
+    else:
+        surplus = len(fresh) - 2
+        if surplus == 0:
+            columns = solve_tail([])
+        else:
+            columns = []
+            cands = _fresh_candidates(diagram, v, fresh[0], cosines, config)
+            for combo in itertools.product(cands, repeat=surplus):
+                columns.extend(solve_tail(list(combo)))
+    seen = set()
+    for col in columns:
+        ext = extend(col)
+        if ext is None:
+            continue
+        key = tuple(
+            sorted(str(ext.values[f][0]) for f in fresh)
+        ) if _interchangeable(diagram, v, fresh) else tuple(
+            str(ext.values[f][0]) for f in fresh
+        )
+        if key in seen:
+            continue
+        seen.add(key)
+        results.append(ext)
+    return results
+
+
+
+def _fresh_candidates(diagram, v, f, cosines, config) -> list:
+    """Possible cosines of a fresh vertex: lambda/k for every valency k
+    consistent with the handshake back to v."""
+    kv = diagram.valencies[v]
+    wv = diagram.weight(v, f)
+    out = set()
+    for back in range(1, diagram.k1 + 1):
+        num = kv * wv
+        if num % back:
+            continue
+        k = num // back
+        for w in _cosine_candidates(k, config.radicand):
+            out.add(w)
+    return sorted(out)
+
+
+REASONS = ("diagram", "cosines", "solution", "kissing", "emission", "budget")
+
+# (k1, a1, radicand) -> nodes, emitted and the prune counts in REASONS order,
+# for (4, 0) over Q[sqrt(5)] and Q, and (4, 1) and (3, 0) over every field
+PINNED_STATS = {
+    (4, 0, 5): (63, 2, 80, 758, 87, 247, 0, 0),
+    (4, 0, 1): (15, 2, 0, 61, 27, 49, 0, 0),
+    (4, 1, 1): (35, 1, 12, 119, 17, 14, 0, 0),
+    (4, 1, 2): (268, 1, 24, 413, 22, 14, 0, 0),
+    (4, 1, 3): (180, 1, 12, 298, 19, 14, 0, 0),
+    (4, 1, 5): (435, 1, 70, 882, 27, 78, 0, 0),
+    (4, 1, 6): (98, 1, 12, 182, 17, 14, 0, 0),
+    (4, 1, 7): (99, 1, 12, 183, 17, 14, 0, 0),
+    (4, 1, 10): (53, 1, 12, 137, 17, 14, 0, 0),
+    (4, 1, 11): (52, 1, 12, 136, 17, 14, 0, 0),
+    (4, 1, 13): (160, 1, 36, 477, 19, 14, 0, 0),
+    (4, 1, 14): (52, 1, 12, 136, 17, 14, 0, 0),
+    (4, 1, 15): (52, 1, 12, 136, 17, 14, 0, 0),
+    (4, 1, 17): (126, 1, 24, 325, 21, 14, 0, 0),
+    (4, 1, 21): (126, 1, 36, 442, 23, 14, 0, 0),
+    (4, 1, 29): (74, 1, 24, 202, 20, 14, 0, 0),
+    (4, 1, 33): (74, 1, 12, 167, 18, 14, 0, 0),
+    (4, 1, 37): (75, 1, 24, 239, 17, 14, 0, 0),
+    (4, 1, 41): (74, 1, 12, 167, 18, 14, 0, 0),
+    (3, 0, 1): (20, 1, 0, 48, 7, 0, 1, 0),
+    (3, 0, 2): (96, 1, 0, 276, 7, 0, 1, 0),
+    (3, 0, 3): (70, 1, 0, 198, 7, 0, 1, 0),
+    (3, 0, 5): (118, 1, 0, 342, 7, 0, 1, 0),
+    (3, 0, 6): (34, 1, 0, 90, 7, 0, 1, 0),
+    (3, 0, 7): (34, 1, 0, 90, 7, 0, 1, 0),
+    (3, 0, 13): (53, 1, 0, 149, 8, 0, 1, 0),
+    (3, 0, 17): (52, 1, 0, 144, 7, 0, 1, 0),
+    (3, 0, 21): (52, 1, 0, 144, 7, 0, 1, 0),
+}
+
+
+@pytest.fixture(scope="module")
+def checked_searches():
+    """Run the searches of PINNED_STATS with every solve_cosines call also
+    made to the reference: ([(fresh count, result, reference result)], stats
+    per (k1, a1, radicand))."""
+    solve = diagsearch.solve_cosines
+    calls = []
+
+    def checked(diagram, cosines, v, fresh, config):
+        got = solve(diagram, cosines, v, fresh, config)
+        want = reference_solve_cosines(diagram, cosines, v, fresh, config)
+        calls.append((len(fresh), got, want))
+        return got
+
+    stats = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagsearch, "solve_cosines", checked)
+        for k1, a1, p in PINNED_STATS:
+            config = SearchConfig(k1=k1, a1=a1, radicand=p)
+            stats[k1, a1, p] = generate_diagrams(config).stats
+    return calls, stats
+
+
+def _field_elements(p):
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    if p == 1:
+        return small.map(QuadNumber)
+    return st.builds(lambda a, b: QuadNumber(a, b, p), small, small)
+
+
+@st.composite
+def planted_tails(draw):
+    """A vertex v = 2 with 1 to 4 fresh out-neighbours whose first-column
+    cosines are planted: the prefix from the surplus candidates, the last
+    two anywhere in the field.  Vertex 2's cosines are set so that the
+    targets of both recurrences are met by the planted values."""
+    p = draw(st.sampled_from([1, 2, 5]))
+    elements = _field_elements(p)
+    q111 = draw(elements.filter(lambda q: q != QuadNumber(3)))
+    m = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    cands = tuple(sorted(set(draw(st.lists(elements, min_size=1, max_size=5)))))
+    surplus = max(m - 2, 0)
+    planted = [draw(st.sampled_from(cands)) for _ in range(surplus)]
+    planted += draw(st.lists(elements, min_size=m - surplus, max_size=m - surplus))
+    cosines = CosineColumns(p, q111, [(QuadNumber(1), QuadNumber(1))] * 2)
+    phi = cosines.second_from_first
+    t1 = sum((QuadNumber(w) * x for w, x in zip(weights, planted)), QuadNumber(0))
+    t2 = sum((QuadNumber(w) * phi(x) for w, x in zip(weights, planted)), QuadNumber(0))
+    k1 = 4
+    cosines.values.append((t1 / QuadNumber(k1), t2 / QuadNumber(k1)))
+    fresh = list(range(3, 3 + m))
+    diagram = DistributionDiagram(
+        k1=k1,
+        layers=[0, 1, 2] + [3] * m,
+        arcs={(2, f): w for f, w in zip(fresh, weights)},
+        valencies=[1, k1, 1] + [None] * m,
+        determined=[True, True, True] + [False] * m,
+    )
+    return diagram, cosines, fresh, SearchConfig(k1=k1, a1=0, radicand=p), cands, planted
+
+
+def _tail_root_visible(weights, planted) -> bool:
+    """Does quad_sqrt find the root of the planted tail's discriminant?
+    It is (2A*a + B)^2 for the planted last two cosines (a, b)."""
+    if len(planted) == 1:
+        return True
+    wa, wb = (QuadNumber(w) for w in weights[-2:])
+    a, b = planted[-2:]
+    t1 = wa * a + wb * b
+    root = QuadNumber(8) * wa * (wa + wb) / wb * a - QuadNumber(8) * t1 * wa / wb
+    return quad_sqrt(root * root) is not None
+
+
+class TestSolveCosines:
+    def test_matches_reference_on_every_search_call(self, checked_searches):
+        calls, _stats = checked_searches
+        assert all(got == want for _m, got, want in calls)
+        # the surplus path ran and found extensions
+        assert any(m >= 3 and got for m, got, _want in calls)
+        assert any(m == 2 and got for m, got, _want in calls)
+
+    def test_search_stats_are_pinned(self, checked_searches):
+        _calls, stats = checked_searches
+        for key, (nodes, emitted, *pruned) in PINNED_STATS.items():
+            assert stats[key] == {
+                "nodes": nodes,
+                "emitted": emitted,
+                "pruned": dict(zip(REASONS, pruned)),
+            }, key
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_tails())
+    def test_matches_reference_on_planted_tails(self, case):
+        diagram, cosines, fresh, config, cands, planted = case
+
+        def candidates(*_args):
+            return cands
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diagsearch, "_fresh_candidates", candidates)
+            mp.setattr(sys.modules[__name__], "_fresh_candidates", candidates)
+            got = solve_cosines(diagram, cosines, 2, fresh, config)
+            want = reference_solve_cosines(diagram, cosines, 2, fresh, config)
+        assert got == want
+        weights = [diagram.weight(2, f) for f in fresh]
+        if _tail_root_visible(weights, planted):
+            assert got
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the tail discriminant 80 = (4*sqrt(5))^2 is rational, and "
+        "quad_sqrt looks for its root in Q only, so the roots "
+        "(-1 +- sqrt(5))/4 in Q[sqrt(5)] are dropped",
+    )
+    def test_tail_root_outside_q_is_dropped(self):
+        # captured from the search (k1, a1) = (4, 0) over Q[sqrt(5)]: vertex 2
+        # (valency 12) makes two fresh relations of weight 1
+        diagram = DistributionDiagram(
+            k1=4,
+            layers=[0, 1, 2, 3, 3],
+            arcs={(0, 1): 4, (1, 0): 1, (1, 2): 3, (2, 1): 1, (2, 2): 1,
+                  (2, 3): 1, (2, 4): 1},
+            valencies=[1, 4, 12, None, None],
+            determined=[True, True, True, False, False],
+        )
+        half, third = QuadNumber(Fraction(1, 2)), QuadNumber(Fraction(1, 3))
+        zero, one = QuadNumber(0), QuadNumber(1)
+        cosines = CosineColumns(5, zero, [(one, one), (half, zero), (zero, -third)])
+        config = SearchConfig(k1=4, a1=0, radicand=5)
+        r5 = QuadNumber.sqrt(5)
+        found = {
+            frozenset((ext.values[3][0], ext.values[4][0]))
+            for ext in solve_cosines(diagram, cosines, 2, [3, 4], config)
+        }
+        assert frozenset(((r5 - one) / QuadNumber(4), (-r5 - one) / QuadNumber(4))) in found

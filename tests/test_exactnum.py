@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schemeforge import exactnum
 from schemeforge.catalogue import CATALOGUE, catalogue_scheme
 from schemeforge.exactnum import (
     ExactMatrix,
@@ -484,3 +485,85 @@ class TestSplitIntegerPolynomial:
         assert split_integer_polynomial([1]) == ([], 0)
         with pytest.raises(ValueError):
             split_integer_polynomial([1, 2])
+
+
+# -- quad_sqrt against the Fraction-only square root it replaced -------------
+
+
+def reference_quad_sqrt(x: QuadNumber) -> QuadNumber | None:
+    """quad_sqrt as it was before the integer norm test.  Test-only."""
+    if x.sign() < 0:
+        return None
+    if not x:
+        return QuadNumber(0)
+    a, b, p = x.a, x.b, x.p
+    if b == 0:
+        # either sqrt(a) rational, or sqrt(a) = t*sqrt(p) with t rational
+        r = _fraction_sqrt(a)
+        if r is not None:
+            return QuadNumber(r, 0, 1) if p == 1 else QuadNumber(r, 0, p)
+        if p > 1:
+            t = _fraction_sqrt(a / p)
+            if t is not None:
+                return QuadNumber(0, t, p)
+        return None
+    # s^2 + t^2 p = a, 2 s t = b  =>  s^2 solves u^2 - a u + b^2 p / 4 = 0
+    disc = a * a - b * b * p
+    rd = _fraction_sqrt(disc)
+    if rd is None:
+        return None
+    for u in ((a + rd) / 2, (a - rd) / 2):
+        if u < 0:
+            continue
+        s = _fraction_sqrt(u)
+        if s is None or s == 0:
+            continue
+        t = b / (2 * s)
+        cand = QuadNumber(s, t, p)
+        if cand * cand == x:
+            return cand if cand.sign() >= 0 else -cand
+    return None
+
+
+def _fraction_sqrt(x: Fraction) -> Fraction | None:
+    if x < 0:
+        return None
+    num, den = x.numerator, x.denominator
+    rn, rdn = isqrt(num), isqrt(den)
+    if rn * rn == num and rdn * rdn == den:
+        return Fraction(rn, rdn)
+    return None
+
+
+def _is_pure_surd(x: QuadNumber) -> bool:
+    return x.a == 0 and x.b != 0
+
+
+class TestQuadSqrt:
+    @settings(max_examples=300)
+    @given(st.one_of(quads(), quads().map(lambda s: s * s)))
+    def test_matches_reference(self, x):
+        assert quad_sqrt(x) == reference_quad_sqrt(x)
+
+    @settings(max_examples=200)
+    @given(quads())
+    def test_root_of_a_square(self, s):
+        # a pure surd t*sqrt(p) squares to a rational, whose root quad_sqrt
+        # looks for in Q only (test_diagsearch.py: TestSolveCosines)
+        if _is_pure_surd(s):
+            return
+        assert quad_sqrt(s * s) in (s, -s)
+
+    @settings(max_examples=200)
+    @given(quads().filter(lambda x: not x.is_rational))
+    def test_non_square_norm_is_rejected_on_ints(self, x):
+        # the norm of a square is a rational square
+        if _fraction_sqrt(x.a * x.a - x.b * x.b * x.p) is not None:
+            return
+
+        def no_fraction_root(_x):
+            raise AssertionError("a non-square norm reached the Fraction path")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactnum, "_fraction_sqrt", no_fraction_root)
+            assert quad_sqrt(x) is None
