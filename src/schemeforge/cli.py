@@ -50,10 +50,9 @@ from .localclass import classify_local, delsarte_bound
 from .diagsearch import (
     KISSING_NUMBER_R4,
     SearchConfig,
-    candidate_radicands,
     generate_diagrams,
 )
-from .catalogue import CATALOGUE, CLASSIFIED, catalogue_scheme
+from .catalogue import CATALOGUE, CLASSIFIED
 from . import __version__
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -221,26 +220,6 @@ def load_bundled(scheme_id: str) -> Scheme:
     return result
 
 
-def write_bundled_data() -> list:
-    """(Re)generate the golden files and their manifest; returns filenames."""
-    DATA_DIR.mkdir(exist_ok=True)
-    names = []
-    manifest = []
-    for sid in sorted(CATALOGUE):
-        scheme = catalogue_scheme(sid)
-        text = (
-            f"# {sid}: scheme of the {CATALOGUE[sid]} graph "
-            f"(n = {scheme.n}, d = {scheme.d})\n"
-        ) + serialize_scheme_file(scheme_file_of(scheme, sid))
-        name = bundled_filename(sid)
-        (DATA_DIR / name).write_text(text)
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        manifest.append(f"{digest}  {name}")
-        names.append(name)
-    (DATA_DIR / MANIFEST_NAME).write_text("\n".join(manifest) + "\n")
-    return names
-
-
 # ---------------------------------------------------------------------------
 # reporting
 
@@ -375,17 +354,18 @@ def cmd_classify_local(args) -> int:
         "graphs": solutions,
         "graph_count": len(solutions),
         "geometric_cases": sorted({s["geometric_label"] for s in solutions}),
-        "unresolved": [to_graph6(g) for g, _ in result.unresolved],
+        "unresolved": [],
     }
     emit_report("classify-local", {"k_max": args.k_max}, payload, started)
     return EXIT_OK
 
 
-def _parse_field(spec: str, k1: int) -> list:
+def _parse_field(spec: str) -> Optional[int]:
+    """The SearchConfig radicand of a --field value; None searches them all."""
     if spec == "rational":
-        return [1]
+        return 1
     if spec == "auto":
-        return [1] + candidate_radicands(k1)
+        return None
     if spec.startswith("quad:"):
         try:
             p = int(spec[5:])
@@ -393,7 +373,7 @@ def _parse_field(spec: str, k1: int) -> list:
             raise ValueError(f"bad field spec {spec!r}") from None
         if p < 2:
             raise ValueError("quad radicand must be an integer >= 2")
-        return [p]
+        return p
     raise ValueError(f"bad field spec {spec!r} (rational, quad:<p>, or auto)")
 
 
@@ -425,24 +405,23 @@ def _search_run(config: SearchConfig) -> dict:
 def cmd_search(args) -> int:
     started = time.monotonic()
     try:
-        radicands = _parse_field(args.field, args.k1)
+        radicand = _parse_field(args.field)
     except ValueError as e:
         return _fail_usage(str(e))
-    runs = []
-    for p in radicands:
-        config = SearchConfig(
+    run = _search_run(
+        SearchConfig(
             k1=args.k1,
             a1=args.a1,
-            radicand=p,
+            radicand=radicand,
             max_depth=args.max_depth,
             budget=args.budget,
         )
-        runs.append(_search_run(config))
-    matched = sorted({r["matched"] for run in runs for r in run["results"] if r["matched"]})
-    unmatched = sum(1 for run in runs for r in run["results"] if not r["matched"])
-    complete = all(run["complete"] for run in runs)
+    )
+    matched = sorted({r["matched"] for r in run["results"] if r["matched"]})
+    unmatched = sum(1 for r in run["results"] if not r["matched"])
+    complete = run["complete"]
     payload = {
-        "runs": runs,
+        "runs": [run],
         "matched": matched,
         "unmatched_count": unmatched,
         "complete": complete,
@@ -455,15 +434,14 @@ def cmd_search(args) -> int:
         "budget": args.budget,
     }
     if args.emit == "text":
-        for run in runs:
-            print(f"-- radicand {run['radicand']}"
-                  f"{' (light tail)' if run['light_tail'] else ''}"
-                  f" nodes={run['stats']['nodes']} complete={run['complete']}")
-            for r in run["results"]:
-                cos = ", ".join(f"({w1}, {w2})" for w1, w2 in r["cosines"])
-                print(f"   size={r['size']} valencies={r['valencies']} "
-                      f"q111={r['q111']} matched={r['matched'] or '-'}")
-                print(f"   cosines: {cos}")
+        print(f"-- radicand {run['radicand'] or 'auto'}"
+              f"{' (light tail)' if run['light_tail'] else ''}"
+              f" nodes={run['stats']['nodes']} complete={run['complete']}")
+        for r in run["results"]:
+            cos = ", ".join(f"({w1}, {w2})" for w1, w2 in r["cosines"])
+            print(f"   size={r['size']} valencies={r['valencies']} "
+                  f"q111={r['q111']} matched={r['matched'] or '-'}")
+            print(f"   cosines: {cos}")
         print(f"matched: {', '.join(matched) if matched else '-'}; "
               f"unmatched: {unmatched}")
     else:
@@ -597,25 +575,21 @@ def _classify_extension_case(name: str, n_max: int, budget: int) -> dict:
 
 
 def _classify_search_case(name: str, k1: int, a1: int, budget) -> dict:
-    """Resolve a local case by diagram generation over every candidate field."""
+    """Resolve a local case by one diagram search over every candidate field."""
+    outcome = generate_diagrams(SearchConfig(k1=k1, a1=a1, radicand=None, budget=budget))
     results, exclusions = [], []
-    complete = True
     matched_ids = set()
-    for p in [1] + candidate_radicands(k1):
-        config = SearchConfig(k1=k1, a1=a1, radicand=p, budget=budget)
-        outcome = generate_diagrams(config)
-        complete = complete and outcome.complete
-        for res in outcome.results:
-            if res.matched is None:
-                exclusions.append(
-                    {
-                        "case": name,
-                        "graph": None,
-                        "reason": f"unmatched feasible diagram (radicand {p})",
-                    }
-                )
-            else:
-                matched_ids.add(res.matched)
+    for res in outcome.results:
+        if res.matched is None:
+            exclusions.append(
+                {
+                    "case": name,
+                    "graph": None,
+                    "reason": f"unmatched feasible diagram (radicand {res.cosines.radicand})",
+                }
+            )
+        else:
+            matched_ids.add(res.matched)
     for sid in sorted(matched_ids):
         results.append(
             {
@@ -626,7 +600,7 @@ def _classify_search_case(name: str, k1: int, a1: int, budget) -> dict:
                 "config": {"k1": k1, "a1": a1},
             }
         )
-    return {"results": results, "exclusions": exclusions, "complete": complete}
+    return {"results": results, "exclusions": exclusions, "complete": outcome.complete}
 
 
 def cmd_classify(args) -> int:

@@ -85,12 +85,14 @@ def _env_budget() -> int:
 class SearchConfig:
     """Parameters of one search run.
 
-    light_tail is forced when k1 = m1 and a1 = 0: the multiplicity bound is
-    then attained, so E1 is a light tail and q111 = 0."""
+    radicand fixes the field: 1 for Q, p for Q[sqrt(p)], or None for every
+    candidate field, each subtree then taking the field of its first
+    irrational cosine.  light_tail is forced when k1 = m1 and a1 = 0: the
+    multiplicity bound is then attained, so E1 is a light tail and q111 = 0."""
 
     k1: int
     a1: int
-    radicand: int = 1
+    radicand: Optional[int] = 1
     max_depth: Optional[int] = None
     budget: Optional[int] = None
 
@@ -109,7 +111,14 @@ class SearchConfig:
         if self.max_depth is not None:
             return self.max_depth
         # degree bound: d <= 4*v1 + 1, and d <= 2*v1 + 1 over the rationals
-        return (4 if self.radicand > 1 else 2) * self.k1 + 1
+        return (2 if self.radicand == 1 else 4) * self.k1 + 1
+
+    @functools.cached_property
+    def fields(self) -> tuple:
+        """Radicands of the fields searched, Q first in an open search."""
+        if self.radicand is None:
+            return (1, *candidate_radicands(self.k1))
+        return (self.radicand,)
 
     @property
     def node_budget(self) -> int:
@@ -179,7 +188,10 @@ class DistributionDiagram:
 
 @dataclass
 class CosineColumns:
-    """Columns 1 and 2 of the cosine matrix, one (w1, w2) pair per vertex."""
+    """Columns 1 and 2 of the cosine matrix, one (w1, w2) pair per vertex.
+
+    radicand is the field of the search subtree: 1 while an open search has
+    met only rational cosines."""
 
     radicand: int
     q111: QuadNumber
@@ -266,8 +278,9 @@ def _cosine_candidates(k: int, radicand: int) -> tuple:
 def initial_state(config: SearchConfig):
     """Seed diagram R0 -> R1 plus the finitely many cosine seeds (w1, w2).
 
-    w1 = omega_{1,1} ranges over bounded algebraic integers over k1; w2 is
-    forced by q111 = 0 in the light-tail case and enumerated otherwise.  A
+    w1 = omega_{1,1} ranges over bounded algebraic integers over k1 in each
+    searched field, and the seed takes that field; w2 is forced by q111 = 0
+    in the light-tail case and enumerated otherwise.  A
     seed is kept only when the Krein value q111 = ((m1-1)*w2 - m1*w1^2 + 1)
     / (w2 - w1) satisfies 0 <= q111 < m1 - 1; q111 = m1 - 1 collapses
     column 1 onto two values, which is the complete-graph degeneracy."""
@@ -276,28 +289,29 @@ def initial_state(config: SearchConfig):
     one = QuadNumber(1)
     m1 = QuadNumber(M1)
     seeds = []
-    for w1 in _cosine_candidates(config.k1, config.radicand):
-        if not (-one < w1 < one):
-            continue
-        if config.light_tail:
-            w2 = (m1 * w1 * w1 - one) / (m1 - one)
-            if w2 == w1 or not (-one <= w2 <= one):
+    for field in config.fields:
+        cands = _cosine_candidates(config.k1, field)
+        for w1 in cands:
+            if not (-one < w1 < one):
                 continue
-            pairs = [(w2, QuadNumber(0))]
-        else:
-            pairs = []
-            for w2 in _cosine_candidates(config.k1, config.radicand):
+            if config.light_tail:
+                w2 = (m1 * w1 * w1 - one) / (m1 - one)
                 if w2 == w1 or not (-one <= w2 <= one):
                     continue
-                q111 = ((m1 - one) * w2 - m1 * w1 * w1 + one) / (w2 - w1)
-                if QuadNumber(0) <= q111 < m1 - one:
-                    pairs.append((w2, q111))
-        for w2, q111 in pairs:
-            seeds.append(
-                CosineColumns(
-                    config.radicand, q111, [(one, one), (w1, w2)]
-                )
-            )
+                pairs = [(w2, QuadNumber(0))]
+            else:
+                pairs = []
+                for w2 in cands:
+                    if w2 == w1 or not (-one <= w2 <= one):
+                        continue
+                    q111 = ((m1 - one) * w2 - m1 * w1 * w1 + one) / (w2 - w1)
+                    if QuadNumber(0) <= q111 < m1 - one:
+                        pairs.append((w2, q111))
+            for w2, q111 in pairs:
+                # rational seeds lie in every field: only the first takes them
+                if field != config.fields[0] and w1.is_rational and w2.is_rational:
+                    continue
+                seeds.append(CosineColumns(field, q111, [(one, one), (w1, w2)]))
     return diagram, seeds, todo
 
 
@@ -557,6 +571,9 @@ def solve_cosines(
         if r1 or r2:
             return None
         out = cosines.copy()
+        if out.radicand == 1:
+            # an open subtree takes the field of its first irrational cosine
+            out.radicand = max(a.p for a in first_column)
         out.values = list(out.values) + [None] * (max(fresh) + 1 - len(out.values))
         for f, pair in zip(fresh, vals):
             out.values[f] = pair
@@ -584,11 +601,10 @@ def solve_cosines(
         four_a_rest = four_a * (_THREE - q)
         four_a_w = four_a * (wa + wb)
         c = QuadNumber(-64) * wa / wb
-        radicand = cosines.radicand
 
-        def tail_roots(prefix, t1, disc):
-            """The completions prefix + [a, b] for a tail with target t1 and
-            discriminant disc."""
+        def tail_roots(prefix, t1, disc, radicand):
+            """The completions prefix + [a, b] in Q[sqrt(radicand)] for a tail
+            with target t1 and discriminant disc."""
             root = quad_sqrt(disc)
             if root is None:
                 return []
@@ -606,35 +622,39 @@ def solve_cosines(
         if surplus == 0:
             t1, t2 = target1, target2
             disc = c * t1 * t1 + four_aq * t1 + four_a_rest * t2 + four_a_w
-            columns = tail_roots([], t1, disc)
+            columns = tail_roots([], t1, disc, cosines.radicand)
         else:
             # The last surplus cosine a, of weight w0, leaves t1 = T1 - w0*a
             # and t2 = T2 - w0*phi(a); the discriminant is then P*a^2 + Q*a + R
             # (the q*a terms cancel), so each candidate costs one Horner step
-            # and a sign test, and only discriminants >= 0 are solved.
+            # and a sign test, and only discriminants >= 0 are solved.  The
+            # surplus is enumerated per field, as values of two fields do not
+            # mix; a rational tuple recurs under every field, and the dedup
+            # below keeps its first copy.
             columns = []
-            cands = _fresh_candidates(
-                diagram.valencies[v] * diagram.weight(v, fresh[0]),
-                diagram.k1,
-                config.radicand,
-            )
+            num = diagram.valencies[v] * diagram.weight(v, fresh[0])
+            fields = config.fields if cosines.radicand == 1 else (cosines.radicand,)
             w0 = weights[surplus - 1]
             P = w0 * (c * w0 - QuadNumber(16) * A)
             minus_2c_w0 = QuadNumber(-2) * c * w0
             four_a_w0 = four_a * w0 + four_a_w
-            for outer in itertools.product(cands, repeat=surplus - 1):
-                T1, T2 = target1, target2
-                for wq, a in zip(weights, outer):
-                    T1 = T1 - wq * a
-                    T2 = T2 - wq * phi(a)
-                Q = minus_2c_w0 * T1
-                R = c * T1 * T1 + four_aq * T1 + four_a_rest * T2 + four_a_w0
-                prefix = list(outer)
-                for a in cands:
-                    disc = (P * a + Q) * a + R
-                    if disc.sign() < 0:
-                        continue
-                    columns.extend(tail_roots(prefix + [a], T1 - w0 * a, disc))
+            for field in fields:
+                cands = _fresh_candidates(num, diagram.k1, field)
+                for outer in itertools.product(cands, repeat=surplus - 1):
+                    T1, T2 = target1, target2
+                    for wq, a in zip(weights, outer):
+                        T1 = T1 - wq * a
+                        T2 = T2 - wq * phi(a)
+                    Q = minus_2c_w0 * T1
+                    R = c * T1 * T1 + four_aq * T1 + four_a_rest * T2 + four_a_w0
+                    prefix = list(outer)
+                    for a in cands:
+                        disc = (P * a + Q) * a + R
+                        if disc.sign() < 0:
+                            continue
+                        columns.extend(
+                            tail_roots(prefix + [a], T1 - w0 * a, disc, field)
+                        )
     results = []
     seen = set()
     for col in columns:
@@ -743,7 +763,8 @@ def _catalogue() -> dict:
 
 
 def generate_diagrams(config: SearchConfig, known=None) -> SearchOutcome:
-    """Run the recursive generation for one configuration.
+    """Run the recursive generation for one configuration, over every field
+    it names.
 
     known maps catalogue ids to Scheme objects used for matching; by default
     the bundled catalogue.  Unmatched feasible diagrams are kept in the

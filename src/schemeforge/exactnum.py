@@ -244,7 +244,7 @@ class QuadNumber:
     def __hash__(self):
         if not self._y:
             return hash(self._x) if self._d == 1 else hash(self.a)
-        return hash((self.a, self.b, self._p))
+        return hash((self._x, self._y, self._d, self._p))
 
     def __bool__(self):
         return bool(self._x or self._y)
@@ -455,9 +455,6 @@ class ExactMatrix:
         return self.scale(other)
 
     __rmul__ = scale
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.entries)))
 
     def trace(self) -> QuadNumber:
         if self.rows != self.cols:

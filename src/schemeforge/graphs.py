@@ -39,11 +39,6 @@ class Graph:
         g._canon = None
         return g
 
-    @classmethod
-    def from_matrix(cls, m: Sequence[Sequence[int]]) -> "Graph":
-        n = len(m)
-        return cls(n, [(i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]])
-
     # -- basics ------------------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -16,7 +16,7 @@ geometric objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional
@@ -113,7 +113,6 @@ class LocalSolution:
 @dataclass
 class ClassifyLocalResult:
     solutions: list  # of LocalSolution
-    unresolved: list = field(default_factory=list)  # of (Graph, reason)
 
     def graph_names(self) -> list:
         return [s.name for s in self.solutions]

@@ -210,10 +210,10 @@ class Spectra:
 
 
 def _factor_eigenvalues(coeffs: list[int]) -> tuple[list[QuadNumber], int]:
-    """Roots, with multiplicity, of a monic integer polynomial that splits
-    over Q or one real quadratic field; raises SplittingFieldError otherwise.
+    """Distinct roots of a monic integer polynomial that splits over Q or one
+    real quadratic field; raises SplittingFieldError otherwise.
 
-    Returns (roots with multiplicity, common radicand)."""
+    Returns (distinct roots, common radicand)."""
     split, leftover = split_integer_polynomial(coeffs)
     if leftover:
         raise SplittingFieldError(
@@ -225,8 +225,7 @@ def _factor_eigenvalues(coeffs: list[int]) -> tuple[list[QuadNumber], int]:
         raise SplittingFieldError(
             f"two distinct quadratic fields: sqrt({radicands[0]}), sqrt({radicands[1]})"
         )
-    roots = [root for root, mult in split for _ in range(mult)]
-    return roots, radicands[0] if radicands else 1
+    return [root for root, _ in split], radicands[0] if radicands else 1
 
 
 _GENERIC_COEFF_VECTORS = [
@@ -259,7 +258,7 @@ def spectra(s: Scheme) -> Spectra:
         ]
         poly = char_poly(ExactMatrix(combo))
         roots, radicand = _factor_eigenvalues([int(x.as_fraction()) for x in poly.coeffs])
-        if len(set(roots)) != d + 1:
+        if len(roots) != d + 1:
             last_err = ValueError("eigenvalue collision in generic combination")
             continue
         return _spectra_from_eigenvalues(s, bmats, combo, roots, radicand)

@@ -1,10 +1,12 @@
 """Command-line surface: scheme files, golden data, reports, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
-from schemeforge.catalogue import CATALOGUE
+from schemeforge import cli, diagsearch
+from schemeforge.catalogue import CATALOGUE, catalogue_scheme
 from schemeforge.cli import (
     EXIT_BUDGET,
     EXIT_NEGATIVE,
@@ -103,6 +105,17 @@ class TestGoldenData:
         with pytest.raises(RuntimeError, match="hash mismatch"):
             load_bundled("AS06[3]")
 
+    @pytest.mark.parametrize("sid", sorted(CATALOGUE))
+    def test_golden_file_rebuilds_from_catalogue(self, sid):
+        scheme = catalogue_scheme(sid)
+        text = (
+            f"# {sid}: scheme of the {CATALOGUE[sid]} graph "
+            f"(n = {scheme.n}, d = {scheme.d})\n"
+        ) + serialize_scheme_file(scheme_file_of(scheme, sid))
+        name = bundled_filename(sid)
+        assert text.encode("utf-8") == (cli.DATA_DIR / name).read_bytes()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == cli._read_manifest()[name]
+
 
 class TestExitCodes:
     def test_verify_valid(self, capsys, tmp_path):
@@ -182,6 +195,19 @@ class TestSubcommands:
         assert code == EXIT_OK
         assert "AS06[3]" in out
 
+    def test_search_auto_is_one_run(self, capsys):
+        code, out, _ = run(capsys, "search", "--k1", "3", "--a1", "0", "--field", "auto")
+        assert code == EXIT_OK
+        payload = payload_of(out)
+        (only,) = payload["runs"]
+        assert only["radicand"] is None
+        assert payload["matched"] == ["AS06[3]"]
+        assert payload["unmatched_count"] == 0
+        code, out, _ = run(
+            capsys, "search", "--k1", "3", "--a1", "0", "--field", "auto", "--emit", "text"
+        )
+        assert out.splitlines()[0].startswith("-- radicand auto nodes=")
+
     def test_bad_field_spec(self, capsys):
         code, _, err = run(
             capsys, "search", "--k1", "3", "--a1", "0", "--field", "septic"
@@ -228,6 +254,29 @@ class TestSubcommands:
             ("K3,3", "AS06[3]")
         ]
         assert payload["complete"] is True
+
+    @pytest.mark.parametrize(
+        "case,k1,a1,unmatched", [("N3", 3, 0, 1), ("2K2", 4, 1, 1), ("N4", 4, 0, 2)]
+    )
+    def test_search_case_counts_each_diagram_once(self, monkeypatch, case, k1, a1, unmatched):
+        # with no catalogue every feasible diagram is an exclusion, and each
+        # names the field its search subtree was fixed to
+        outcomes = []
+
+        def recording(config):
+            outcomes.append(diagsearch.generate_diagrams(config))
+            return outcomes[-1]
+
+        monkeypatch.setattr(diagsearch, "_catalogue", dict)
+        monkeypatch.setattr(cli, "generate_diagrams", recording)
+        outcome = cli._classify_search_case(case, k1, a1, None)
+        assert outcome["results"] == [] and outcome["complete"]
+        (searched,) = outcomes
+        assert len(outcome["exclusions"]) == unmatched
+        assert [e["reason"] for e in outcome["exclusions"]] == [
+            f"unmatched feasible diagram (radicand {res.cosines.radicand})"
+            for res in searched.results
+        ]
 
     def test_scheme_file_of_round_trip(self):
         from schemeforge.catalogue import catalogue_scheme

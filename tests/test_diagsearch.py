@@ -62,7 +62,16 @@ class TestConfig:
     def test_depth_limit_depends_on_field(self):
         assert SearchConfig(k1=4, a1=0).depth_limit == 9
         assert SearchConfig(k1=4, a1=0, radicand=5).depth_limit == 17
+        assert SearchConfig(k1=4, a1=0, radicand=None).depth_limit == 17
         assert SearchConfig(k1=4, a1=0, max_depth=3).depth_limit == 3
+
+    def test_fields(self):
+        assert SearchConfig(k1=4, a1=0).fields == (1,)
+        assert SearchConfig(k1=4, a1=0, radicand=5).fields == (5,)
+        assert SearchConfig(k1=3, a1=0, radicand=None).fields == (
+            1,
+            *candidate_radicands(3),
+        )
 
 
 class TestCandidateRadicands:
@@ -116,6 +125,63 @@ class TestKnownConfigs:
             outcome = generate_diagrams(SearchConfig(k1=4, a1=1, radicand=p))
             assert outcome.complete
             assert [r.matched for r in outcome.results] == ["AS09[3]"]
+
+
+# (k1, a1) -> the stats of the search over every field, laid out as in
+# PINNED_STATS below
+OPEN_STATS = {
+    (3, 0): (369, 1, 0, 1097, 8, 0, 1, 0),
+    (4, 1): (1473, 1, 166, 2745, 51, 78, 0, 0),
+    (4, 0): (202, 2, 220, 1969, 225, 907, 0, 0),
+}
+CASES = list(OPEN_STATS)
+
+
+@pytest.fixture(scope="module")
+def open_and_per_field_runs():
+    """(k1, a1) -> (the open search, the searches of each of its fields)."""
+    runs = {}
+    for k1, a1 in CASES:
+        open_run = generate_diagrams(SearchConfig(k1=k1, a1=a1, radicand=None))
+        per_field = [
+            generate_diagrams(SearchConfig(k1=k1, a1=a1, radicand=p))
+            for p in open_run.config.fields
+        ]
+        runs[k1, a1] = open_run, per_field
+    return runs
+
+
+class TestOpenSearch:
+    @pytest.mark.parametrize("k1,a1", CASES)
+    def test_finds_the_union_of_the_field_searches(self, open_and_per_field_runs, k1, a1):
+        open_run, per_field = open_and_per_field_runs[k1, a1]
+        assert open_run.complete and all(run.complete for run in per_field)
+        union = {res.canonical_key() for run in per_field for res in run.results}
+        assert {res.canonical_key() for res in open_run.results} == union
+        # the all-rational subtrees are searched once, not once per field
+        assert open_run.stats["nodes"] < sum(run.stats["nodes"] for run in per_field)
+        nodes, emitted, *pruned = OPEN_STATS[k1, a1]
+        assert open_run.stats == {
+            "nodes": nodes,
+            "emitted": emitted,
+            "pruned": dict(zip(REASONS, pruned)),
+        }
+
+    def test_irrational_subtrees_take_their_field(self, monkeypatch):
+        # every cosine extension that check_solution_valid sees in an open
+        # search carries the field of its irrational values, or 1
+        seen = set()
+        check = diagsearch.check_solution_valid
+
+        def recording(cosines, diagram):
+            values = [x for pair in cosines.values for x in pair] + [cosines.q111]
+            assert {x.p for x in values} <= {1, cosines.radicand}
+            seen.add(cosines.radicand)
+            return check(cosines, diagram)
+
+        monkeypatch.setattr(diagsearch, "check_solution_valid", recording)
+        generate_diagrams(SearchConfig(k1=3, a1=0, radicand=None))
+        assert 1 in seen and len(seen) > 1
 
 
 class TestEmittedInvariants:

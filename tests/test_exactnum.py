@@ -245,9 +245,6 @@ class FractionPairQuad:
             return self.a == other.a
         return (self.a, self.b, self.p) == (other.a, other.b, other.p)
 
-    def __hash__(self):
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.p))
-
     def __repr__(self):
         return f"QuadNumber({self.a!r}, {self.b!r}, {self.p})"
 
@@ -260,9 +257,13 @@ class FractionPairQuad:
 
 
 def assert_same(q: QuadNumber, r: FractionPairQuad):
-    """q equals the reference value r in value, text, hash and normal form."""
+    """q equals the reference value r in value, text and normal form, and
+    hashes like every QuadNumber equal to it (like its Fraction if rational)."""
     assert (q.a, q.b, q.p) == (r.a, r.b, r.p)
-    assert (str(q), repr(q), hash(q)) == (str(r), repr(r), hash(r))
+    assert (str(q), repr(q)) == (str(r), repr(r))
+    assert hash(q) == hash(QuadNumber(r.a, r.b, r.p))
+    if q.is_rational:
+        assert hash(q) == hash(r.a)
     x, y, d = q._x, q._y, q._d
     assert d > 0 and gcd(x, y, d) == 1 and (y == 0) == (q.p == 1)
 

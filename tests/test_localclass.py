@@ -1,11 +1,13 @@
 """Feasible nearest-neighbourhood graphs on the sphere with rank <= 3."""
 
+import json
 import time
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 
+from schemeforge import cli
 from schemeforge.exactnum import QuadNumber, is_psd, rank
 from schemeforge.graphs import named_graph
 from schemeforge.localclass import (
@@ -79,8 +81,13 @@ class TestClassifyLocal:
     def test_exact_label_list(self, result):
         assert {s.geometric_label for s in result.solutions} == EXPECTED_LABELS
 
-    def test_nothing_unresolved(self, result):
-        assert result.unresolved == []
+    def test_nothing_unresolved(self, result, monkeypatch, capsys):
+        # every adjacency spectrum is real, so the payload lists no graph
+        monkeypatch.setattr(cli, "classify_local", lambda _k_max: result)
+        assert cli.main(["classify-local"]) == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert payload["graph_count"] == 9
+        assert payload["unresolved"] == []
 
     def test_every_witness_is_psd_rank_le_3(self, result):
         for sol in result.solutions:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from schemeforge import schemes
 from schemeforge.catalogue import CATALOGUE, catalogue_graph, catalogue_scheme
 from schemeforge.exactnum import QuadNumber
 from schemeforge.graphs import named_graph
@@ -177,6 +178,23 @@ class TestSpectra:
     def test_at_most_two_orderings(self, catalogue_spectra, sid):
         _, orderings = catalogue_spectra[sid]
         assert 1 <= len(orderings) <= 2
+
+    def test_repeated_root_is_returned_once(self):
+        # t^3 - 3t - 2 = (t + 1)^2 (t - 2)
+        roots, radicand = schemes._factor_eigenvalues([-2, -3, 0, 1])
+        assert sorted(roots) == [QuadNumber(-1), QuadNumber(2)]
+        assert radicand == 1
+
+    def test_eigenvalue_collision_takes_the_next_combination(self, monkeypatch, catalogue):
+        s = catalogue["AS10[6]"]
+        want = spectra(s)
+        # the zero combination has the single eigenvalue 0 for every idempotent
+        vectors = [lambda d: [0] * (d + 1)] + schemes._GENERIC_COEFF_VECTORS
+        monkeypatch.setattr(schemes, "_GENERIC_COEFF_VECTORS", vectors)
+        assert spectra(s).P == want.P
+        monkeypatch.setattr(schemes, "_GENERIC_COEFF_VECTORS", vectors[:1])
+        with pytest.raises(ValueError, match="eigenvalue collision"):
+            spectra(s)
 
     def test_icosahedron_needs_sqrt5(self):
         s = scheme_from_graph_distances(named_graph("icosahedron"))
