@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .exactnum import QuadNumber
+from .exactnum import QuadNumber, squarefree_decompose
 from .graphs import (
     Graph,
     extend_locally,
@@ -373,6 +373,8 @@ def _parse_field(spec: str) -> Optional[int]:
             raise ValueError(f"bad field spec {spec!r}") from None
         if p < 2:
             raise ValueError("quad radicand must be an integer >= 2")
+        if squarefree_decompose(p)[1] != p:
+            raise ValueError(f"quad radicand {p} is not square-free")
         return p
     raise ValueError(f"bad field spec {spec!r} (rational, quad:<p>, or auto)")
 

@@ -22,11 +22,12 @@ Structure of the search state:
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -87,7 +88,9 @@ class SearchConfig:
 
     radicand fixes the field: 1 for Q, p for Q[sqrt(p)], or None for every
     candidate field, each subtree then taking the field of its first
-    irrational cosine.  light_tail is forced when k1 = m1 and a1 = 0: the
+    irrational cosine.  max_depth replaces the degree bound on the class
+    count d; a cap below the bound that cuts a node leaves the search
+    incomplete.  light_tail is forced when k1 = m1 and a1 = 0: the
     multiplicity bound is then attained, so E1 is a light tail and q111 = 0."""
 
     k1: int
@@ -107,11 +110,13 @@ class SearchConfig:
         return self.a1 == 0 and self.k1 == M1
 
     @property
-    def depth_limit(self) -> int:
-        if self.max_depth is not None:
-            return self.max_depth
-        # degree bound: d <= 4*v1 + 1, and d <= 2*v1 + 1 over the rationals
+    def degree_bound(self) -> int:
+        # d <= 4*v1 + 1, and d <= 2*v1 + 1 over the rationals
         return (2 if self.radicand == 1 else 4) * self.k1 + 1
+
+    @property
+    def depth_limit(self) -> int:
+        return self.degree_bound if self.max_depth is None else self.max_depth
 
     @functools.cached_property
     def fields(self) -> tuple:
@@ -125,15 +130,25 @@ class SearchConfig:
         return self.budget if self.budget is not None else _env_budget()
 
 
-@dataclass
 class DistributionDiagram:
-    """Weighted digraph of relations with arc weights p_{h1}^j."""
+    """Weighted digraph of relations with arc weights p_{h1}^j.
 
-    k1: int
-    layers: list  # layer (scheme-graph distance) per vertex
-    arcs: dict  # (j, h) -> weight
-    valencies: list  # k_j per vertex, None until inferred
-    determined: list  # True once the vertex's out-arcs are complete
+    The arcs are stored once, as an out-map h -> w per vertex with the set of
+    in-neighbours beside it, so a query about one vertex reads that vertex's
+    arcs only; ``arcs`` is the (j, h) -> w view of the same store."""
+
+    __slots__ = ("k1", "layers", "valencies", "determined", "out", "into")
+
+    def __init__(self, k1: int, layers: list, arcs: dict, valencies: list,
+                 determined: list):
+        self.k1 = k1
+        self.layers = layers  # layer (scheme-graph distance) per vertex
+        self.valencies = valencies  # k_j per vertex, None until inferred
+        self.determined = determined  # True once the out-arcs are complete
+        self.out = [{} for _ in layers]  # per vertex: h -> weight
+        self.into = [set() for _ in layers]  # per vertex: its in-neighbours
+        for (j, h), w in arcs.items():
+            self.add_arc(j, h, w)
 
     @classmethod
     def seed(cls, k1: int, a1: int) -> "DistributionDiagram":
@@ -148,35 +163,52 @@ class DistributionDiagram:
             determined=[True, False],
         )
 
+    def __repr__(self):
+        return (f"DistributionDiagram(k1={self.k1}, layers={self.layers}, "
+                f"arcs={self.arcs}, valencies={self.valencies}, "
+                f"determined={self.determined})")
+
     @property
     def n(self) -> int:
         return len(self.layers)
 
+    @property
+    def arcs(self) -> dict:
+        """(j, h) -> weight for every arc; a fresh dict, so read-only."""
+        return {(j, h): w for j, out in enumerate(self.out) for h, w in out.items()}
+
     def copy(self) -> "DistributionDiagram":
-        return DistributionDiagram(
-            self.k1,
-            list(self.layers),
-            dict(self.arcs),
-            list(self.valencies),
-            list(self.determined),
-        )
+        new = object.__new__(DistributionDiagram)
+        new.k1 = self.k1
+        new.layers = list(self.layers)
+        new.valencies = list(self.valencies)
+        new.determined = list(self.determined)
+        new.out = [dict(out) for out in self.out]
+        new.into = [set(into) for into in self.into]
+        return new
+
+    def add_arc(self, j: int, h: int, w: int) -> None:
+        self.out[j][h] = w
+        self.into[h].add(j)
 
     def out_weight(self, j: int) -> int:
-        return sum(w for (a, _), w in self.arcs.items() if a == j)
+        return sum(self.out[j].values())
 
     def out_neighbours(self, j: int) -> list:
-        return sorted(h for (a, h) in self.arcs if a == j)
+        return sorted(self.out[j])
 
     def in_neighbours(self, j: int) -> list:
-        return sorted(a for (a, h) in self.arcs if h == j)
+        return sorted(self.into[j])
 
     def weight(self, j: int, h: int) -> int:
-        return self.arcs.get((j, h), 0)
+        return self.out[j].get(h, 0)
 
     def add_vertex(self, layer: int) -> int:
         self.layers.append(layer)
         self.valencies.append(None)
         self.determined.append(False)
+        self.out.append({})
+        self.into.append(set())
         return self.n - 1
 
     def size(self):
@@ -241,7 +273,7 @@ class SearchOutcome:
     config: SearchConfig
     results: list  # of SearchResult
     stats: dict
-    complete: bool  # False when the node budget ran out
+    complete: bool  # False when the node budget or a user depth cap cut a branch
 
 
 def candidate_radicands(k1: int) -> list:
@@ -358,21 +390,18 @@ def arrangements(diagram: DistributionDiagram, v: int, config: SearchConfig):
     Yields (new diagram, fresh vertex list); v is marked determined and its
     valency inferred from the handshake with any settled in-neighbour."""
     lv = diagram.layers[v]
-    remaining = diagram.k1 - diagram.out_weight(v)
-    mandatory = [
-        h
-        for h in diagram.in_neighbours(v)
-        if (v, h) not in diagram.arcs
-    ]
+    outs = diagram.out[v]
+    remaining = diagram.k1 - sum(outs.values())
+    mandatory = sorted(h for h in diagram.into[v] if h not in outs)
     optional = [
         h
         for h in range(1, diagram.n)
         if not diagram.determined[h]
         and abs(diagram.layers[h] - lv) <= 1
-        and (v, h) not in diagram.arcs
+        and h not in outs
         and h not in mandatory
     ]
-    if v != 1 and (v, v) not in diagram.arcs and v not in optional:
+    if v != 1 and v not in outs and v not in optional:
         # v == 1 is excluded: its loop weight a1 is fixed by the config
         optional.append(v)
     optional.sort()
@@ -393,11 +422,11 @@ def arrangements(diagram: DistributionDiagram, v: int, config: SearchConfig):
             nd = diagram.copy()
             for h, w in zip(targets, weights):
                 if w:
-                    nd.arcs[(v, h)] = w
+                    nd.add_arc(v, h, w)
             fresh = []
             for w in parts:
                 f = nd.add_vertex(fresh_layer)
-                nd.arcs[(v, f)] = w
+                nd.add_arc(v, f, w)
                 fresh.append(f)
             nd.determined[v] = True
             if not _infer_valencies(nd, v):
@@ -407,42 +436,48 @@ def arrangements(diagram: DistributionDiagram, v: int, config: SearchConfig):
 
 def _infer_valencies(diagram: DistributionDiagram, v: int) -> bool:
     """Set k_v from the handshake k_v * w(v->h) = k_h * w(h->v) against every
-    neighbour with known valency; False on contradiction or non-integer."""
-    if diagram.valencies[v] is None:
-        for h in diagram.out_neighbours(v):
-            kh = diagram.valencies[h]
-            back = diagram.weight(h, v)
+    neighbour with known valency; False on contradiction or non-integer.
+    The verdict and k_v do not depend on which neighbour sets k_v first."""
+    valencies, out = diagram.valencies, diagram.out
+    outs = out[v]
+    if valencies[v] is None:
+        for h, den in outs.items():
+            kh = valencies[h]
+            back = out[h].get(v, 0)
             if kh is None or not back:
                 continue
             num = kh * back
-            den = diagram.weight(v, h)
             if num % den:
                 return False
             kv = num // den
             if kv < 1:
                 return False
-            diagram.valencies[v] = kv
+            valencies[v] = kv
             break
         else:
             return False
-    kv = diagram.valencies[v]
-    for h in diagram.out_neighbours(v):
-        kh = diagram.valencies[h]
+    kv = valencies[v]
+    for h, w in outs.items():
+        kh = valencies[h]
         if kh is None:
             continue
-        back = diagram.weight(h, v)
-        if back and kv * diagram.weight(v, h) != kh * back:
+        back = out[h].get(v, 0)
+        if back and kv * w != kh * back:
             return False
     return True
 
 
 def check_diagram_valid(diagram: DistributionDiagram):
-    """(True, "") or (False, reason) for the structural diagram axioms."""
+    """(True, "") or (False, reason) for the structural diagram axioms.
+
+    The search checks each arrangement with _check_arrangement instead; this
+    full check is its reference."""
     k1 = diagram.k1
+    arcs = diagram.arcs
     # R0 structure
     if diagram.weight(0, 1) != k1 or diagram.out_weight(0) != k1:
         return False, "r0-structure"
-    for (j, h), w in diagram.arcs.items():
+    for (j, h), w in arcs.items():
         if w <= 0:
             return False, "nonpositive-weight"
         if h == 0 and j != 1:
@@ -457,7 +492,7 @@ def check_diagram_valid(diagram: DistributionDiagram):
         if not diagram.determined[v] and ow > k1:
             return False, "out-weight"
     # support symmetry and handshake for determined pairs
-    for (j, h), w in diagram.arcs.items():
+    for (j, h), w in arcs.items():
         if diagram.determined[h] and not diagram.weight(h, j):
             return False, "handshake"
         kj, kh = diagram.valencies[j], diagram.valencies[h]
@@ -465,14 +500,52 @@ def check_diagram_valid(diagram: DistributionDiagram):
         if kj is not None and kh is not None and back:
             if kj * w != kh * back:
                 return False, "handshake"
-    ok, reason = _yamazaki_ok(diagram)
-    if not ok:
-        return False, reason
+    if not all(_yamazaki_ok(diagram, j) for j in range(diagram.n)):
+        return False, "yamazaki"
     return True, ""
 
 
-def _yamazaki_ok(diagram: DistributionDiagram):
-    """Diagram-local reading of Yamazaki's lemma.
+def _check_arrangement(diagram: DistributionDiagram, v: int):
+    """check_diagram_valid for a diagram that one arrangement at v made from a
+    diagram that passed it.
+
+    The arrangement adds arcs out of v only, to fresh vertices among others,
+    determines v and sets k_v.  So only these can fail, and they are checked
+    in the order of the full check: v's arcs, v's out-weight, the handshakes
+    between v and its neighbours in both directions, and Yamazaki's lemma at
+    v and at v's in-neighbours one layer down (the only relations whose
+    determined next-layer out-neighbours changed)."""
+    layers, out, valencies = diagram.layers, diagram.out, diagram.valencies
+    lv = layers[v]
+    outs = out[v]
+    for h, w in outs.items():
+        if w <= 0:
+            return False, "nonpositive-weight"
+        if h == 0 and v != 1:
+            return False, "r0-structure"
+        if abs(layers[h] - lv) > 1:
+            return False, "layer-skip"
+    if sum(outs.values()) != diagram.k1:
+        return False, "out-weight"
+    kv = valencies[v]
+    for u in outs.keys() | diagram.into[v]:
+        fwd, back = outs.get(u, 0), out[u].get(v, 0)
+        if (fwd and not back and diagram.determined[u]) or (
+            back and not fwd and diagram.determined[v]
+        ):
+            return False, "handshake"
+        ku = valencies[u]
+        if fwd and back and kv is not None and ku is not None and kv * fwd != ku * back:
+            return False, "handshake"
+    if not _yamazaki_ok(diagram, v) or not all(
+        _yamazaki_ok(diagram, j) for j in diagram.into[v] if layers[j] == lv - 1
+    ):
+        return False, "yamazaki"
+    return True, ""
+
+
+def _yamazaki_ok(diagram: DistributionDiagram, j: int) -> bool:
+    """Diagram-local reading of Yamazaki's lemma at relation R_j.
 
     Interpretation (documented, since the lemma speaks of points): take a
     relation R_j at layer i >= 2 with two distinct determined out-neighbours
@@ -480,33 +553,20 @@ def _yamazaki_ok(diagram: DistributionDiagram):
     layer i (c_{i+1} = 1 for its points).  The lemma then demands a relation
     R5 adjacent to both R3 and R4 that avoids the distance-i graph, i.e. a
     common out-neighbour of R3 and R4 at layer >= i+1 (loops included)."""
-    for j in range(diagram.n):
-        lj = diagram.layers[j]
-        if lj < 2:
+    layers, out = diagram.layers, diagram.out
+    lj = layers[j]
+    if lj < 2:
+        return True
+    outs = [h for h in out[j] if layers[h] == lj + 1 and diagram.determined[h]]
+    for r3 in outs:
+        if sum(w for h, w in out[r3].items() if layers[h] == lj) != 1:
             continue
-        outs = [
-            h
-            for h in diagram.out_neighbours(j)
-            if diagram.layers[h] == lj + 1 and diagram.determined[h]
-        ]
-        for r3 in outs:
-            c = sum(
-                w
-                for (a, h), w in diagram.arcs.items()
-                if a == r3 and diagram.layers[h] == lj
-            )
-            if c != 1:
-                continue
-            for r4 in outs:
-                if r4 == r3:
-                    continue
-                good = any(
-                    diagram.layers[h] >= lj + 1 and diagram.weight(r4, h)
-                    for h in diagram.out_neighbours(r3)
-                )
-                if not good:
-                    return False, "yamazaki"
-    return True, ""
+        for r4 in outs:
+            if r4 != r3 and not any(
+                layers[h] > lj and out[r4].get(h, 0) for h in out[r3]
+            ):
+                return False
+    return True
 
 
 def _in_field(x: QuadNumber, radicand: int) -> bool:
@@ -533,6 +593,7 @@ def solve_cosines(
     k1q = QuadNumber(diagram.k1)
     w11, w12 = cosines.values[1]
     known = {h: cosines.values[h] for h in range(len(cosines.values))}
+    outs = diagram.out[v]
 
     def residuals(vals):
         full = dict(known)
@@ -542,8 +603,8 @@ def solve_cosines(
         for c in (0, 1):
             lhs = k1q * cosines.values[1][c] * full[v][c]
             rhs = QuadNumber(0)
-            for h in diagram.out_neighbours(v):
-                rhs = rhs + QuadNumber(diagram.weight(v, h)) * full[h][c]
+            for h, w in outs.items():
+                rhs = rhs + QuadNumber(w) * full[h][c]
             res.append(lhs - rhs)
         return res
 
@@ -551,15 +612,13 @@ def solve_cosines(
         r1, r2 = residuals([])
         return [cosines] if not r1 and not r2 else []
 
-    weights = [QuadNumber(diagram.weight(v, f)) for f in fresh]
+    weights = [QuadNumber(outs[f]) for f in fresh]
     target1 = k1q * w11 * cosines.values[v][0] - sum(
-        (QuadNumber(diagram.weight(v, h)) * known[h][0]
-         for h in diagram.out_neighbours(v) if h not in fresh),
+        (QuadNumber(w) * known[h][0] for h, w in outs.items() if h not in fresh),
         QuadNumber(0),
     )
     target2 = k1q * w12 * cosines.values[v][1] - sum(
-        (QuadNumber(diagram.weight(v, h)) * known[h][1]
-         for h in diagram.out_neighbours(v) if h not in fresh),
+        (QuadNumber(w) * known[h][1] for h, w in outs.items() if h not in fresh),
         QuadNumber(0),
     )
 
@@ -626,13 +685,14 @@ def solve_cosines(
         else:
             # The last surplus cosine a, of weight w0, leaves t1 = T1 - w0*a
             # and t2 = T2 - w0*phi(a); the discriminant is then P*a^2 + Q*a + R
-            # (the q*a terms cancel), so each candidate costs one Horner step
-            # and a sign test, and only discriminants >= 0 are solved.  The
-            # surplus is enumerated per field, as values of two fields do not
-            # mix; a rational tuple recurs under every field, and the dedup
-            # below keeps its first copy.
+            # (the q*a terms cancel) with P = w0*(c*w0 - 16A) < 0, as c < 0 < A,
+            # and only the candidates in its non-negative slice (_tail_slice)
+            # are solved.  The surplus is
+            # enumerated per field, as values of two fields do not mix; a
+            # rational tuple recurs under every field, and the dedup below
+            # keeps its first copy.
             columns = []
-            num = diagram.valencies[v] * diagram.weight(v, fresh[0])
+            num = diagram.valencies[v] * outs[fresh[0]]
             fields = config.fields if cosines.radicand == 1 else (cosines.radicand,)
             w0 = weights[surplus - 1]
             P = w0 * (c * w0 - QuadNumber(16) * A)
@@ -648,10 +708,9 @@ def solve_cosines(
                     Q = minus_2c_w0 * T1
                     R = c * T1 * T1 + four_aq * T1 + four_a_rest * T2 + four_a_w0
                     prefix = list(outer)
-                    for a in cands:
+                    lo, hi = _tail_slice(cands, P, Q, R)
+                    for a in cands[lo:hi]:
                         disc = (P * a + Q) * a + R
-                        if disc.sign() < 0:
-                            continue
                         columns.extend(
                             tail_roots(prefix + [a], T1 - w0 * a, disc, field)
                         )
@@ -673,8 +732,26 @@ def solve_cosines(
     return results
 
 
+def _tail_slice(cands: tuple, P: QuadNumber, Q: QuadNumber, R: QuadNumber):
+    """(lo, hi) such that cands[lo:hi] are exactly the sorted candidates a
+    with P*a^2 + Q*a + R >= 0, for P < 0.
+
+    The quadratic is concave, so its non-negative set is one interval around
+    the vertex -Q/2P: rising on the candidates left of the vertex and falling
+    on the rest.  Each end is found by bisection on exact sign tests."""
+
+    def nonnegative(a):
+        return ((P * a + Q) * a + R).sign() >= 0
+
+    top = bisect.bisect_left(cands, -Q / (P + P))
+    lo = bisect.bisect_left(cands, True, 0, top, key=nonnegative)
+    hi = bisect.bisect_left(cands, True, top, len(cands),
+                            key=lambda a: not nonnegative(a))
+    return lo, hi
+
+
 def _interchangeable(diagram, v, fresh) -> bool:
-    ws = [diagram.weight(v, f) for f in fresh]
+    ws = [diagram.out[v][f] for f in fresh]
     return len(set(ws)) < len(ws)
 
 
@@ -693,7 +770,10 @@ def _fresh_candidates(num: int, k1: int, radicand: int) -> tuple:
 def check_solution_valid(cosines: CosineColumns, diagram: DistributionDiagram):
     """(True, "") or (False, reason) for the cosine axioms: field membership,
     ranges, column-1 faithfulness with the nearest relation dominating, and
-    the bounded-algebraic-integer test wherever the valency is known."""
+    the bounded-algebraic-integer test wherever the valency is known.
+
+    The search checks each extension with _check_extension instead; this
+    full check is its reference."""
     one = QuadNumber(1)
     col1 = [pair[0] for pair in cosines.values]
     col2 = [pair[1] for pair in cosines.values]
@@ -713,16 +793,54 @@ def check_solution_valid(cosines: CosineColumns, diagram: DistributionDiagram):
         if not col1[i] < w11:
             return False, "nearest-dominance"
     for i in range(1, len(col1)):
-        k = diagram.valencies[i] if i < diagram.n else None
-        if k is None:
-            continue
-        for x in (col1[i], col2[i]):
-            lam = x * QuadNumber(k)
-            if not is_algebraic_integer(lam):
-                return False, "algebraic-integer"
-            conj = QuadNumber(lam.a, -lam.b, lam.p)
-            if not (-QuadNumber(k) <= conj <= QuadNumber(k)):
-                return False, "conjugate-bound"
+        reason = _integrality(cosines.values[i], diagram.valencies[i] if i < diagram.n else None)
+        if reason:
+            return False, reason
+    return True, ""
+
+
+def _integrality(pair: tuple, k: Optional[int]) -> str:
+    """Why k*w is not a bounded algebraic integer for a vertex's cosines w of
+    valency k, or "" when it is (or k is unknown)."""
+    if k is None:
+        return ""
+    kq = QuadNumber(k)
+    for x in pair:
+        lam = x * kq
+        if not is_algebraic_integer(lam):
+            return "algebraic-integer"
+        if not (-kq <= lam.conjugate() <= kq):
+            return "conjugate-bound"
+    return ""
+
+
+def _check_extension(cosines: CosineColumns, diagram: DistributionDiagram,
+                     v: int, fresh: list):
+    """check_solution_valid for an extension, at v, of cosines that passed it.
+
+    Only the fresh vertices' values are new and only k_v became known, so
+    these checks run, in the order of the full check: field and range of the
+    fresh values, their faithfulness against every earlier value, their
+    nearest-dominance, and the algebraic-integer tests of v and of the fresh
+    vertices.  A seed passes every check but vertex 1's algebraic-integer
+    test by construction (initial_state), and its first arrangement is at
+    v = 1, which runs that test."""
+    values = cosines.values
+    new = [values[f] for f in fresh]
+    if not all(_in_field(x, cosines.radicand) for pair in new for x in pair):
+        return False, "field"
+    if not all(-_ONE <= a < _ONE and -_ONE <= b <= _ONE for a, b in new):
+        return False, "range"
+    col1 = [a for a, _ in values]
+    if any(col1[f] in col1[:f] for f in fresh):
+        return False, "faithfulness"
+    w11 = col1[1]
+    if not all(a < w11 for a, _ in new):
+        return False, "nearest-dominance"
+    for i in (v, *fresh):
+        reason = _integrality(values[i], diagram.valencies[i])
+        if reason:
+            return False, reason
     return True, ""
 
 
@@ -788,6 +906,12 @@ def generate_diagrams(config: SearchConfig, known=None) -> SearchOutcome:
     half = QuadNumber(Fraction(1, 2))
     results = {}
     complete = True
+    # under a user depth cap below the degree bound the arrangements still run
+    # to the bound, so that a node past the cap is seen: it is cut, and makes
+    # the search incomplete
+    reach = config
+    if config.depth_limit < config.degree_bound:
+        reach = replace(config, max_depth=None)
 
     def kissing_prune(diagram, cosines) -> bool:
         if cosines.values[1][0] > half:
@@ -815,8 +939,8 @@ def generate_diagrams(config: SearchConfig, known=None) -> SearchOutcome:
             return
         v = todo[0]
         rest = todo[1:]
-        for nd, fresh in arrangements(diagram, v, config):
-            ok, _reason = check_diagram_valid(nd)
+        for nd, fresh in arrangements(diagram, v, reach):
+            ok, _reason = _check_arrangement(nd, v)
             if not ok:
                 stats["pruned"]["diagram"] += 1
                 continue
@@ -828,9 +952,12 @@ def generate_diagrams(config: SearchConfig, known=None) -> SearchOutcome:
                 stats["pruned"]["cosines"] += 1
                 continue
             for ext in exts:
-                ok, _reason = check_solution_valid(ext, nd)
+                ok, _reason = _check_extension(ext, nd, v, fresh)
                 if not ok:
                     stats["pruned"]["solution"] += 1
+                    continue
+                if nd.n > config.depth_limit + 1:
+                    complete = False
                     continue
                 rec(nd, ext, rest + fresh)
 

@@ -214,6 +214,36 @@ class TestSubcommands:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("spec", ["quad:4", "quad:8"])
+    def test_field_must_be_square_free(self, capsys, spec):
+        code, out, err = run(capsys, "search", "--k1", "4", "--a1", "1", "--field", spec)
+        assert code == EXIT_USAGE
+        assert "square-free" in err and not out
+
+    def test_square_free_field_is_unchanged(self):
+        assert cli._parse_field("quad:5") == 5
+        assert cli._parse_field("quad:2") == 2
+
+    def test_depth_cap_that_cuts_is_incomplete(self, capsys):
+        code, out, _ = run(
+            capsys, "search", "--k1", "4", "--a1", "0", "--field", "quad:5",
+            "--max-depth", "2",
+        )
+        assert code == EXIT_BUDGET
+        payload = payload_of(out)
+        assert payload["complete"] is False
+        assert payload["runs"][0]["complete"] is False
+
+    def test_depth_cap_at_or_above_the_bound_changes_nothing(self, capsys):
+        argv = ("search", "--k1", "3", "--a1", "0", "--field", "rational")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        # the degree bound over Q is 2*k1 + 1 = 7
+        for cap in ("7", "8"):
+            capped_code, capped_out, _ = run(capsys, *argv, "--max-depth", cap)
+            assert capped_code == EXIT_OK
+            assert payload_of(capped_out) == payload_of(out)
+
     def test_bound_delsarte(self, capsys):
         code, out, _ = run(capsys, "bound", "delsarte", "3", "2")
         assert code == EXIT_OK

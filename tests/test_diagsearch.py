@@ -15,11 +15,17 @@ from schemeforge.diagsearch import (
     CosineColumns,
     DistributionDiagram,
     SearchConfig,
+    _check_arrangement,
+    _check_extension,
     _cosine_candidates,
     _in_field,
     _interchangeable,
+    _tail_slice,
     candidate_radicands,
+    check_diagram_valid,
+    check_solution_valid,
     generate_diagrams,
+    initial_state,
     match_known,
     solve_cosines,
 )
@@ -64,6 +70,10 @@ class TestConfig:
         assert SearchConfig(k1=4, a1=0, radicand=5).depth_limit == 17
         assert SearchConfig(k1=4, a1=0, radicand=None).depth_limit == 17
         assert SearchConfig(k1=4, a1=0, max_depth=3).depth_limit == 3
+
+    def test_degree_bound(self):
+        assert SearchConfig(k1=4, a1=0).degree_bound == 9
+        assert SearchConfig(k1=4, a1=0, radicand=None, max_depth=3).degree_bound == 17
 
     def test_fields(self):
         assert SearchConfig(k1=4, a1=0).fields == (1,)
@@ -168,20 +178,35 @@ class TestOpenSearch:
         }
 
     def test_irrational_subtrees_take_their_field(self, monkeypatch):
-        # every cosine extension that check_solution_valid sees in an open
-        # search carries the field of its irrational values, or 1
+        # every cosine extension that _check_extension sees in an open search
+        # carries the field of its irrational values, or 1
         seen = set()
-        check = diagsearch.check_solution_valid
+        check = diagsearch._check_extension
 
-        def recording(cosines, diagram):
+        def recording(cosines, diagram, v, fresh):
             values = [x for pair in cosines.values for x in pair] + [cosines.q111]
             assert {x.p for x in values} <= {1, cosines.radicand}
             seen.add(cosines.radicand)
-            return check(cosines, diagram)
+            return check(cosines, diagram, v, fresh)
 
-        monkeypatch.setattr(diagsearch, "check_solution_valid", recording)
+        monkeypatch.setattr(diagsearch, "_check_extension", recording)
         generate_diagrams(SearchConfig(k1=3, a1=0, radicand=None))
         assert 1 in seen and len(seen) > 1
+
+
+class TestDepthCap:
+    @pytest.mark.parametrize("k1,a1", [(3, 0), (4, 1)])
+    def test_complete_exactly_when_the_cap_cuts_no_node(self, k1, a1):
+        base = generate_diagrams(SearchConfig(k1=k1, a1=a1))
+        keys = [res.canonical_key() for res in base.results]
+        verdicts = set()
+        for cap in range(1, base.config.degree_bound + 2):
+            capped = generate_diagrams(SearchConfig(k1=k1, a1=a1, max_depth=cap))
+            assert capped.complete == (capped.stats == base.stats), cap
+            if capped.complete:
+                assert [res.canonical_key() for res in capped.results] == keys
+            verdicts.add(capped.complete)
+        assert verdicts == {True, False}
 
 
 class TestEmittedInvariants:
@@ -604,3 +629,146 @@ class TestSolveCosines:
             for ext in solve_cosines(diagram, cosines, 2, [3, 4], config)
         }
         assert frozenset(((r5 - one) / QuadNumber(4), (-r5 - one) / QuadNumber(4))) in found
+
+
+# -- the incremental checks and the bisected tail slice against the full ones
+
+# (k1, a1, radicand): the three open runs and the run over Q[sqrt(5)]
+DIFFERENTIAL_RUNS = [(3, 0, None), (4, 1, None), (4, 0, None), (4, 0, 5)]
+
+
+def _pinned_stats(k1, a1, p):
+    nodes, emitted, *pruned = OPEN_STATS[k1, a1] if p is None else PINNED_STATS[k1, a1, p]
+    return {"nodes": nodes, "emitted": emitted, "pruned": dict(zip(REASONS, pruned))}
+
+
+def _disc(P, Q, R, a):
+    return (P * a + Q) * a + R
+
+
+@pytest.fixture(scope="module")
+def recorded_runs():
+    """The searches of DIFFERENTIAL_RUNS, recording: each arrangement's
+    (incremental, full) diagram verdicts; each extension's (incremental,
+    full) cosine verdicts; each tail slice's (cands, P, Q, R, (lo, hi)); the
+    arguments of each solve_cosines call with a surplus; the stats per run."""
+    rec = {"arrangements": [], "extensions": [], "slices": [], "surplus": [], "stats": {}}
+    check_arrangement = diagsearch._check_arrangement
+    check_extension = diagsearch._check_extension
+    tail_slice = diagsearch._tail_slice
+    solve = diagsearch.solve_cosines
+
+    def arrangement(diagram, v):
+        got = check_arrangement(diagram, v)
+        rec["arrangements"].append((got, check_diagram_valid(diagram)))
+        return got
+
+    def extension(cosines, diagram, v, fresh):
+        got = check_extension(cosines, diagram, v, fresh)
+        rec["extensions"].append((got, check_solution_valid(cosines, diagram)))
+        return got
+
+    def recorded_slice(cands, P, Q, R):
+        got = tail_slice(cands, P, Q, R)
+        rec["slices"].append((cands, P, Q, R, got))
+        return got
+
+    def recorded_solve(diagram, cosines, v, fresh, config):
+        if len(fresh) > 2:
+            rec["surplus"].append((diagram, cosines, v, fresh, config))
+        return solve(diagram, cosines, v, fresh, config)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagsearch, "_check_arrangement", arrangement)
+        mp.setattr(diagsearch, "_check_extension", extension)
+        mp.setattr(diagsearch, "_tail_slice", recorded_slice)
+        mp.setattr(diagsearch, "solve_cosines", recorded_solve)
+        for k1, a1, p in DIFFERENTIAL_RUNS:
+            outcome = generate_diagrams(SearchConfig(k1=k1, a1=a1, radicand=p))
+            rec["stats"][k1, a1, p] = outcome.stats
+    return rec
+
+
+class TestIncrementalChecks:
+    def test_recorded_runs_keep_their_stats(self, recorded_runs):
+        for key in DIFFERENTIAL_RUNS:
+            assert recorded_runs["stats"][key] == _pinned_stats(*key), key
+
+    def test_arrangement_check_is_the_full_check(self, recorded_runs):
+        pairs = recorded_runs["arrangements"]
+        assert all(got == want for got, want in pairs)
+        # one verdict per arrangement the search checked
+        pruned = sum(s["pruned"]["diagram"] for s in recorded_runs["stats"].values())
+        assert sum(1 for got, _want in pairs if not got[0]) == pruned > 0
+
+    def test_extension_check_is_the_full_check(self, recorded_runs):
+        pairs = recorded_runs["extensions"]
+        assert all(got == want for got, want in pairs)
+        pruned = sum(s["pruned"]["solution"] for s in recorded_runs["stats"].values())
+        reasons = {got[1] for got, _want in pairs if not got[0]}
+        assert sum(1 for got, _want in pairs if not got[0]) == pruned > 0
+        assert len(reasons) > 1
+
+    def test_yamazaki_at_v(self):
+        # The search finishes the relations layer by layer, so it never gives
+        # v a determined out-neighbour one layer up; this diagram is built by
+        # hand.  R3 and R4 are determined and send weight 1 each back to
+        # v = 2; once v is determined, R3 and R4 are v's out-neighbours with
+        # no common out-neighbour at layer >= 3.
+        parent = DistributionDiagram(
+            k1=3,
+            layers=[0, 1, 2, 3, 3],
+            arcs={(0, 1): 3, (1, 0): 1, (1, 2): 2, (3, 2): 1, (3, 3): 2,
+                  (4, 2): 1, (4, 4): 2},
+            valencies=[1, 3, None, 6, 6],
+            determined=[True, True, False, True, True],
+        )
+        assert check_diagram_valid(parent) == (True, "")
+        child = parent.copy()
+        for h in (1, 3, 4):
+            child.add_arc(2, h, 1)
+        child.determined[2] = True
+        child.valencies[2] = 6
+        assert _check_arrangement(child, 2) == check_diagram_valid(child) == (False, "yamazaki")
+
+    @pytest.mark.parametrize("k1,a1,p", DIFFERENTIAL_RUNS)
+    def test_a_seed_can_fail_only_vertex_1s_test(self, k1, a1, p):
+        # vertex 1's algebraic-integer test, which the first arrangement (at
+        # v = 1) runs; the seed diagram itself is valid
+        diagram, seeds, todo = initial_state(SearchConfig(k1=k1, a1=a1, radicand=p))
+        assert todo == [1]
+        assert check_diagram_valid(diagram) == (True, "")
+        for seed in seeds:
+            assert check_solution_valid(seed, diagram) == _check_extension(seed, diagram, 1, [])
+
+    def test_tail_slice_is_the_nonnegative_candidates(self, recorded_runs):
+        slices = recorded_runs["slices"]
+        for cands, P, Q, R, (lo, hi) in slices:
+            signs = [_disc(P, Q, R, a).sign() for a in cands]
+            assert all(sign >= 0 for sign in signs[lo:hi])
+            assert all(sign < 0 for sign in signs[:lo] + signs[hi:])
+        assert any(hi > lo for _c, _P, _Q, _R, (lo, hi) in slices)
+        assert any(hi == lo for _c, _P, _Q, _R, (lo, hi) in slices)
+
+    def test_bisected_tail_solves_as_the_full_scan(self, recorded_runs):
+        # the full scan hands every candidate to the tail solver, which finds
+        # no root for a negative discriminant
+        calls = recorded_runs["surplus"]
+        assert any(solve_cosines(*args) for args in calls)
+        for args in calls:
+            got = solve_cosines(*args)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(diagsearch, "_tail_slice", lambda cands, *_: (0, len(cands)))
+                want = solve_cosines(*args)
+            assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_tail_slice_on_concave_quadratics(self, data):
+        p = data.draw(st.sampled_from([1, 2, 5]))
+        elements = _field_elements(p)
+        P = data.draw(elements.filter(lambda x: x.sign() < 0))
+        Q, R = data.draw(elements), data.draw(elements)
+        cands = tuple(sorted(set(data.draw(st.lists(elements, max_size=12)))))
+        lo, hi = _tail_slice(cands, P, Q, R)
+        assert list(cands[lo:hi]) == [a for a in cands if _disc(P, Q, R, a).sign() >= 0]
