@@ -334,7 +334,10 @@ def cmd_spectra(args) -> int:
 
 def cmd_classify_local(args) -> int:
     started = time.monotonic()
-    result = classify_local(args.k_max)
+    try:
+        result = classify_local(args.k_max)
+    except ValueError as e:
+        return _fail_usage(str(e))
     solutions = []
     for sol in result.solutions:
         solutions.append(
@@ -410,15 +413,17 @@ def cmd_search(args) -> int:
         radicand = _parse_field(args.field)
     except ValueError as e:
         return _fail_usage(str(e))
-    run = _search_run(
-        SearchConfig(
+    try:
+        config = SearchConfig(
             k1=args.k1,
             a1=args.a1,
             radicand=radicand,
             max_depth=args.max_depth,
             budget=args.budget,
         )
-    )
+    except ValueError as e:
+        return _fail_usage(str(e))
+    run = _search_run(config)
     matched = sorted({r["matched"] for r in run["results"] if r["matched"]})
     unmatched = sum(1 for r in run["results"] if not r["matched"])
     complete = run["complete"]
@@ -458,7 +463,10 @@ def cmd_recognize(args) -> int:
     except (KeyError, ValueError):
         return _fail_usage(f"unknown graph name {args.local!r}")
     budget = args.budget if args.budget is not None else 2_000_000
-    ext = extend_locally(h, args.n_max, budget=budget)
+    try:
+        ext = extend_locally(h, args.n_max, budget=budget)
+    except ValueError as e:
+        return _fail_usage(str(e))
     found = [
         {"name": identify_graph(g), "graph6": to_graph6(g), "n": g.n}
         for g in ext.graphs
@@ -485,8 +493,11 @@ def cmd_bound(args) -> int:
     if args.kind == "delsarte":
         if len(args.params) != 2:
             return _fail_usage("bound delsarte takes two integers: dimension, inner products")
-        d, s = (int(x) for x in args.params)
-        payload = {"bound": delsarte_bound(d, s)}
+        try:
+            d, s = (int(x) for x in args.params)
+            payload = {"bound": delsarte_bound(d, s)}
+        except ValueError as e:
+            return _fail_usage(f"bound delsarte: {e}")
     elif args.kind == "kissing":
         if args.params:
             return _fail_usage("bound kissing takes no parameters")

@@ -32,13 +32,21 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     """Return (m, q) with n = m**2 * q and q square-free.  Requires n >= 1."""
     if n < 1:
         raise ValueError("radicand must be positive")
-    m, q, d = 1, n, 2
-    while d * d <= q:
-        while q % (d * d) == 0:
-            q //= d * d
-            m *= d
-        d += 1
-    return m, q
+    # trial division while d**3 <= rest; every prime factor of what is left
+    # then exceeds its cube root, so rest is 1, p, p**2 or p*q
+    m, q, rest, d = 1, 1, n, 2
+    while d * d * d <= rest:
+        e = 0
+        while rest % d == 0:
+            rest //= d
+            e += 1
+        m *= d ** (e // 2)
+        q *= d ** (e % 2)
+        d += 1 if d == 2 else 2
+    r = isqrt(rest)
+    if r * r == rest:
+        return m * r, q
+    return m, q * rest
 
 
 class QuadNumber:
@@ -568,19 +576,29 @@ def nullspace(m: ExactMatrix) -> list[list[QuadNumber]]:
 
 
 def is_psd(m: ExactMatrix) -> bool:
-    """Exact PSD test by sign alternation of char-poly coefficients.
+    """Exact PSD test by symmetric Gaussian elimination, O(n^3).
 
-    For a symmetric matrix (real spectrum) all eigenvalues are >= 0 iff
-    (-1)^(n-i) * c_i >= 0 for every coefficient c_i of t^i.
-    """
+    With pivot d = a[i][i], the matrix is PSD iff d > 0 and the Schur
+    complement of d is PSD, or d = 0, row i is zero and the rest is PSD.
+    A negative pivot, or a zero pivot with a non-zero entry in its row,
+    therefore refutes it."""
     if not m.is_symmetric():
         raise ValueError("is_psd requires a symmetric matrix")
-    poly = char_poly(m)
+    a = [row[:] for row in m.entries]
     n = m.rows
-    for i, c in enumerate(poly.coeffs):
-        s = c.sign()
-        if s != 0 and s != (1 if (n - i) % 2 == 0 else -1):
+    for i in range(n):
+        d = a[i][i]
+        if d < 0:
             return False
+        if not d:
+            if any(a[i][j] for j in range(i + 1, n)):
+                return False
+            continue
+        for j in range(i + 1, n):
+            if a[i][j]:
+                f = a[i][j] / d
+                for l in range(j, n):
+                    a[j][l] -= f * a[i][l]
     return True
 
 

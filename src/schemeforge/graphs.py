@@ -294,9 +294,28 @@ def distance_i_graph(g: Graph, i: int) -> Graph:
 # enumeration of regular graphs (isomorphism class representatives)
 
 
+def _vertex_invariant(adj: Sequence[int], v: int) -> tuple:
+    """(edges inside N(v), sorted |N(u) & N(v)| over u != v): unchanged by
+    any relabelling that maps v to v."""
+    common = sorted((a & adj[v]).bit_count() for u, a in enumerate(adj) if u != v)
+    inside = sum((adj[u] & adj[v]).bit_count() for u in _bits(adj[v])) // 2
+    return (inside, common)
+
+
 def enumerate_regular_graphs(n: int, k: int) -> list[Graph]:
     """One representative per isomorphism class of k-regular graphs on n
-    vertices (disconnected ones included).  Intended for n <= 9."""
+    vertices (disconnected ones included).  Intended for n <= 9.
+
+    The search fixes N(0) = {1, ..., k} and keeps only completions in which
+    vertex 0 attains the maximum of ``_vertex_invariant`` over all vertices
+    (a tie is kept), the vertex-invariant rejection of McKay, "Isomorph-free
+    exhaustive generation" (J. Algorithms, 1998).  No class is lost:
+    - every class has a labelling with a max-invariant vertex at 0 and
+      N(0) = {1, ..., k}, and the unpruned search reaches it;
+    - the search skips a choice only for an interchangeable one, and swapping
+      interchangeable candidates is an automorphism of the partial graph that
+      fixes vertex 0, so it maps each completion of the skipped branch to one
+      of the kept branch in which vertex 0 has the same invariant."""
     if not 0 <= k < max(n, 1):
         if n == 0 and k == 0:
             return [Graph(0)]
@@ -312,7 +331,9 @@ def enumerate_regular_graphs(n: int, k: int) -> list[Graph]:
     def rec(adj: list[int], rem: list[int]):
         v = next((i for i in range(n) if rem[i]), None)
         if v is None:
-            found.append(Graph.from_adj(adj))
+            top = _vertex_invariant(adj, 0)
+            if all(_vertex_invariant(adj, u) <= top for u in range(1, n)):
+                found.append(Graph.from_adj(adj))
             return
         cands = [u for u in range(v + 1, n) if rem[u] > 0]
         need = rem[v]

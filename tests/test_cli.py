@@ -149,6 +149,22 @@ class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "bound delsarte 3 x",
+            "bound delsarte 0 2",
+            "recognize --local C5 --n-max -3",
+            "search --k1 0 --a1 0",
+            "search --k1 4 --a1 9",
+            "classify-local --k-max 100",
+        ],
+    )
+    def test_bad_value_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and not out
+
     def test_search_budget_exhaustion(self, capsys):
         code, out, _ = run(
             capsys, "search", "--k1", "4", "--a1", "0", "--budget", "3"

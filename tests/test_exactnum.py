@@ -568,3 +568,134 @@ class TestQuadSqrt:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(exactnum, "_fraction_sqrt", no_fraction_root)
             assert quad_sqrt(x) is None
+
+
+# -- is_psd and squarefree_decompose against the slower routines they replace
+
+
+def reference_is_psd(m: ExactMatrix) -> bool:
+    """Exact PSD test by sign alternation of char-poly coefficients.
+
+    For a symmetric matrix (real spectrum) all eigenvalues are >= 0 iff
+    (-1)^(n-i) * c_i >= 0 for every coefficient c_i of t^i.
+    """
+    if not m.is_symmetric():
+        raise ValueError("is_psd requires a symmetric matrix")
+    poly = char_poly(m)
+    n = m.rows
+    for i, c in enumerate(poly.coeffs):
+        s = c.sign()
+        if s != 0 and s != (1 if (n - i) % 2 == 0 else -1):
+            return False
+    return True
+
+
+def reference_squarefree_decompose(n: int) -> tuple[int, int]:
+    """Trial division by every d with d*d <= what is left."""
+    m, q, d = 1, n, 2
+    while d * d <= q:
+        while q % (d * d) == 0:
+            q //= d * d
+            m *= d
+        d += 1
+    return m, q
+
+
+# small entries, zero often, so that zero pivots occur
+small_rationals = st.sampled_from([Fraction(v, d) for v in range(-3, 4) for d in (1, 2)])
+small_quads = st.one_of(
+    small_rationals.map(QuadNumber),
+    st.tuples(small_rationals, small_rationals).map(lambda ab: QuadNumber(*ab, 5)),
+)
+
+
+@st.composite
+def symmetric_matrices(draw, entries):
+    n = draw(st.integers(1, 5))
+    rows = [[QuadNumber(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(entries)
+    return ExactMatrix(rows)
+
+
+@st.composite
+def gram_matrices(draw, entries):
+    """B B^T for an n x r matrix B, r <= n, so rank <= r."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(0, n))
+    b = [[draw(entries) for _ in range(r)] for _ in range(n)]
+    return ExactMatrix(
+        [[sum((x * y for x, y in zip(u, v)), QuadNumber(0)) for v in b] for u in b]
+    )
+
+
+class TestIsPsd:
+    @settings(max_examples=300)
+    @given(st.one_of(symmetric_matrices(small_rationals), symmetric_matrices(small_quads)))
+    def test_symmetric_matrices_match_reference(self, m):
+        assert is_psd(m) == reference_is_psd(m)
+
+    @settings(max_examples=200)
+    @given(st.one_of(gram_matrices(small_rationals), gram_matrices(small_quads)))
+    def test_gram_matrices_are_psd(self, g):
+        assert is_psd(g) and reference_is_psd(g)
+
+    @settings(max_examples=200)
+    @given(
+        st.one_of(gram_matrices(small_rationals), gram_matrices(small_quads)),
+        st.data(),
+    )
+    def test_shifted_gram_matrices_match_reference(self, g, data):
+        # g - c*e_i e_i^T leaves the PSD cone exactly when c is too large
+        i = data.draw(st.integers(0, g.rows - 1))
+        c = data.draw(small_rationals)
+        rows = [row[:] for row in g.entries]
+        rows[i][i] = rows[i][i] - c
+        m = ExactMatrix(rows)
+        assert is_psd(m) == reference_is_psd(m)
+
+    def test_every_classify_local_gram_matches_reference(self, monkeypatch):
+        from schemeforge import localclass
+
+        seen = []
+
+        def recording(m):
+            seen.append(m)
+            return is_psd(m)
+
+        monkeypatch.setattr(localclass, "is_psd", recording)
+        localclass.classify_local()
+        assert seen
+        for m in seen:
+            assert is_psd(m) == reference_is_psd(m)
+
+    def test_zero_pivot_with_a_non_zero_row(self):
+        assert not is_psd(ExactMatrix([[0, 1], [1, 0]]))
+        # the zero pivot appears only after the first elimination step
+        assert not is_psd(ExactMatrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]]))
+        assert is_psd(ExactMatrix([[0, 0], [0, 1]]))
+
+    def test_asymmetric_is_rejected(self):
+        with pytest.raises(ValueError):
+            is_psd(ExactMatrix([[1, 1], [0, 1]]))
+
+
+class TestSquarefreeDecompose:
+    def test_matches_trial_division_below_20000(self):
+        for n in range(1, 20000):
+            assert squarefree_decompose(n) == reference_squarefree_decompose(n), n
+
+    @pytest.mark.parametrize(
+        "n,expected",
+        [
+            (1000003**2 * 7, (1000003, 7)),
+            (1000003 * 1000033, (1, 1000003 * 1000033)),
+            (36 * 1000003 * 1000033, (6, 1000003 * 1000033)),
+            (1000033**3, (1000033, 1000033)),
+            (10**18 + 3, (1, 10**18 + 3)),  # prime
+        ],
+    )
+    def test_factors_above_the_cube_root(self, n, expected):
+        m, q = squarefree_decompose(n)
+        assert (m, q) == expected and m * m * q == n

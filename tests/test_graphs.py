@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from schemeforge.graphs import (
     Graph,
     _canonical_form,
+    dedupe_isomorphs,
     enumerate_regular_graphs,
     extend_locally,
     from_graph6,
@@ -55,21 +56,100 @@ class TestNamedGraphs:
             named_graph("no-such-graph")
 
 
+# number of k-regular graphs on n vertices, disconnected ones included,
+# indexed [n][k]
+REGULAR_COUNTS = {
+    1: [1],
+    2: [1, 1],
+    3: [1, 0, 1],
+    4: [1, 1, 1, 1],
+    5: [1, 0, 1, 0, 1],
+    6: [1, 1, 2, 2, 1, 1],
+    7: [1, 0, 2, 0, 2, 0, 1],
+    8: [1, 1, 3, 6, 6, 3, 1, 1],
+    9: [1, 0, 4, 0, 16, 0, 4, 0, 1],
+}
+COUNT_TABLE = [
+    (n, k, count) for n, row in REGULAR_COUNTS.items() for k, count in enumerate(row)
+] + [(10, 3, 21)]  # 19 connected cubic graphs, K4 + K3,3 and K4 + prism
+
+
+def _unfiltered_regular_graphs(n: int, k: int) -> list[Graph]:
+    """The generator without the vertex-invariant rejection: every completion
+    with N(0) = {1, ..., k} goes to dedupe_isomorphs.  Test-only reference."""
+    if not 0 <= k < max(n, 1):
+        if n == 0 and k == 0:
+            return [Graph(0)]
+        raise ValueError("need 0 <= k < n")
+    if n * k % 2 == 1:
+        return []
+    if k == 0:
+        return [Graph(n)]
+    if 2 * k > n - 1:
+        return [g.complement() for g in _unfiltered_regular_graphs(n, n - 1 - k)]
+    found: list[Graph] = []
+
+    def rec(adj: list[int], rem: list[int]):
+        v = next((i for i in range(n) if rem[i]), None)
+        if v is None:
+            found.append(Graph.from_adj(adj))
+            return
+        cands = [u for u in range(v + 1, n) if rem[u] > 0]
+        need = rem[v]
+        if len(cands) < need:
+            return
+        if sum(rem) % 2:
+            return
+        classes: dict[tuple, list[int]] = {}
+        for u in cands:
+            key = (adj[u], rem[u])
+            classes.setdefault(key, []).append(u)
+        class_list = sorted(classes.values(), key=lambda c: c[0])
+
+        def choose(ci: int, left: int, picked: list[int]):
+            if left == 0:
+                new_adj = adj[:]
+                new_rem = rem[:]
+                ok = True
+                for u in picked:
+                    new_adj[v] |= 1 << u
+                    new_adj[u] |= 1 << v
+                    new_rem[u] -= 1
+                new_rem[v] = 0
+                positive = [r for r in new_rem if r > 0]
+                if positive and max(positive) > len(positive) - 1:
+                    ok = False
+                if ok:
+                    rec(new_adj, new_rem)
+                return
+            if ci == len(class_list):
+                return
+            cls = class_list[ci]
+            for take in range(min(len(cls), left), -1, -1):
+                choose(ci + 1, left - take, picked + cls[:take])
+
+        choose(0, need, [])
+
+    adj0 = [0] * n
+    rem0 = [k] * n
+    for u in range(1, k + 1):
+        adj0[0] |= 1 << u
+        adj0[u] |= 1
+        rem0[u] -= 1
+    rem0[0] = 0
+    rec(adj0, rem0)
+    return dedupe_isomorphs(found)
+
+
 class TestEnumeration:
-    @pytest.mark.parametrize(
-        "n,k,count",
-        [
-            (4, 3, 1),  # K4
-            (5, 2, 1),  # C5
-            (6, 2, 2),  # C6, 2K3
-            (6, 3, 2),  # K3,3, prism
-            (7, 2, 2),  # C7, C3+C4
-            (8, 3, 6),  # five connected cubic graphs plus 2K4
-            (9, 2, 4),  # C9, C3+C6, C4+C5, 3C3
-        ],
-    )
+    @pytest.mark.parametrize("n,k,count", COUNT_TABLE)
     def test_counts(self, n, k, count):
         assert len(enumerate_regular_graphs(n, k)) == count
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n, k, _ in COUNT_TABLE])
+    def test_same_classes_as_unfiltered_generator(self, n, k):
+        got = [g.canonical_form() for g in enumerate_regular_graphs(n, k)]
+        assert got == [g.canonical_form() for g in _unfiltered_regular_graphs(n, k)]
 
     def test_odd_degree_odd_order_empty(self):
         assert enumerate_regular_graphs(7, 3) == []
