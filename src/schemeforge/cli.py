@@ -29,6 +29,7 @@ from typing import Optional
 
 from .exactnum import QuadNumber, squarefree_decompose
 from .graphs import (
+    DEFAULT_BUDGET,
     Graph,
     extend_locally,
     identify_graph,
@@ -36,12 +37,14 @@ from .graphs import (
     to_graph6,
 )
 from .schemes import (
+    NoQPolynomialOrderingError,
     Scheme,
     SchemeRefutation,
     krein_check,
     light_tail_bound,
     partially_metric_level,
     q_poly_orderings,
+    qpolynomial_spectra,
     scheme_from_graph_distances,
     spectra,
     verify_scheme,
@@ -462,9 +465,8 @@ def cmd_recognize(args) -> int:
         h = named_graph(args.local)
     except (KeyError, ValueError):
         return _fail_usage(f"unknown graph name {args.local!r}")
-    budget = args.budget if args.budget is not None else 2_000_000
     try:
-        ext = extend_locally(h, args.n_max, budget=budget)
+        ext = extend_locally(h, args.n_max, budget=args.budget)
     except ValueError as e:
         return _fail_usage(str(e))
     found = [
@@ -479,7 +481,7 @@ def cmd_recognize(args) -> int:
     }
     emit_report(
         "recognize",
-        {"local": args.local, "n_max": args.n_max, "budget": budget},
+        {"local": args.local, "n_max": args.n_max, "budget": args.budget},
         payload,
         started,
     )
@@ -553,14 +555,13 @@ def _classify_extension_case(name: str, n_max: int, budget: int) -> dict:
                 {"case": name, "graph": gname, "reason": f"not distance-regular: {scheme.detail}"}
             )
             continue
-        sp = spectra(scheme)
-        orderings = sorted(q_poly_orderings(sp))
-        if not orderings:
+        try:
+            m1 = qpolynomial_spectra(scheme)[0].multiplicities[1]
+        except NoQPolynomialOrderingError:
             exclusions.append(
                 {"case": name, "graph": gname, "reason": "no Q-polynomial ordering"}
             )
             continue
-        m1 = sp.reordered(orderings[0]).multiplicities[1]
         if m1 != 4:
             exclusions.append({"case": name, "graph": gname, "reason": f"m1 = {m1}"})
             continue
@@ -587,7 +588,7 @@ def _classify_extension_case(name: str, n_max: int, budget: int) -> dict:
     return {"results": results, "exclusions": exclusions, "complete": ext.complete}
 
 
-def _classify_search_case(name: str, k1: int, a1: int, budget) -> dict:
+def _classify_search_case(name: str, k1: int, a1: int, budget: int) -> dict:
     """Resolve a local case by one diagram search over every candidate field."""
     outcome = generate_diagrams(SearchConfig(k1=k1, a1=a1, radicand=None, budget=budget))
     results, exclusions = [], []
@@ -631,8 +632,7 @@ def cmd_classify(args) -> int:
     complete = True
     for case in cases:
         if case in _EXTENSION_CASES:
-            budget = args.budget if args.budget is not None else 2_000_000
-            outcome = _classify_extension_case(case, _EXTENSION_CASES[case], budget)
+            outcome = _classify_extension_case(case, _EXTENSION_CASES[case], args.budget)
         else:
             k1, a1 = _SEARCH_CASES[case]
             outcome = _classify_search_case(case, k1, a1, args.budget)
@@ -687,14 +687,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a1", type=int, required=True)
     p.add_argument("--field", default="rational", help="rational, quad:<p>, or auto")
     p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--emit", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("recognize", help="connected graphs that are locally H")
     p.add_argument("--local", required=True, help="name of the local graph H")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("bound", help="Delsarte, kissing-number, light-tail bounds")
@@ -704,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="full classification pipeline")
     p.add_argument("--case", default=None, help=f"restrict to one local case {CASE_NAMES}")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_classify)
 
     return parser

@@ -25,9 +25,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import os
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -37,6 +35,7 @@ from .exactnum import (
     is_algebraic_integer,
     quad_sqrt,
 )
+from .graphs import DEFAULT_BUDGET
 
 __all__ = [
     "SearchConfig",
@@ -63,24 +62,6 @@ _ONE = QuadNumber(1)
 _THREE = QuadNumber(3)
 _FOUR = QuadNumber(4)
 
-DEFAULT_BUDGET = 2_000_000
-
-
-def _env_budget() -> int:
-    raw = os.environ.get("SCHEMEFORGE_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        warnings.warn(
-            f"SCHEMEFORGE_BUDGET={raw!r} is not an integer; "
-            f"using the default budget {DEFAULT_BUDGET}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return DEFAULT_BUDGET
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -88,16 +69,17 @@ class SearchConfig:
 
     radicand fixes the field: 1 for Q, p for Q[sqrt(p)], or None for every
     candidate field, each subtree then taking the field of its first
-    irrational cosine.  max_depth replaces the degree bound on the class
-    count d; a cap below the bound that cuts a node leaves the search
-    incomplete.  light_tail is forced when k1 = m1 and a1 = 0: the
-    multiplicity bound is then attained, so E1 is a light tail and q111 = 0."""
+    irrational cosine.  max_depth caps the class count d below the degree
+    bound; a cap that cuts a node leaves the search incomplete, and a cap at
+    or above the bound cuts nothing.  budget caps the nodes of the search.
+    light_tail is forced when k1 = m1 and a1 = 0: the multiplicity bound is
+    then attained, so E1 is a light tail and q111 = 0."""
 
     k1: int
     a1: int
     radicand: Optional[int] = 1
     max_depth: Optional[int] = None
-    budget: Optional[int] = None
+    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.k1 < 3:
@@ -114,20 +96,12 @@ class SearchConfig:
         # d <= 4*v1 + 1, and d <= 2*v1 + 1 over the rationals
         return (2 if self.radicand == 1 else 4) * self.k1 + 1
 
-    @property
-    def depth_limit(self) -> int:
-        return self.degree_bound if self.max_depth is None else self.max_depth
-
     @functools.cached_property
     def fields(self) -> tuple:
         """Radicands of the fields searched, Q first in an open search."""
         if self.radicand is None:
             return (1, *candidate_radicands(self.k1))
         return (self.radicand,)
-
-    @property
-    def node_budget(self) -> int:
-        return self.budget if self.budget is not None else _env_budget()
 
 
 class DistributionDiagram:
@@ -196,9 +170,6 @@ class DistributionDiagram:
 
     def out_neighbours(self, j: int) -> list:
         return sorted(self.out[j])
-
-    def in_neighbours(self, j: int) -> list:
-        return sorted(self.into[j])
 
     def weight(self, j: int, h: int) -> int:
         return self.out[j].get(h, 0)
@@ -383,12 +354,24 @@ def _partitions(total: int, max_parts: int):
 
 def arrangements(diagram: DistributionDiagram, v: int, config: SearchConfig):
     """All ways to finish vertex v's out-arcs: weights on mandatory back-arcs
-    (one per existing in-neighbour), optional arcs to undetermined vertices
-    within one layer, a loop, and fresh next-layer vertices (non-increasing
-    weights; layer 2 holds a single relation by partial metricity).
+    (one per in-neighbour), optional arcs to undetermined vertices within one
+    layer (v's loop among them), and fresh next-layer vertices (non-increasing
+    weights; layer 2 holds a single relation by partial metricity), with at
+    most config.degree_bound classes.
 
-    Yields (new diagram, fresh vertex list); v is marked determined and its
-    valency inferred from the handshake with any settled in-neighbour."""
+    Yields (new diagram, fresh vertex list), with v determined and k_v set.
+    From a diagram that passes check_diagram_valid, each yielded diagram keeps
+    these axioms by construction:
+      * every new arc has a positive weight;
+      * R0's arcs are untouched, and only R1 has an arc to R0 (0 is never a
+        target);
+      * no arc skips a layer;
+      * v's out-weight is k1;
+      * v has an arc to each in-neighbour, and to a determined vertex only
+        when it has an arc back;
+      * k_v * w(v->h) = k_h * w(h->v) wherever both valencies are known,
+        checked by _infer_valencies.
+    So _check_arrangement is left with Yamazaki's lemma."""
     lv = diagram.layers[v]
     outs = diagram.out[v]
     remaining = diagram.k1 - sum(outs.values())
@@ -401,23 +384,19 @@ def arrangements(diagram: DistributionDiagram, v: int, config: SearchConfig):
         and h not in outs
         and h not in mandatory
     ]
-    if v != 1 and v not in outs and v not in optional:
-        # v == 1 is excluded: its loop weight a1 is fixed by the config
-        optional.append(v)
-    optional.sort()
     targets = mandatory + optional
     fresh_layer = lv + 1
     max_fresh = remaining
     if lv == 1:
         max_fresh = 1  # partial metricity: distance 2 is one relation
-    if fresh_layer > config.depth_limit:
+    if fresh_layer > config.degree_bound:
         max_fresh = 0
 
     for weights, leftover in _weight_assignments(
         remaining, [1] * len(mandatory) + [0] * len(optional)
     ):
         for parts in _partitions(leftover, max_fresh):
-            if diagram.n + len(parts) > config.depth_limit + 1:
+            if diagram.n + len(parts) > config.degree_bound + 1:
                 continue
             nd = diagram.copy()
             for h, w in zip(targets, weights):
@@ -437,6 +416,7 @@ def arrangements(diagram: DistributionDiagram, v: int, config: SearchConfig):
 def _infer_valencies(diagram: DistributionDiagram, v: int) -> bool:
     """Set k_v from the handshake k_v * w(v->h) = k_h * w(h->v) against every
     neighbour with known valency; False on contradiction or non-integer.
+    This is the search's one handshake check.
     The verdict and k_v do not depend on which neighbour sets k_v first."""
     valencies, out = diagram.valencies, diagram.out
     outs = out[v]
@@ -470,8 +450,8 @@ def _infer_valencies(diagram: DistributionDiagram, v: int) -> bool:
 def check_diagram_valid(diagram: DistributionDiagram):
     """(True, "") or (False, reason) for the structural diagram axioms.
 
-    The search checks each arrangement with _check_arrangement instead; this
-    full check is its reference."""
+    The search relies on arrangements and _check_arrangement instead; this
+    full check is the reference of both."""
     k1 = diagram.k1
     arcs = diagram.arcs
     # R0 structure
@@ -509,36 +489,12 @@ def _check_arrangement(diagram: DistributionDiagram, v: int):
     """check_diagram_valid for a diagram that one arrangement at v made from a
     diagram that passed it.
 
-    The arrangement adds arcs out of v only, to fresh vertices among others,
-    determines v and sets k_v.  So only these can fail, and they are checked
-    in the order of the full check: v's arcs, v's out-weight, the handshakes
-    between v and its neighbours in both directions, and Yamazaki's lemma at
-    v and at v's in-neighbours one layer down (the only relations whose
-    determined next-layer out-neighbours changed)."""
-    layers, out, valencies = diagram.layers, diagram.out, diagram.valencies
-    lv = layers[v]
-    outs = out[v]
-    for h, w in outs.items():
-        if w <= 0:
-            return False, "nonpositive-weight"
-        if h == 0 and v != 1:
-            return False, "r0-structure"
-        if abs(layers[h] - lv) > 1:
-            return False, "layer-skip"
-    if sum(outs.values()) != diagram.k1:
-        return False, "out-weight"
-    kv = valencies[v]
-    for u in outs.keys() | diagram.into[v]:
-        fwd, back = outs.get(u, 0), out[u].get(v, 0)
-        if (fwd and not back and diagram.determined[u]) or (
-            back and not fwd and diagram.determined[v]
-        ):
-            return False, "handshake"
-        ku = valencies[u]
-        if fwd and back and kv is not None and ku is not None and kv * fwd != ku * back:
-            return False, "handshake"
+    arrangements keeps every other axiom by construction, so only Yamazaki's
+    lemma is left, at v and at v's in-neighbours one layer down: the only
+    relations whose determined next-layer out-neighbours changed."""
+    layers = diagram.layers
     if not _yamazaki_ok(diagram, v) or not all(
-        _yamazaki_ok(diagram, j) for j in diagram.into[v] if layers[j] == lv - 1
+        _yamazaki_ok(diagram, j) for j in diagram.into[v] if layers[j] == layers[v] - 1
     ):
         return False, "yamazaki"
     return True, ""
@@ -902,16 +858,9 @@ def generate_diagrams(config: SearchConfig, known=None) -> SearchOutcome:
             "budget": 0,
         },
     }
-    budget = config.node_budget
     half = QuadNumber(Fraction(1, 2))
     results = {}
     complete = True
-    # under a user depth cap below the degree bound the arrangements still run
-    # to the bound, so that a node past the cap is seen: it is cut, and makes
-    # the search incomplete
-    reach = config
-    if config.depth_limit < config.degree_bound:
-        reach = replace(config, max_depth=None)
 
     def kissing_prune(diagram, cosines) -> bool:
         if cosines.values[1][0] > half:
@@ -922,7 +871,7 @@ def generate_diagrams(config: SearchConfig, known=None) -> SearchOutcome:
     def rec(diagram, cosines, todo):
         nonlocal complete
         stats["nodes"] += 1
-        if stats["nodes"] > budget:
+        if stats["nodes"] > config.budget:
             stats["pruned"]["budget"] += 1
             complete = False
             return
@@ -939,7 +888,7 @@ def generate_diagrams(config: SearchConfig, known=None) -> SearchOutcome:
             return
         v = todo[0]
         rest = todo[1:]
-        for nd, fresh in arrangements(diagram, v, reach):
+        for nd, fresh in arrangements(diagram, v, config):
             ok, _reason = _check_arrangement(nd, v)
             if not ok:
                 stats["pruned"]["diagram"] += 1
@@ -956,7 +905,10 @@ def generate_diagrams(config: SearchConfig, known=None) -> SearchOutcome:
                 if not ok:
                     stats["pruned"]["solution"] += 1
                     continue
-                if nd.n > config.depth_limit + 1:
+                # the arrangements run to the degree bound, so that a node
+                # past a user depth cap is seen: it is cut, and makes the
+                # search incomplete
+                if config.max_depth is not None and nd.n > config.max_depth + 1:
                     complete = False
                     continue
                 rec(nd, ext, rest + fresh)

@@ -12,6 +12,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+# node budget of one bounded search: extend_locally here, and the diagram
+# search of diagsearch
+DEFAULT_BUDGET = 2_000_000
+
 
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
@@ -405,7 +409,6 @@ def _cycle(n: int) -> Graph:
 def _complete_multipartite(sizes: Sequence[int]) -> Graph:
     n = sum(sizes)
     part = []
-    v = 0
     for i, s in enumerate(sizes):
         part.extend([i] * s)
     return Graph(n, [(u, w) for u in range(n) for w in range(u + 1, n) if part[u] != part[w]])
@@ -577,13 +580,12 @@ class ExtensionResult:
     graphs: list[Graph]
     complete: bool
     nodes: int
-    budget: int
 
     def __iter__(self):
         return iter(self.graphs)
 
 
-def extend_locally(h: Graph, n_max: int, budget: int = 2_000_000) -> ExtensionResult:
+def extend_locally(h: Graph, n_max: int, budget: int = DEFAULT_BUDGET) -> ExtensionResult:
     """All connected graphs on <= n_max vertices that are locally h, up to
     isomorphism.
 
@@ -677,7 +679,7 @@ def extend_locally(h: Graph, n_max: int, budget: int = 2_000_000) -> ExtensionRe
                 rec(new_adj, v + 1)
 
     rec(adj0, 1)
-    return ExtensionResult(dedupe_isomorphs(results), not exhausted, nodes, budget)
+    return ExtensionResult(dedupe_isomorphs(results), not exhausted, nodes)
 
 
 def _embeds_induced(nb: list[int], adj: list[int], h: Graph, saturated_upto: int) -> bool:

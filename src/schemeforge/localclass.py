@@ -190,12 +190,6 @@ def _adjacency_eigenvalues(graph: Graph) -> list:
     return out
 
 
-def _mu0(problem: LocalGramProblem, beta1, beta2) -> QuadNumber:
-    """Gram eigenvalue on the all-ones vector."""
-    n, k = problem.n, problem.valency
-    return QuadNumber(1) + QuadNumber(k) * beta1 + QuadNumber(n - 1 - k) * beta2
-
-
 def _solve_problem(problem: LocalGramProblem) -> Optional[LocalSolution]:
     """Feasible cosines for one candidate graph.
 
@@ -325,7 +319,10 @@ def _solve_problem(problem: LocalGramProblem) -> Optional[LocalSolution]:
 
 def classify_local(k_max: int = 9) -> ClassifyLocalResult:
     """Feasible neighbourhood graphs among all regular graphs on <= k_max
-    vertices.  The size cap is the two-distance bound on S^2."""
+    vertices.  The size cap is the two-distance bound on S^2, and the
+    smallest neighbourhood searched has 3 vertices."""
+    if k_max < 3:
+        raise ValueError(f"k_max must be at least 3, got {k_max}")
     if k_max > delsarte_bound(3, 2):
         raise ValueError(
             f"more than {delsarte_bound(3, 2)} points cannot form a "

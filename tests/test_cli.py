@@ -21,6 +21,7 @@ from schemeforge.cli import (
     scheme_file_of,
     serialize_scheme_file,
 )
+from schemeforge.graphs import DEFAULT_BUDGET
 
 VALID = """\
 # the K3,3 scheme: relation 1 across the parts, relation 2 within
@@ -158,6 +159,8 @@ class TestExitCodes:
             "search --k1 0 --a1 0",
             "search --k1 4 --a1 9",
             "classify-local --k-max 100",
+            "classify-local --k-max 2",
+            "classify-local --k-max -5",
         ],
     )
     def test_bad_value_is_usage_error(self, capsys, argv):
@@ -315,7 +318,7 @@ class TestSubcommands:
 
         monkeypatch.setattr(diagsearch, "_catalogue", dict)
         monkeypatch.setattr(cli, "generate_diagrams", recording)
-        outcome = cli._classify_search_case(case, k1, a1, None)
+        outcome = cli._classify_search_case(case, k1, a1, DEFAULT_BUDGET)
         assert outcome["results"] == [] and outcome["complete"]
         (searched,) = outcomes
         assert len(outcome["exclusions"]) == unmatched
