@@ -66,11 +66,14 @@ class TestConfig:
         with pytest.raises(TypeError):
             SearchConfig(k1=4, a1=0, m1=5)
 
-    def test_degree_bound(self):
-        # it depends on the field, and a depth cap does not move it
+    def test_depth_limit_depends_on_field(self):
+        # the search runs to the degree bound, which the field sets
         assert SearchConfig(k1=4, a1=0).degree_bound == 9
         assert SearchConfig(k1=4, a1=0, radicand=5).degree_bound == 17
         assert SearchConfig(k1=4, a1=0, radicand=None).degree_bound == 17
+
+    def test_degree_bound(self):
+        # a depth cap is a cut in the search and does not move the bound
         assert SearchConfig(k1=4, a1=0, max_depth=3).degree_bound == 9
         assert SearchConfig(k1=4, a1=0, radicand=None, max_depth=3).degree_bound == 17
 
