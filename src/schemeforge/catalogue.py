@@ -9,22 +9,14 @@ inner-product partition of the polytope's spherical embedding.
 
 from __future__ import annotations
 
-import itertools
-
-from .graphs import Graph, named_graph
+from .graphs import Graph, cell24_vertices, named_graph
 from .schemes import Scheme, scheme_from_graph_distances, verify_scheme
 
 
 def cell24_scheme() -> Scheme:
     """Association scheme of the 24-cell: relations by inner product
     2, 1, 0, -1, -2 between the 24 vertices (+-1, +-1, 0, 0)."""
-    verts = []
-    for i, j in itertools.combinations(range(4), 2):
-        for si in (1, -1):
-            for sj in (1, -1):
-                v = [0, 0, 0, 0]
-                v[i], v[j] = si, sj
-                verts.append(tuple(v))
+    verts = cell24_vertices()
     rel_of_ip = {2: 0, 1: 1, 0: 2, -1: 3, -2: 4}
     rel = [
         [

@@ -32,6 +32,7 @@ from typing import Optional
 from .exactnum import (
     QuadNumber,
     bounded_algebraic_integers,
+    candidate_radicands,
     is_algebraic_integer,
     quad_sqrt,
 )
@@ -58,6 +59,7 @@ KISSING_NUMBER_R4 = 24  # maximum spherical [-1,1/2]-code in R^4
 
 M1 = 4  # first multiplicity; the dual recurrence below is written for it
 
+_ZERO = QuadNumber(0)
 _ONE = QuadNumber(1)
 _THREE = QuadNumber(3)
 _FOUR = QuadNumber(4)
@@ -247,35 +249,18 @@ class SearchOutcome:
     complete: bool  # False when the node budget or a user depth cap cut a branch
 
 
-def candidate_radicands(k1: int) -> list:
-    """Square-free parts of discriminants of monic integer quadratics whose
-    roots both lie in [-k1, k1]: the possible splitting fields."""
-    from .exactnum import squarefree_decompose
-
-    seen = set()
-    for b in range(-2 * k1, 2 * k1 + 1):
-        for c in range(-(k1 * k1), k1 * k1 + 1):
-            disc = b * b - 4 * c
-            if disc <= 0:
-                continue
-            _, p = squarefree_decompose(disc)
-            if p == 1:
-                continue
-            # both roots (-b +- sqrt(disc))/2 in [-k1, k1]
-            r = QuadNumber(Fraction(-b, 2), Fraction(1, 2), disc)
-            s = QuadNumber(Fraction(-b, 2), Fraction(-1, 2), disc)
-            k = QuadNumber(k1)
-            if -k <= s and r <= k:
-                seen.add(p)
-    return sorted(seen)
-
-
 @functools.cache
 def _cosine_candidates(k: int, radicand: int) -> tuple:
-    """Possible cosines lambda/k with lambda a bounded algebraic integer,
-    sorted; memoised, so the result is an immutable tuple."""
+    """Possible cosines lambda/k of a relation of valency k, lambda a bounded
+    algebraic integer of the field; sorted and distinct, as the integers are
+    and k > 0.  Memoised, so the result is an immutable tuple.
+
+    The set for k lies in the set for j*k: lambda/k = j*lambda/(j*k), and
+    j*lambda is an algebraic integer with conjugates in [-j*k, j*k].  So a
+    fresh vertex f made at v, whose valency k_v*w(v->f)/w(f->v) divides
+    k_v*w(v->f), draws its cosine from the set for k_v*w(v->f)."""
     kq = QuadNumber(k)
-    return tuple(sorted({lam / kq for lam in bounded_algebraic_integers(k, radicand)}))
+    return tuple(lam / kq for lam in bounded_algebraic_integers(k, radicand))
 
 
 def initial_state(config: SearchConfig):
@@ -545,54 +530,43 @@ def solve_cosines(
     two reduce to a quadratic solved inside the field, and beyond that the
     surplus cosines are exhausted over the bounded-algebraic-integer
     candidates, the last of them through the closed-form discriminant of the
-    remaining quadratic.  Returns a list of CosineColumns (empty = prune)."""
+    remaining quadratic.  The fresh vertices are the last of the diagram, as
+    arrangements appends them.  Returns a list of CosineColumns (empty =
+    prune)."""
     k1q = QuadNumber(diagram.k1)
-    w11, w12 = cosines.values[1]
-    known = {h: cosines.values[h] for h in range(len(cosines.values))}
+    values = cosines.values
     outs = diagram.out[v]
 
-    def residuals(vals):
-        full = dict(known)
-        for f, pair in zip(fresh, vals):
-            full[f] = pair
+    def residuals(full):
+        """Residuals of both recurrences at v, given every vertex's pair."""
         res = []
         for c in (0, 1):
-            lhs = k1q * cosines.values[1][c] * full[v][c]
             rhs = QuadNumber(0)
             for h, w in outs.items():
                 rhs = rhs + QuadNumber(w) * full[h][c]
-            res.append(lhs - rhs)
+            res.append(k1q * values[1][c] * full[v][c] - rhs)
         return res
 
     if not fresh:
-        r1, r2 = residuals([])
+        r1, r2 = residuals(values)
         return [cosines] if not r1 and not r2 else []
 
+    # arrangements appends the fresh vertices after the known ones; with
+    # their cosines at 0 the residuals are the targets their terms must meet
+    target1, target2 = residuals(values + [(_ZERO, _ZERO)] * len(fresh))
     weights = [QuadNumber(outs[f]) for f in fresh]
-    target1 = k1q * w11 * cosines.values[v][0] - sum(
-        (QuadNumber(w) * known[h][0] for h, w in outs.items() if h not in fresh),
-        QuadNumber(0),
-    )
-    target2 = k1q * w12 * cosines.values[v][1] - sum(
-        (QuadNumber(w) * known[h][1] for h, w in outs.items() if h not in fresh),
-        QuadNumber(0),
-    )
-
     phi = cosines.second_from_first
 
     def extend(first_column):
-        vals = [(a, phi(a)) for a in first_column]
-        r1, r2 = residuals(vals)
+        full = values + [(a, phi(a)) for a in first_column]
+        r1, r2 = residuals(full)
         if r1 or r2:
             return None
-        out = cosines.copy()
-        if out.radicand == 1:
+        radicand = cosines.radicand
+        if radicand == 1:
             # an open subtree takes the field of its first irrational cosine
-            out.radicand = max(a.p for a in first_column)
-        out.values = list(out.values) + [None] * (max(fresh) + 1 - len(out.values))
-        for f, pair in zip(fresh, vals):
-            out.values[f] = pair
-        return out
+            radicand = max(a.p for a in first_column)
+        return CosineColumns(radicand, cosines.q111, full)
 
     if len(fresh) == 1:
         a = target1 / weights[0]
@@ -643,20 +617,22 @@ def solve_cosines(
             # and t2 = T2 - w0*phi(a); the discriminant is then P*a^2 + Q*a + R
             # (the q*a terms cancel) with P = w0*(c*w0 - 16A) < 0, as c < 0 < A,
             # and only the candidates in its non-negative slice (_tail_slice)
-            # are solved.  The surplus is
-            # enumerated per field, as values of two fields do not mix; a
-            # rational tuple recurs under every field, and the dedup below
-            # keeps its first copy.
+            # are solved.  Each surplus cosine of a fresh f is drawn from the
+            # candidates for k_v*w(v->f), per field, as values of two fields
+            # do not mix; a rational tuple recurs under every field, and the
+            # dedup below keeps its first copy.
             columns = []
-            num = diagram.valencies[v] * outs[fresh[0]]
+            kv = diagram.valencies[v]
             fields = config.fields if cosines.radicand == 1 else (cosines.radicand,)
             w0 = weights[surplus - 1]
             P = w0 * (c * w0 - QuadNumber(16) * A)
             minus_2c_w0 = QuadNumber(-2) * c * w0
             four_a_w0 = four_a * w0 + four_a_w
             for field in fields:
-                cands = _fresh_candidates(num, diagram.k1, field)
-                for outer in itertools.product(cands, repeat=surplus - 1):
+                *outer_cands, cands = (
+                    _cosine_candidates(kv * outs[f], field) for f in fresh[:surplus]
+                )
+                for outer in itertools.product(*outer_cands):
                     T1, T2 = target1, target2
                     for wq, a in zip(weights, outer):
                         T1 = T1 - wq * a
@@ -709,18 +685,6 @@ def _tail_slice(cands: tuple, P: QuadNumber, Q: QuadNumber, R: QuadNumber):
 def _interchangeable(diagram, v, fresh) -> bool:
     ws = [diagram.out[v][f] for f in fresh]
     return len(set(ws)) < len(ws)
-
-
-@functools.cache
-def _fresh_candidates(num: int, k1: int, radicand: int) -> tuple:
-    """Possible cosines of a fresh vertex f made at v, for num = k_v*w(v->f):
-    lambda/k for every valency k = num/back allowed by the handshake
-    k_v*w(v->f) = k*w(f->v), back in 1..k1; sorted and memoised."""
-    out = set()
-    for back in range(1, k1 + 1):
-        if not num % back:
-            out.update(_cosine_candidates(num // back, radicand))
-    return tuple(sorted(out))
 
 
 def check_solution_valid(cosines: CosineColumns, diagram: DistributionDiagram):
@@ -836,16 +800,18 @@ def _catalogue() -> dict:
     return {sid: catalogue_scheme(sid) for sid in CATALOGUE}
 
 
-def generate_diagrams(config: SearchConfig, known=None) -> SearchOutcome:
+class _BudgetExhausted(Exception):
+    """Unwinds the search from the first node past the budget."""
+
+
+def generate_diagrams(config: SearchConfig) -> SearchOutcome:
     """Run the recursive generation for one configuration, over every field
     it names.
 
-    known maps catalogue ids to Scheme objects used for matching; by default
-    the bundled catalogue.  Unmatched feasible diagrams are kept in the
-    result list with matched=None."""
-    if known is None:
-        known = _catalogue()
-
+    Emitted diagrams are matched against the bundled catalogue; unmatched
+    feasible diagrams are kept in the result list with matched=None.  The
+    search stops at the first node past the budget, so it then counts
+    budget + 1 nodes; the diagrams found before that are kept."""
     stats = {
         "nodes": 0,
         "emitted": 0,
@@ -873,8 +839,7 @@ def generate_diagrams(config: SearchConfig, known=None) -> SearchOutcome:
         stats["nodes"] += 1
         if stats["nodes"] > config.budget:
             stats["pruned"]["budget"] += 1
-            complete = False
-            return
+            raise _BudgetExhausted
         if not todo:
             ok, _reason = _emission_checks(diagram, cosines)
             if not ok:
@@ -914,12 +879,15 @@ def generate_diagrams(config: SearchConfig, known=None) -> SearchOutcome:
                 rec(nd, ext, rest + fresh)
 
     diagram, seeds, todo = initial_state(config)
-    for seed in seeds:
-        rec(diagram.copy(), seed, list(todo))
+    try:
+        for seed in seeds:
+            rec(diagram.copy(), seed, list(todo))
+    except _BudgetExhausted:
+        complete = False
 
     ordered = [results[k] for k in sorted(results)]
     for res in ordered:
-        for sid, scheme in known.items():
+        for sid, scheme in _catalogue().items():
             if match_known(res, scheme):
                 res.matched = sid
                 break

@@ -747,13 +747,28 @@ def _floor_fraction(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
+def _bounded_quadratics(k: Fraction):
+    """(b, disc) for every monic integer quadratic t^2 + b t + c with positive
+    discriminant disc = b^2 - 4c and both roots in [-k, k].
+
+    The roots of such an f lie in [-k, k] exactly when f(-k) >= 0, f(k) >= 0
+    and the vertex -b/2 lies in [-k, k]; the first two bound c below, and
+    disc > 0 bounds it above."""
+    bmax = _floor_fraction(2 * k)
+    for b in range(-bmax, bmax + 1):
+        cmin = max(-k * k + k * b, -k * k - k * b)
+        for c in range(-_floor_fraction(-cmin), (b * b - 1) // 4 + 1):
+            yield b, b * b - 4 * c
+
+
 def bounded_algebraic_integers(k: RationalLike, radicand: int = 1) -> list[QuadNumber]:
     """All algebraic integers of Q (radicand 1) or Q[sqrt(p)] with minimal
-    polynomial degree <= 2 whose conjugates all lie in [-k, k].
+    polynomial degree <= 2 whose conjugates all lie in [-k, k], sorted and
+    distinct.
 
     Rational case: the integers in [-k, k].  Quadratic case additionally the
-    roots of t^2 + b t + c (b, c integers) with positive non-square
-    discriminant whose square-free part is the radicand, both roots in [-k, k].
+    roots of the quadratics of _bounded_quadratics whose discriminant has
+    square-free part p.
     """
     k = Fraction(k)
     if k <= 0:
@@ -765,32 +780,22 @@ def bounded_algebraic_integers(k: RationalLike, radicand: int = 1) -> list[QuadN
     _, p = squarefree_decompose(radicand)
     if p == 1:
         raise ValueError("radicand must not be a perfect square")
-    bmax = _floor_fraction(2 * k)
-    kq = QuadNumber(k)
-    for b in range(-bmax, bmax + 1):
-        # roots of t^2 + b t + c in [-k, k]: need f(-k) >= 0, f(k) >= 0,
-        # vertex -b/2 in [-k, k], and positive discriminant b^2 - 4c
-        cmin_a = -k * k + k * b
-        cmin_b = -k * k - k * b
-        cmin = max(cmin_a, cmin_b)
-        clo = cmin.numerator // cmin.denominator
-        if clo < cmin:
-            clo += 1
-        chi = (b * b - 1) // 4  # discriminant > 0
-        for c in range(clo, chi + 1):
-            disc = b * b - 4 * c
-            if disc <= 0 or disc % p:
-                continue
-            # the square-free part of disc is p iff disc/p is a square
-            m = isqrt(disc // p)
-            if m * m * p != disc:
-                continue
-            root_hi = _make(-b, m, 2, p)
-            root_lo = _make(-b, -m, 2, p)
-            if -kq <= root_lo and root_hi <= kq:
-                out.extend([root_lo, root_hi])
+    for b, disc in _bounded_quadratics(k):
+        if disc % p:
+            continue
+        # the square-free part of disc is p iff disc/p is a square
+        m = isqrt(disc // p)
+        if m * m * p == disc:
+            out.extend([_make(-b, -m, 2, p), _make(-b, m, 2, p)])
     out.sort()
     return out
+
+
+def candidate_radicands(k1: int) -> list[int]:
+    """Square-free parts of discriminants of monic integer quadratics whose
+    roots both lie in [-k1, k1]: the possible splitting fields."""
+    parts = {squarefree_decompose(disc)[1] for _b, disc in _bounded_quadratics(Fraction(k1))}
+    return sorted(parts - {1})
 
 
 def minimal_polynomial(x: QuadNumber) -> ExactPolynomial:

@@ -306,6 +306,29 @@ def _vertex_invariant(adj: Sequence[int], v: int) -> tuple:
     return (inside, common)
 
 
+def _class_prefix_choices(cands: list[int], key, need: int) -> list:
+    """(picked, left) for each way to pick at most need of the candidates,
+    taking a prefix of each class of interchangeable ones (equal key):
+    classes in the order of their first candidate, the longest prefix first;
+    left = need - len(picked).  A choice stops once need are picked."""
+    classes: dict = {}
+    for u in cands:
+        classes.setdefault(key(u), []).append(u)
+    class_list = list(classes.values())
+    choices = []
+
+    def choose(ci: int, left: int, picked: list[int]):
+        if left == 0 or ci == len(class_list):
+            choices.append((picked, left))
+            return
+        cls = class_list[ci]
+        for take in range(min(len(cls), left), -1, -1):
+            choose(ci + 1, left - take, picked + cls[:take])
+
+    choose(0, need, [])
+    return choices
+
+
 def enumerate_regular_graphs(n: int, k: int) -> list[Graph]:
     """One representative per isomorphism class of k-regular graphs on n
     vertices (disconnected ones included).  Intended for n <= 9.
@@ -346,37 +369,21 @@ def enumerate_regular_graphs(n: int, k: int) -> list[Graph]:
         if sum(rem) % 2:
             return
         # candidates with identical partial adjacency columns are
-        # interchangeable: only pick prefixes within each class
-        classes: dict[tuple, list[int]] = {}
-        for u in cands:
-            key = (adj[u], rem[u])
-            classes.setdefault(key, []).append(u)
-        class_list = sorted(classes.values(), key=lambda c: c[0])
-
-        def choose(ci: int, left: int, picked: list[int]):
-            if left == 0:
-                new_adj = adj[:]
-                new_rem = rem[:]
-                ok = True
-                for u in picked:
-                    new_adj[v] |= 1 << u
-                    new_adj[u] |= 1 << v
-                    new_rem[u] -= 1
-                new_rem[v] = 0
-                # feasibility: remaining degrees must admit a partner count
-                positive = [r for r in new_rem if r > 0]
-                if positive and max(positive) > len(positive) - 1:
-                    ok = False
-                if ok:
-                    rec(new_adj, new_rem)
-                return
-            if ci == len(class_list):
-                return
-            cls = class_list[ci]
-            for take in range(min(len(cls), left), -1, -1):
-                choose(ci + 1, left - take, picked + cls[:take])
-
-        choose(0, need, [])
+        # interchangeable
+        for picked, left in _class_prefix_choices(cands, lambda u: (adj[u], rem[u]), need):
+            if left:
+                continue
+            new_adj = adj[:]
+            new_rem = rem[:]
+            for u in picked:
+                new_adj[v] |= 1 << u
+                new_adj[u] |= 1 << v
+                new_rem[u] -= 1
+            new_rem[v] = 0
+            # feasibility: remaining degrees must admit a partner count
+            positive = [r for r in new_rem if r > 0]
+            if not positive or max(positive) <= len(positive) - 1:
+                rec(new_adj, new_rem)
 
     adj0 = [0] * n
     rem0 = [k] * n
@@ -465,9 +472,8 @@ def _icosahedron() -> Graph:
     return Graph(12, edges)
 
 
-def _cell24() -> Graph:
-    # vertices: all permutations of (+-1, +-1, 0, 0); adjacent iff inner
-    # product equals 1
+def cell24_vertices() -> list[tuple[int, ...]]:
+    """The 24 vertices of the 24-cell: all permutations of (+-1, +-1, 0, 0)."""
     verts = []
     for i, j in itertools.combinations(range(4), 2):
         for si in (1, -1):
@@ -475,6 +481,12 @@ def _cell24() -> Graph:
                 v = [0, 0, 0, 0]
                 v[i], v[j] = si, sj
                 verts.append(tuple(v))
+    return verts
+
+
+def _cell24() -> Graph:
+    # adjacent iff the inner product equals 1
+    verts = cell24_vertices()
     edges = [
         (a, b)
         for a in range(24)
@@ -630,25 +642,10 @@ def extend_locally(h: Graph, n_max: int, budget: int = DEFAULT_BUDGET) -> Extens
         # candidates: later unsaturated vertices, plus new vertices
         cands = [u for u in range(v + 1, n) if adj[u].bit_count() < k]
         max_new = n_max - n
-        # group interchangeable candidates (same adjacency so far)
-        classes: dict[int, list[int]] = {}
-        for u in cands:
-            classes.setdefault(adj[u], []).append(u)
-        class_list = sorted(classes.values(), key=lambda c: c[0])
-
-        choices: list[list[int]] = []
-
-        def choose(ci: int, left: int, picked: list[int]):
-            if left == 0 or ci == len(class_list):
-                if left <= max_new:
-                    choices.append((picked, left))
-                return
-            cls = class_list[ci]
-            for take in range(min(len(cls), left), -1, -1):
-                choose(ci + 1, left - take, picked + cls[:take])
-
-        choose(0, need, [])
-        for picked, fresh in choices:
+        # candidates with the same adjacency so far are interchangeable
+        for picked, fresh in _class_prefix_choices(cands, adj.__getitem__, need):
+            if fresh > max_new:
+                continue
             new_adj = adj[:]
             ok = True
             for u in picked:

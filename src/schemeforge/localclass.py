@@ -16,6 +16,7 @@ geometric objects.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -210,16 +211,20 @@ def _solve_problem(problem: LocalGramProblem) -> Optional[LocalSolution]:
     label = GEOMETRIC_LABELS.get(name) if name else None
     need = n - 3  # required multiplicity of the zero Gram eigenvalue
     one = QuadNumber(1)
-
     seen = set()
 
-    def push(pairs, pair) -> bool:
-        key = tuple(str(x) for x in pair)
-        if key in seen:
-            return False
-        seen.add(key)
-        pairs.append(pair)
-        return True
+    def witnesses(candidates) -> list:
+        """The first _MAX_FAMILY_WITNESSES feasible pairs of candidates that
+        no earlier call returned."""
+        out = []
+        for pair in candidates:
+            if len(out) == _MAX_FAMILY_WITNESSES:
+                break
+            key = tuple(str(x) for x in pair)
+            if key not in seen and _constraints_ok(problem, *pair):
+                seen.add(key)
+                out.append(pair)
+        return out
 
     def finish(pairs, family):
         if not pairs:
@@ -235,46 +240,23 @@ def _solve_problem(problem: LocalGramProblem) -> Optional[LocalSolution]:
             else (lambda b: (None, b))
         )
         if need <= 0:
-            pairs = []
-            for w in _WITNESS_GRID:
-                pair = wrap(QuadNumber(w))
-                if _constraints_ok(problem, *pair):
-                    push(pairs, pair)
-                    if len(pairs) >= _MAX_FAMILY_WITNESSES:
-                        break
-            return finish(pairs, family=True)
+            return finish(witnesses(wrap(QuadNumber(w)) for w in _WITNESS_GRID), family=True)
         if need == 1:
-            pair = wrap(QuadNumber(Fraction(-1, n - 1)))
-            if _constraints_ok(problem, *pair):
-                return finish([pair], family=False)
+            return finish(witnesses([wrap(QuadNumber(Fraction(-1, n - 1)))]), family=False)
         return None
 
-    if need <= 0:
-        # no rank condition at all; cannot happen for regular graphs with
-        # both classes present (n = 3 forces valency 0 or 2)
-        pairs = []
-        for w1 in _WITNESS_GRID:
-            for w2 in _WITNESS_GRID:
-                pair = (QuadNumber(w1), QuadNumber(w2))
-                if _constraints_ok(problem, *pair):
-                    push(pairs, pair)
-                    if len(pairs) >= _MAX_FAMILY_WITNESSES:
-                        return finish(pairs, family=True)
-        return finish(pairs, family=True)
-
+    # Both classes need n >= 4, so need >= 1: on 3 vertices the valency would
+    # be 1, and a 1-regular graph has an even number of vertices.
     eigs = _adjacency_eigenvalues(problem.graph)
 
     def on_line(lam, b1):
         """b2 making the lam block vanish: (1+lam)*b2 = 1 + lam*b1."""
-        denom = one + lam
-        if not denom:
-            return None  # the line degenerates to b1 = 1, outside b1 < 1/2
-        return (one + lam * b1) / denom
+        return (one + lam * b1) / (one + lam)
 
     def corner(lam):
         """Intersection of the lam line with mu0 = 0."""
         denom = QuadNumber(k) + lam * QuadNumber(n - 1)
-        if (one + lam) == QuadNumber(0) or not denom:
+        if not denom:
             return None
         b1 = -(QuadNumber(n - k) + lam) / denom
         return (b1, on_line(lam, b1))
@@ -283,37 +265,23 @@ def _solve_problem(problem: LocalGramProblem) -> Optional[LocalSolution]:
     if need == 1:
         # the single zero may come from mu0 alone: a line of solutions
         family = True
-        for w in _WITNESS_GRID:
-            b1 = QuadNumber(w)
-            b2 = -(one + QuadNumber(k) * b1) / QuadNumber(n - 1 - k)
-            if _constraints_ok(problem, b1, b2):
-                push(pairs, (b1, b2))
-                if len(pairs) >= _MAX_FAMILY_WITNESSES:
-                    break
+        pairs += witnesses(
+            (b1, -(one + QuadNumber(k) * b1) / QuadNumber(n - 1 - k))
+            for b1 in map(QuadNumber, _WITNESS_GRID)
+        )
     for lam, mult in eigs:
+        if not one + lam:
+            continue  # the lam line degenerates to b1 = 1, outside b1 < 1/2
+        pt = corner(lam)
         if mult >= need:
-            # one-parameter family along the lam line
-            candidates = []
-            pt = corner(lam)
-            if pt is not None:
-                candidates.append(pt)
-            for w in _WITNESS_GRID:
-                b1 = QuadNumber(w)
-                b2 = on_line(lam, b1)
-                if b2 is not None:
-                    candidates.append((b1, b2))
-            found = 0
-            for pair in candidates:
-                if _constraints_ok(problem, *pair) and push(pairs, pair):
-                    family = True
-                    found += 1
-                    if found >= _MAX_FAMILY_WITNESSES:
-                        break
-        elif mult == need - 1:
+            # one-parameter family along the lam line, its corner first
+            line = ((b1, on_line(lam, b1)) for b1 in map(QuadNumber, _WITNESS_GRID))
+            found = witnesses(itertools.chain([] if pt is None else [pt], line))
+            family = family or bool(found)
+            pairs += found
+        elif mult == need - 1 and pt is not None:
             # the lam block plus mu0: an isolated point
-            pt = corner(lam)
-            if pt is not None and _constraints_ok(problem, *pt):
-                push(pairs, pt)
+            pairs += witnesses([pt])
     return finish(pairs, family)
 
 

@@ -95,6 +95,50 @@ class TestCandidateRadicands:
     def test_k4_superset_of_k3(self):
         assert set(candidate_radicands(3)) <= set(candidate_radicands(4))
 
+    @pytest.mark.parametrize("k1", range(1, 10))
+    def test_matches_the_box_scan(self, k1):
+        assert candidate_radicands(k1) == reference_candidate_radicands(k1)
+
+
+def reference_candidate_radicands(k1: int) -> list:
+    """candidate_radicands as it was before it shared the walk of
+    bounded_algebraic_integers, kept verbatim as the reference: a scan of a
+    wider box with its own range test."""
+    from schemeforge.exactnum import squarefree_decompose
+
+    seen = set()
+    for b in range(-2 * k1, 2 * k1 + 1):
+        for c in range(-(k1 * k1), k1 * k1 + 1):
+            disc = b * b - 4 * c
+            if disc <= 0:
+                continue
+            _, p = squarefree_decompose(disc)
+            if p == 1:
+                continue
+            # both roots (-b +- sqrt(disc))/2 in [-k1, k1]
+            r = QuadNumber(Fraction(-b, 2), Fraction(1, 2), disc)
+            s = QuadNumber(Fraction(-b, 2), Fraction(-1, 2), disc)
+            k = QuadNumber(k1)
+            if -k <= s and r <= k:
+                seen.add(p)
+    return sorted(seen)
+
+
+class TestCosineCandidates:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.sampled_from([2, 3]),
+        st.sampled_from([1, 2, 3, 5, 13]),
+    )
+    def test_sorted_and_contained_in_multiples(self, k, j, p):
+        # C(k) lies in C(j*k): lambda/k = j*lambda/(j*k), and j*lambda is a
+        # bounded algebraic integer for j*k; so a fresh vertex's candidates
+        # for k_v*w(v->f) cover every valency the handshake allows it
+        cands = _cosine_candidates(k, p)
+        assert all(x < y for x, y in zip(cands, cands[1:]))
+        assert set(cands) <= set(_cosine_candidates(j * k, p))
+
 
 class TestKnownConfigs:
     def test_3_0_matches_exactly_k33(self, run_3_0):
@@ -258,6 +302,18 @@ class TestBudget:
         outcome = generate_diagrams(SearchConfig(k1=4, a1=0, budget=3))
         assert not outcome.complete
         assert outcome.stats["pruned"]["budget"] > 0
+
+    @pytest.mark.parametrize("budget", [3, 20, 50, 62])
+    def test_search_stops_at_the_first_node_past_the_budget(self, budget):
+        # the full search over Q[sqrt(5)] has 63 nodes
+        full = generate_diagrams(SearchConfig(k1=4, a1=0, radicand=5))
+        cut = generate_diagrams(SearchConfig(k1=4, a1=0, radicand=5, budget=budget))
+        assert full.complete and full.stats["nodes"] == 63
+        assert not cut.complete
+        assert cut.stats["nodes"] == budget + 1
+        assert cut.stats["pruned"]["budget"] == 1
+        keys = {res.canonical_key() for res in full.results}
+        assert {res.canonical_key() for res in cut.results} <= keys
 
 
 class TestMatchKnown:
@@ -588,7 +644,7 @@ class TestSolveCosines:
             return cands
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(diagsearch, "_fresh_candidates", candidates)
+            mp.setattr(diagsearch, "_cosine_candidates", candidates)
             mp.setattr(sys.modules[__name__], "_fresh_candidates", candidates)
             got = solve_cosines(diagram, cosines, 2, fresh, config)
             want = reference_solve_cosines(diagram, cosines, 2, fresh, config)
@@ -596,6 +652,33 @@ class TestSolveCosines:
         weights = [diagram.weight(2, f) for f in fresh]
         if _tail_root_visible(weights, planted):
             assert got
+
+    def test_each_surplus_cosine_takes_its_own_candidates(self):
+        # Vertex 2 (valency 1) of a k1 = 8 diagram over Q makes fresh
+        # relations of weights 3, 2, 1, 1.  The two surplus cosines come from
+        # C(3) and C(2); 1/2 is in C(2) but not in C(3).
+        k1, weights = 8, (3, 2, 1, 1)
+        planted = [QuadNumber(Fraction(x)) for x in ("1/3", "1/2", "-1/4", "-1/2")]
+        cosines = CosineColumns(1, QuadNumber(0), [(QuadNumber(1), QuadNumber(1))] * 2)
+        phi = cosines.second_from_first
+        t1 = sum((QuadNumber(w) * x for w, x in zip(weights, planted)), QuadNumber(0))
+        t2 = sum((QuadNumber(w) * phi(x) for w, x in zip(weights, planted)), QuadNumber(0))
+        cosines.values.append((t1 / QuadNumber(k1), t2 / QuadNumber(k1)))
+        fresh = [3, 4, 5, 6]
+        diagram = DistributionDiagram(
+            k1=k1,
+            layers=[0, 1, 2, 3, 3, 3, 3],
+            arcs={(2, f): w for f, w in zip(fresh, weights)},
+            valencies=[1, k1, 1, None, None, None, None],
+            determined=[True, True, True, False, False, False, False],
+        )
+        assert QuadNumber(Fraction(1, 2)) not in _cosine_candidates(3, 1)
+        config = SearchConfig(k1=k1, a1=0, radicand=1)
+        found = [
+            [ext.values[f][0] for f in fresh]
+            for ext in solve_cosines(diagram, cosines, 2, fresh, config)
+        ]
+        assert planted in found
 
     @pytest.mark.xfail(
         strict=True,
