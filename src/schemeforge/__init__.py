@@ -20,7 +20,6 @@ from .exactnum import (
     bounded_algebraic_integers,
     char_poly,
     is_psd,
-    minimal_polynomial,
     nullspace,
     quad_sqrt,
     rank,
@@ -122,7 +121,6 @@ __all__ = [
     "krein_check",
     "light_tail_bound",
     "match_known",
-    "minimal_polynomial",
     "named_graph",
     "nearest_neighbour_relation",
     "nullspace",

@@ -81,6 +81,10 @@ class SchemeFileError(ValueError):
         self.message = message
 
 
+class UnreadableFileError(Exception):
+    """A scheme file that cannot be read, or is not UTF-8 text."""
+
+
 @dataclass(frozen=True)
 class SchemeFile:
     """Integer relation matrix with an optional id header.
@@ -172,21 +176,6 @@ def parse_scheme_file(text: str) -> SchemeFile:
     return SchemeFile(n, tuple(tuple(row) for row in grid), scheme_id)
 
 
-def serialize_scheme_file(sf: SchemeFile) -> str:
-    lines = []
-    if sf.scheme_id is not None:
-        lines.append(f"id {sf.scheme_id}")
-    lines.append(str(sf.n))
-    width = len(str(max(e for row in sf.grid for e in row)))
-    for row in sf.grid:
-        lines.append(" ".join(str(e).rjust(width) for e in row))
-    return "\n".join(lines) + "\n"
-
-
-def scheme_file_of(scheme: Scheme, scheme_id: Optional[str] = None) -> SchemeFile:
-    return SchemeFile(scheme.n, scheme.relations, scheme_id)
-
-
 # ---------------------------------------------------------------------------
 # bundled golden data
 
@@ -273,7 +262,11 @@ def _fail_usage(message: str) -> int:
 
 
 def _read_scheme_file(path: str) -> SchemeFile:
-    return parse_scheme_file(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise UnreadableFileError(f"cannot read {path}: {e}") from None
+    return parse_scheme_file(text)
 
 
 def cmd_verify(args) -> int:
@@ -662,6 +655,14 @@ def cmd_classify(args) -> int:
 # argument parsing
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of --budget: a node count, 0 or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schemeforge",
@@ -687,14 +688,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a1", type=int, required=True)
     p.add_argument("--field", default="rational", help="rational, quad:<p>, or auto")
     p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=non_negative_int, default=DEFAULT_BUDGET)
     p.add_argument("--emit", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("recognize", help="connected graphs that are locally H")
     p.add_argument("--local", required=True, help="name of the local graph H")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=non_negative_int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("bound", help="Delsarte, kissing-number, light-tail bounds")
@@ -704,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="full classification pipeline")
     p.add_argument("--case", default=None, help=f"restrict to one local case {CASE_NAMES}")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=non_negative_int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_classify)
 
     return parser
@@ -718,10 +719,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SchemeFileError as e:
+    except (SchemeFileError, UnreadableFileError) as e:
         return _fail_usage(str(e))
-    except FileNotFoundError as e:
-        return _fail_usage(f"cannot read {e.filename}")
 
 
 if __name__ == "__main__":

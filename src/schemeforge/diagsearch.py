@@ -170,9 +170,6 @@ class DistributionDiagram:
     def out_weight(self, j: int) -> int:
         return sum(self.out[j].values())
 
-    def out_neighbours(self, j: int) -> list:
-        return sorted(self.out[j])
-
     def weight(self, j: int, h: int) -> int:
         return self.out[j].get(h, 0)
 
@@ -652,11 +649,8 @@ def solve_cosines(
         ext = extend(col)
         if ext is None:
             continue
-        key = tuple(
-            sorted(str(ext.values[f][0]) for f in fresh)
-        ) if _interchangeable(diagram, v, fresh) else tuple(
-            str(ext.values[f][0]) for f in fresh
-        )
+        # fresh vertices of equal weight are interchangeable, others are not
+        key = tuple(sorted((outs[f], str(ext.values[f][0])) for f in fresh))
         if key in seen:
             continue
         seen.add(key)
@@ -680,11 +674,6 @@ def _tail_slice(cands: tuple, P: QuadNumber, Q: QuadNumber, R: QuadNumber):
     hi = bisect.bisect_left(cands, True, top, len(cands),
                             key=lambda a: not nonnegative(a))
     return lo, hi
-
-
-def _interchangeable(diagram, v, fresh) -> bool:
-    ws = [diagram.out[v][f] for f in fresh]
-    return len(set(ws)) < len(ws)
 
 
 def check_solution_valid(cosines: CosineColumns, diagram: DistributionDiagram):

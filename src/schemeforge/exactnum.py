@@ -8,10 +8,10 @@ A QuadNumber is stored as four plain ints, (x + y*sqrt(p))/d with d > 0,
 gcd(x, y, d) = 1, p square-free, and p = 1 exactly when y = 0; this form is
 unique, so equality and hashing compare fields.  Arithmetic stays on ints and
 reduces by one gcd; ``Fraction`` appears only at the public constructor and in
-the ``a``/``b`` views.  ``char_poly`` of a matrix whose entries are all rational
-integers (adjacency matrices, integer combinations of intersection matrices)
-runs Faddeev-LeVerrier on Python ints, where every division is exact;
-any other matrix takes the generic QuadNumber path.
+the ``a``/``b`` views.  ``char_poly`` takes integer matrices only (adjacency
+matrices, integer combinations of intersection matrices): it runs
+Faddeev-LeVerrier on Python ints, where every division is exact, and returns
+int coefficients.
 """
 
 from __future__ import annotations
@@ -339,34 +339,16 @@ def _sign(x: int, y: int, p: int) -> int:
     return 1 if (x * x > y * y * p) == (x > 0) else -1
 
 
-ZERO = QuadNumber(0)
-ONE = QuadNumber(1)
-
-
-def as_quad(x) -> QuadNumber:
-    if isinstance(x, QuadNumber):
-        return x
-    return QuadNumber(x)
-
-
 class ExactPolynomial:
-    """Polynomial with QuadNumber coefficients, ascending degree order."""
+    """Polynomial with int coefficients, ascending degree order."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable):
-        cs = [as_quad(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    def __init__(self, coeffs: Iterable[int]):
+        self.coeffs = tuple(coeffs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x) -> QuadNumber:
-        x = as_quad(x)
-        acc = QuadNumber(0)
+    def __call__(self, x):
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -374,21 +356,8 @@ class ExactPolynomial:
     def __eq__(self, other):
         return isinstance(other, ExactPolynomial) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
         return f"ExactPolynomial({list(self.coeffs)})"
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            parts.append(f"({c})*t^{i}" if i else f"({c})")
-        return " + ".join(parts)
 
 
 class ExactMatrix:
@@ -397,7 +366,10 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence]):
-        grid = [[as_quad(x) for x in row] for row in entries]
+        grid = [
+            [x if isinstance(x, QuadNumber) else QuadNumber(x) for x in row]
+            for row in entries
+        ]
         if grid and any(len(row) != len(grid[0]) for row in grid):
             raise ValueError("ragged matrix")
         self.rows = len(grid)
@@ -407,10 +379,6 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
     def __eq__(self, other):
         return (
@@ -424,21 +392,7 @@ class ExactMatrix:
             )
         )
 
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def scale(self, c) -> "ExactMatrix":
-        c = as_quad(c)
         return ExactMatrix(
             [[x * c for x in row] for row in self.entries]
         )
@@ -457,18 +411,6 @@ class ExactMatrix:
             )
         return ExactMatrix(out)
 
-    def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            return self @ other
-        return self.scale(other)
-
-    __rmul__ = scale
-
-    def trace(self) -> QuadNumber:
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), QuadNumber(0))
-
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
             self.entries[i][j] == self.entries[j][i]
@@ -481,41 +423,17 @@ class ExactMatrix:
 
 
 def char_poly(m: ExactMatrix) -> ExactPolynomial:
-    """Monic characteristic polynomial det(tI - m), exact (Faddeev-LeVerrier).
+    """Monic characteristic polynomial det(tI - A) of a square integer matrix
+    A, by Faddeev-LeVerrier over Z: M_1 = A, M_k = A (M_(k-1) + c_(n-k+1) I)
+    and c_(n-k) = -tr(M_k)/k, which is an integer for an integer matrix A.
 
-    A matrix of rational integers runs the recurrence on Python ints."""
+    Raises ValueError if an entry is not a rational integer."""
     if m.rows != m.cols:
         raise ValueError("char_poly requires a square matrix")
+    if not all(x.is_integer for row in m.entries for x in row):
+        raise ValueError("char_poly requires an integer matrix")
+    a = [[x._x for x in row] for row in m.entries]
     n = m.rows
-    if n == 0:
-        return ExactPolynomial([1])
-    if all(not x._y and x._d == 1 for row in m.entries for x in row):
-        return ExactPolynomial(_int_char_poly([[x._x for x in row] for row in m.entries]))
-    coeffs = [QuadNumber(0)] * (n + 1)
-    coeffs[n] = QuadNumber(1)
-    mk = m
-    ck = QuadNumber(1)
-    for k in range(1, n + 1):
-        if k > 1:
-            shifted = ExactMatrix(
-                [
-                    [
-                        mk.entries[i][j] + (ck if i == j else QuadNumber(0))
-                        for j in range(n)
-                    ]
-                    for i in range(n)
-                ]
-            )
-            mk = m @ shifted
-        ck = mk.trace() * Fraction(-1, k)
-        coeffs[n - k] = ck
-    return ExactPolynomial(coeffs)
-
-
-def _int_char_poly(a: list[list[int]]) -> list[int]:
-    """Faddeev-LeVerrier over Z: M_1 = A, M_k = A (M_(k-1) + c_(n-k+1) I) and
-    c_(n-k) = -tr(M_k)/k, which is an integer for an integer matrix A."""
-    n = len(a)
     coeffs = [0] * n + [1]
     mk, ck = a, 1
     for k in range(1, n + 1):
@@ -531,7 +449,7 @@ def _int_char_poly(a: list[list[int]]) -> list[int]:
                 f"Faddeev-LeVerrier over Z: trace of M_{k} is not divisible by {k}"
             )
         coeffs[n - k] = ck
-    return coeffs
+    return ExactPolynomial(coeffs)
 
 
 def _rref(m: ExactMatrix) -> tuple[list[list[QuadNumber]], list[int]]:
@@ -798,18 +716,14 @@ def candidate_radicands(k1: int) -> list[int]:
     return sorted(parts - {1})
 
 
-def minimal_polynomial(x: QuadNumber) -> ExactPolynomial:
-    """Monic minimal polynomial of x over Q."""
-    if x.is_rational:
-        return ExactPolynomial([-x.a, 1])
-    tr = 2 * x.a
-    nrm = x.a * x.a - x.b * x.b * x.p
-    return ExactPolynomial([nrm, -tr, 1])
-
-
 def is_algebraic_integer(x: QuadNumber) -> bool:
-    poly = minimal_polynomial(x)
-    return all(c.is_integer for c in poly.coeffs)
+    """Is x = (u + v*sqrt(p))/d, in normal form, an algebraic integer?  A
+    rational x must be an integer; otherwise the minimal polynomial
+    t^2 - (2u/d)*t + (u^2 - p*v^2)/d^2 must have integer coefficients."""
+    u, v, d = x._x, x._y, x._d
+    if not v:
+        return d == 1
+    return 2 * u % d == 0 and (u * u - x._p * v * v) % (d * d) == 0
 
 
 def quad_sqrt(x: QuadNumber) -> QuadNumber | None:

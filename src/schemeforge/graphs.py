@@ -91,14 +91,6 @@ class Graph:
         )
         return g
 
-    def relabel(self, perm: Sequence[int]) -> "Graph":
-        """perm maps old vertex -> new vertex."""
-        adj = [0] * self.n
-        for u in range(self.n):
-            for v in self.neighbours(u):
-                adj[perm[u]] |= 1 << perm[v]
-        return Graph.from_adj(adj)
-
     # -- distances ---------------------------------------------------------
 
     def distances_from(self, src: int) -> list[int]:

@@ -115,9 +115,6 @@ class LocalSolution:
 class ClassifyLocalResult:
     solutions: list  # of LocalSolution
 
-    def graph_names(self) -> list:
-        return [s.name for s in self.solutions]
-
 
 GEOMETRIC_LABELS = {
     "N3": "triangle",
@@ -178,9 +175,7 @@ def _adjacency_eigenvalues(graph: Graph) -> list:
             for i in range(n)
         ]
     )
-    roots, _ = split_integer_polynomial(
-        [int(c.as_fraction()) for c in char_poly(a).coeffs]
-    )
+    roots, _ = split_integer_polynomial(char_poly(a).coeffs)
     k = QuadNumber(graph.degree(0))
     out = []
     for lam, mult in roots:

@@ -209,7 +209,7 @@ class Spectra:
         )
 
 
-def _factor_eigenvalues(coeffs: list[int]) -> tuple[list[QuadNumber], int]:
+def _factor_eigenvalues(coeffs: Sequence[int]) -> tuple[list[QuadNumber], int]:
     """Distinct roots of a monic integer polynomial that splits over Q or one
     real quadratic field; raises SplittingFieldError otherwise.
 
@@ -256,8 +256,7 @@ def spectra(s: Scheme) -> Spectra:
             ]
             for h in range(d + 1)
         ]
-        poly = char_poly(ExactMatrix(combo))
-        roots, radicand = _factor_eigenvalues([int(x.as_fraction()) for x in poly.coeffs])
+        roots, radicand = _factor_eigenvalues(char_poly(ExactMatrix(combo)).coeffs)
         if len(roots) != d + 1:
             last_err = ValueError("eigenvalue collision in generic combination")
             continue

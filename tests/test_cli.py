@@ -18,8 +18,6 @@ from schemeforge.cli import (
     load_bundled,
     main,
     parse_scheme_file,
-    scheme_file_of,
-    serialize_scheme_file,
 )
 from schemeforge.graphs import DEFAULT_BUDGET
 
@@ -34,6 +32,19 @@ id AS06[3]
 1 1 1 2 0 2
 1 1 1 2 2 0
 """
+
+
+def serialize_scheme_file(sf: SchemeFile) -> str:
+    """The text of a scheme file, entries right-aligned; parse_scheme_file
+    reads it back."""
+    lines = []
+    if sf.scheme_id is not None:
+        lines.append(f"id {sf.scheme_id}")
+    lines.append(str(sf.n))
+    width = len(str(max(e for row in sf.grid for e in row)))
+    for row in sf.grid:
+        lines.append(" ".join(str(e).rjust(width) for e in row))
+    return "\n".join(lines) + "\n"
 
 
 def run(capsys, *argv):
@@ -112,7 +123,7 @@ class TestGoldenData:
         text = (
             f"# {sid}: scheme of the {CATALOGUE[sid]} graph "
             f"(n = {scheme.n}, d = {scheme.d})\n"
-        ) + serialize_scheme_file(scheme_file_of(scheme, sid))
+        ) + serialize_scheme_file(SchemeFile(scheme.n, scheme.relations, sid))
         name = bundled_filename(sid)
         assert text.encode("utf-8") == (cli.DATA_DIR / name).read_bytes()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == cli._read_manifest()[name]
@@ -147,6 +158,18 @@ class TestExitCodes:
         code, _, err = run(capsys, "verify", "/no/such/file.scheme")
         assert code == EXIT_USAGE
 
+    def test_directory_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: cannot read {tmp_path}") and not out
+
+    def test_non_utf8_file_is_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "latin1.scheme"
+        f.write_bytes("# Schr\xf6dinger\n1\n0\n".encode("latin-1"))
+        code, out, err = run(capsys, "spectra", str(f))
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: cannot read {f}") and not out
+
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_USAGE
 
@@ -167,6 +190,16 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv.split())
         assert code == EXIT_USAGE
         assert err.startswith("error: ") and not out
+
+    @pytest.mark.parametrize("argv", [
+        "search --k1 4 --a1 0 --budget -1",
+        "recognize --local C5 --n-max 12 --budget -1",
+        "classify --case N3 --budget -1",
+    ])
+    def test_negative_budget_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == EXIT_USAGE
+        assert "argument --budget: must be >= 0, got -1" in err and not out
 
     def test_search_budget_exhaustion(self, capsys):
         code, out, _ = run(
@@ -331,7 +364,7 @@ class TestSubcommands:
         from schemeforge.catalogue import catalogue_scheme
 
         s = catalogue_scheme("AS10[6]")
-        sf = scheme_file_of(s, "AS10[6]")
+        sf = SchemeFile(s.n, s.relations, "AS10[6]")
         assert parse_scheme_file(serialize_scheme_file(sf)) == sf
 
 

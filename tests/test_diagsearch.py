@@ -19,7 +19,6 @@ from schemeforge.diagsearch import (
     _check_extension,
     _cosine_candidates,
     _in_field,
-    _interchangeable,
     _tail_slice,
     arrangements,
     candidate_radicands,
@@ -376,7 +375,7 @@ def reference_solve_cosines(
         for c in (0, 1):
             lhs = k1q * cosines.values[1][c] * full[v][c]
             rhs = QuadNumber(0)
-            for h in diagram.out_neighbours(v):
+            for h in sorted(diagram.out[v]):
                 rhs = rhs + QuadNumber(diagram.weight(v, h)) * full[h][c]
             res.append(lhs - rhs)
         return res
@@ -388,12 +387,12 @@ def reference_solve_cosines(
     weights = [QuadNumber(diagram.weight(v, f)) for f in fresh]
     target1 = k1q * w11 * cosines.values[v][0] - sum(
         (QuadNumber(diagram.weight(v, h)) * known[h][0]
-         for h in diagram.out_neighbours(v) if h not in fresh),
+         for h in sorted(diagram.out[v]) if h not in fresh),
         QuadNumber(0),
     )
     target2 = k1q * w12 * cosines.values[v][1] - sum(
         (QuadNumber(diagram.weight(v, h)) * known[h][1]
-         for h in diagram.out_neighbours(v) if h not in fresh),
+         for h in sorted(diagram.out[v]) if h not in fresh),
         QuadNumber(0),
     )
 
@@ -479,11 +478,7 @@ def reference_solve_cosines(
         ext = extend(col)
         if ext is None:
             continue
-        key = tuple(
-            sorted(str(ext.values[f][0]) for f in fresh)
-        ) if _interchangeable(diagram, v, fresh) else tuple(
-            str(ext.values[f][0]) for f in fresh
-        )
+        key = tuple(sorted((diagram.weight(v, f), str(ext.values[f][0])) for f in fresh))
         if key in seen:
             continue
         seen.add(key)
@@ -618,6 +613,32 @@ def _tail_root_visible(weights, planted) -> bool:
     return quad_sqrt(root * root) is not None
 
 
+def _solve_planted_surplus(kv, weights, planted):
+    """First-column values of each solve_cosines extension at vertex 2, of
+    valency kv, of a k1 = 8 diagram over Q whose fresh relations have the
+    given weights, with the targets of both recurrences met by planted."""
+    k1 = 8
+    cosines = CosineColumns(1, QuadNumber(0), [(QuadNumber(1), QuadNumber(1))] * 2)
+    phi = cosines.second_from_first
+    t1 = sum((QuadNumber(w) * x for w, x in zip(weights, planted)), QuadNumber(0))
+    t2 = sum((QuadNumber(w) * phi(x) for w, x in zip(weights, planted)), QuadNumber(0))
+    cosines.values.append((t1 / QuadNumber(k1), t2 / QuadNumber(k1)))
+    m = len(weights)
+    fresh = list(range(3, 3 + m))
+    diagram = DistributionDiagram(
+        k1=k1,
+        layers=[0, 1, 2] + [3] * m,
+        arcs={(2, f): w for f, w in zip(fresh, weights)},
+        valencies=[1, k1, kv] + [None] * m,
+        determined=[True, True, True] + [False] * m,
+    )
+    config = SearchConfig(k1=k1, a1=0, radicand=1)
+    return [
+        [ext.values[f][0] for f in fresh]
+        for ext in solve_cosines(diagram, cosines, 2, fresh, config)
+    ]
+
+
 class TestSolveCosines:
     def test_matches_reference_on_every_search_call(self, checked_searches):
         calls, _stats = checked_searches
@@ -657,28 +678,20 @@ class TestSolveCosines:
         # Vertex 2 (valency 1) of a k1 = 8 diagram over Q makes fresh
         # relations of weights 3, 2, 1, 1.  The two surplus cosines come from
         # C(3) and C(2); 1/2 is in C(2) but not in C(3).
-        k1, weights = 8, (3, 2, 1, 1)
         planted = [QuadNumber(Fraction(x)) for x in ("1/3", "1/2", "-1/4", "-1/2")]
-        cosines = CosineColumns(1, QuadNumber(0), [(QuadNumber(1), QuadNumber(1))] * 2)
-        phi = cosines.second_from_first
-        t1 = sum((QuadNumber(w) * x for w, x in zip(weights, planted)), QuadNumber(0))
-        t2 = sum((QuadNumber(w) * phi(x) for w, x in zip(weights, planted)), QuadNumber(0))
-        cosines.values.append((t1 / QuadNumber(k1), t2 / QuadNumber(k1)))
-        fresh = [3, 4, 5, 6]
-        diagram = DistributionDiagram(
-            k1=k1,
-            layers=[0, 1, 2, 3, 3, 3, 3],
-            arcs={(2, f): w for f, w in zip(fresh, weights)},
-            valencies=[1, k1, 1, None, None, None, None],
-            determined=[True, True, True, False, False, False, False],
-        )
         assert QuadNumber(Fraction(1, 2)) not in _cosine_candidates(3, 1)
-        config = SearchConfig(k1=k1, a1=0, radicand=1)
-        found = [
-            [ext.values[f][0] for f in fresh]
-            for ext in solve_cosines(diagram, cosines, 2, fresh, config)
-        ]
-        assert planted in found
+        assert planted in _solve_planted_surplus(1, (3, 2, 1, 1), planted)
+
+    def test_swaps_across_weight_classes_are_distinct(self):
+        # Weights 3, 2, 1, 1 at a vertex of valency 6: both assignments of
+        # {-1, -5/6, -1/2, -1/3} below give equal sums of w*a and w*a^2, so
+        # they meet both recurrences, and only the two weight-1 cosines of
+        # each are interchangeable.
+        first = [QuadNumber(Fraction(x)) for x in ("-5/6", "-1/3", "-1/2", "-1")]
+        second = [QuadNumber(Fraction(x)) for x in ("-1/2", "-1", "-5/6", "-1/3")]
+        found = _solve_planted_surplus(6, (3, 2, 1, 1), first)
+        assert any(col in found for col in (first, first[:2] + first[:1:-1]))
+        assert any(col in found for col in (second, second[:2] + second[:1:-1]))
 
     @pytest.mark.xfail(
         strict=True,

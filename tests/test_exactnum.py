@@ -19,7 +19,6 @@ from schemeforge.exactnum import (
     char_poly,
     is_algebraic_integer,
     is_psd,
-    minimal_polynomial,
     nullspace,
     quad_sqrt,
     rank,
@@ -128,6 +127,11 @@ class TestPolynomialsAndMatrices:
         m = ExactMatrix([[1, 2], [3, 4]])
         assert m @ ExactMatrix.identity(2) == m
 
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), QuadNumber.sqrt(2)])
+    def test_char_poly_rejects_non_integer_matrices(self, entry):
+        with pytest.raises(ValueError, match="integer matrix"):
+            char_poly(ExactMatrix([[1, entry], [entry, 0]]))
+
 
 class TestNumberTheory:
     def test_squarefree_decompose(self):
@@ -135,11 +139,21 @@ class TestNumberTheory:
         assert squarefree_decompose(49) == (7, 1)
         assert squarefree_decompose(1) == (1, 1)
 
-    def test_minimal_polynomial(self):
-        x = QuadNumber(Fraction(1, 2), Fraction(1, 2), 5)  # golden ratio
-        assert minimal_polynomial(x) == ExactPolynomial([-1, -1, 1])
-        assert is_algebraic_integer(x)
+    def test_is_algebraic_integer_examples(self):
+        assert is_algebraic_integer(QuadNumber(Fraction(1, 2), Fraction(1, 2), 5))  # golden ratio
+        assert is_algebraic_integer(QuadNumber(0, 1, 2))
+        assert not is_algebraic_integer(QuadNumber(Fraction(1, 2), Fraction(1, 2), 3))
         assert not is_algebraic_integer(QuadNumber(Fraction(1, 2)))
+        # integer norm (1 - 28)/9 = -3, but trace 2/3
+        assert not is_algebraic_integer(QuadNumber(Fraction(1, 3), Fraction(2, 3), 7))
+
+    @given(st.one_of(
+        quads(),
+        st.builds(lambda a, b, d, p: QuadNumber(Fraction(a, d), Fraction(b, d), p),
+                  st.integers(-20, 20), st.integers(-20, 20), st.integers(1, 3), radicands),
+    ))
+    def test_is_algebraic_integer_matches_minimal_polynomial(self, x):
+        assert is_algebraic_integer(x) == reference_is_algebraic_integer(x)
 
     def test_bounded_algebraic_integers_rational(self):
         ints = bounded_algebraic_integers(3)
@@ -340,12 +354,31 @@ class TestIntegerCoreAgainstFractionPairs:
         assert hash(QuadNumber(Fraction(1, 3))) == hash(Fraction(1, 3))
 
 
-def _generic_char_poly_coeffs(rows):
-    """Integer char-poly coefficients through the generic QuadNumber path:
-    A/2 has non-integer entries and det(tI - A/2) = 2^-n det(2t I - A)."""
-    n = len(rows)
-    half = char_poly(ExactMatrix([[Fraction(v, 2) for v in row] for row in rows]))
-    return [c * 2 ** (n - i) for i, c in enumerate(half.coeffs)]
+def reference_is_algebraic_integer(x: QuadNumber) -> bool:
+    """Does the minimal polynomial of x over Q, on Fractions, have integer
+    coefficients?  Test-only."""
+    if x.is_rational:
+        return x.a.denominator == 1
+    trace, norm = 2 * x.a, x.a * x.a - x.b * x.b * x.p
+    return trace.denominator == 1 and norm.denominator == 1
+
+
+def reference_char_poly(m: ExactMatrix) -> list[QuadNumber]:
+    """Ascending coefficients of det(tI - m) by Faddeev-LeVerrier over the
+    field of m's entries: the generic QuadNumber path char_poly took before
+    it became integer-only.  Test-only."""
+    n = m.rows
+    coeffs = [QuadNumber(0)] * n + [QuadNumber(1)]
+    mk, ck = m, QuadNumber(1)
+    for k in range(1, n + 1):
+        if k > 1:
+            mk = m @ ExactMatrix(
+                [[x + ck if i == j else x for j, x in enumerate(row)]
+                 for i, row in enumerate(mk.entries)]
+            )
+        ck = sum((mk.entries[i][i] for i in range(n)), QuadNumber(0)) * Fraction(-1, k)
+        coeffs[n - k] = ck
+    return coeffs
 
 
 class TestIntegerCharPoly:
@@ -354,16 +387,16 @@ class TestIntegerCharPoly:
                            min_size=n, max_size=n)))
     @settings(max_examples=60)
     def test_random_integer_matrices(self, rows):
-        coeffs = char_poly(ExactMatrix(rows)).coeffs
-        assert list(coeffs) == _generic_char_poly_coeffs(rows)
+        m = ExactMatrix(rows)
+        assert list(char_poly(m).coeffs) == reference_char_poly(m)
 
     @pytest.mark.parametrize("name", ["K3xK3", "Q4", "24-cell"])
     def test_adjacency_matrices(self, name):
         g = named_graph(name)
-        rows = [[g.adj[i] >> j & 1 for j in range(g.n)] for i in range(g.n)]
-        coeffs = char_poly(ExactMatrix(rows)).coeffs
-        assert all(c.is_integer for c in coeffs)
-        assert list(coeffs) == _generic_char_poly_coeffs(rows)
+        m = ExactMatrix([[g.adj[i] >> j & 1 for j in range(g.n)] for i in range(g.n)])
+        coeffs = char_poly(m).coeffs
+        assert all(type(c) is int for c in coeffs)
+        assert list(coeffs) == reference_char_poly(m)
 
 
 def _sympy_split(coeffs):
@@ -395,7 +428,7 @@ def _poly_mul(f, g):
 
 def _adjacency_coeffs(g):
     rows = [[g.adj[i] >> j & 1 for j in range(g.n)] for i in range(g.n)]
-    return [int(c.as_fraction()) for c in char_poly(ExactMatrix(rows)).coeffs]
+    return list(char_poly(ExactMatrix(rows)).coeffs)
 
 
 def _scheme_combo_coeffs():
@@ -414,7 +447,7 @@ def _scheme_combo_coeffs():
                 [sum(c[i] * bmats[i][h][j] for i in range(s.d + 1)) for j in range(s.d + 1)]
                 for h in range(s.d + 1)
             ]
-            out.append([int(x.as_fraction()) for x in char_poly(ExactMatrix(combo)).coeffs])
+            out.append(list(char_poly(ExactMatrix(combo)).coeffs))
     return out
 
 
@@ -581,9 +614,8 @@ def reference_is_psd(m: ExactMatrix) -> bool:
     """
     if not m.is_symmetric():
         raise ValueError("is_psd requires a symmetric matrix")
-    poly = char_poly(m)
     n = m.rows
-    for i, c in enumerate(poly.coeffs):
+    for i, c in enumerate(reference_char_poly(m)):
         s = c.sign()
         if s != 0 and s != (1 if (n - i) % 2 == 0 else -1):
             return False

@@ -75,7 +75,7 @@ class TestDelsarteBound:
 
 class TestClassifyLocal:
     def test_exact_graph_list(self, result):
-        assert set(result.graph_names()) == EXPECTED_GRAPHS
+        assert {s.name for s in result.solutions} == EXPECTED_GRAPHS
         assert len(result.solutions) == 9
 
     def test_exact_label_list(self, result):
