@@ -18,11 +18,9 @@ never floats.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -85,16 +83,28 @@ class UnreadableFileError(Exception):
     """A scheme file that cannot be read, or is not UTF-8 text."""
 
 
-@dataclass(frozen=True)
 class SchemeFile:
-    """Integer relation matrix with an optional id header.
+    """Integer relation matrix with an optional id header; immutable.
 
     Format: '#' starts a comment; an optional ``id <string>`` line; a line
     holding the order n; then n rows of n relation indices."""
 
-    n: int
-    grid: tuple
-    scheme_id: Optional[str] = None
+    def __init__(self, n: int, grid: tuple, scheme_id: Optional[str] = None):
+        self.__dict__.update(n=n, grid=grid, scheme_id=scheme_id)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SchemeFile is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SchemeFile is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, SchemeFile):
+            return NotImplemented
+        return (self.n, self.grid, self.scheme_id) == (other.n, other.grid, other.scheme_id)
+
+    def __repr__(self):
+        return f"SchemeFile(n={self.n}, grid={self.grid}, scheme_id={self.scheme_id!r})"
 
 
 def _tokenize(text: str):
@@ -197,6 +207,8 @@ def _read_manifest() -> dict:
 
 def load_bundled(scheme_id: str) -> Scheme:
     """Load, hash-check, parse and verify one golden scheme file."""
+    import hashlib  # here alone: it maps OpenSSL, which no other command needs
+
     name = bundled_filename(scheme_id)
     blob = (DATA_DIR / name).read_bytes()
     digest = hashlib.sha256(blob).hexdigest()
@@ -227,14 +239,14 @@ def exactify(obj):
     return obj
 
 
-@dataclass
 class RunReport:
     """Reproducible record of one command invocation."""
 
-    command: str
-    config: dict
-    payload: dict
-    elapsed_seconds: float
+    def __init__(self, command: str, config: dict, payload: dict, elapsed_seconds: float):
+        self.command = command
+        self.config = config
+        self.payload = payload
+        self.elapsed_seconds = elapsed_seconds
 
     def to_dict(self) -> dict:
         return {
@@ -656,7 +668,7 @@ def cmd_classify(args) -> int:
 
 
 def non_negative_int(text: str) -> int:
-    """argparse type of --budget: a node count, 0 or more."""
+    """argparse type of --budget and --max-depth: a count, 0 or more."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -687,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k1", type=int, required=True)
     p.add_argument("--a1", type=int, required=True)
     p.add_argument("--field", default="rational", help="rational, quad:<p>, or auto")
-    p.add_argument("--max-depth", type=int, default=None)
+    p.add_argument("--max-depth", type=non_negative_int, default=None)
     p.add_argument("--budget", type=non_negative_int, default=DEFAULT_BUDGET)
     p.add_argument("--emit", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_search)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -65,7 +64,6 @@ _THREE = QuadNumber(3)
 _FOUR = QuadNumber(4)
 
 
-@dataclass(frozen=True)
 class SearchConfig:
     """Parameters of one search run.
 
@@ -75,19 +73,29 @@ class SearchConfig:
     bound; a cap that cuts a node leaves the search incomplete, and a cap at
     or above the bound cuts nothing.  budget caps the nodes of the search.
     light_tail is forced when k1 = m1 and a1 = 0: the multiplicity bound is
-    then attained, so E1 is a light tail and q111 = 0."""
+    then attained, so E1 is a light tail and q111 = 0.  Immutable."""
 
-    k1: int
-    a1: int
-    radicand: Optional[int] = 1
-    max_depth: Optional[int] = None
-    budget: int = DEFAULT_BUDGET
-
-    def __post_init__(self):
-        if self.k1 < 3:
+    def __init__(
+        self,
+        k1: int,
+        a1: int,
+        radicand: Optional[int] = 1,
+        max_depth: Optional[int] = None,
+        budget: int = DEFAULT_BUDGET,
+    ):
+        if k1 < 3:
             raise ValueError("need k1 >= 3")
-        if not 0 <= self.a1 < self.k1:
+        if not 0 <= a1 < k1:
             raise ValueError("need 0 <= a1 < k1")
+        self.__dict__.update(
+            k1=k1, a1=a1, radicand=radicand, max_depth=max_depth, budget=budget
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SearchConfig is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SearchConfig is immutable: cannot delete {name!r}")
 
     @property
     def light_tail(self) -> bool:
@@ -188,16 +196,27 @@ class DistributionDiagram:
         return sum(self.valencies)
 
 
-@dataclass
 class CosineColumns:
     """Columns 1 and 2 of the cosine matrix, one (w1, w2) pair per vertex.
 
     radicand is the field of the search subtree: 1 while an open search has
     met only rational cosines."""
 
-    radicand: int
-    q111: QuadNumber
-    values: list  # (QuadNumber, QuadNumber) per vertex
+    def __init__(self, radicand: int, q111: QuadNumber, values: list):
+        self.radicand = radicand
+        self.q111 = q111
+        self.values = values  # (QuadNumber, QuadNumber) per vertex
+
+    def __eq__(self, other):
+        if not isinstance(other, CosineColumns):
+            return NotImplemented
+        return (self.radicand, self.q111, self.values) == (
+            other.radicand, other.q111, other.values
+        )
+
+    def __repr__(self):
+        return (f"CosineColumns(radicand={self.radicand}, q111={self.q111!r}, "
+                f"values={self.values!r})")
 
     def copy(self) -> "CosineColumns":
         return CosineColumns(self.radicand, self.q111, list(self.values))
@@ -211,11 +230,16 @@ class CosineColumns:
         return (_FOUR * w1 * w1 - _ONE - self.q111 * w1) / (_THREE - self.q111)
 
 
-@dataclass
 class SearchResult:
-    diagram: DistributionDiagram
-    cosines: CosineColumns
-    matched: Optional[str] = None  # catalogue id, or None for unmatched
+    def __init__(
+        self,
+        diagram: DistributionDiagram,
+        cosines: CosineColumns,
+        matched: Optional[str] = None,  # catalogue id, or None for unmatched
+    ):
+        self.diagram = diagram
+        self.cosines = cosines
+        self.matched = matched
 
     def canonical_key(self):
         order = sorted(
@@ -238,12 +262,18 @@ class SearchResult:
         return (arcs, data)
 
 
-@dataclass
 class SearchOutcome:
-    config: SearchConfig
-    results: list  # of SearchResult
-    stats: dict
-    complete: bool  # False when the node budget or a user depth cap cut a branch
+    def __init__(
+        self,
+        config: SearchConfig,
+        results: list,  # of SearchResult
+        stats: dict,
+        complete: bool,  # False when the node budget or a user depth cap cut a branch
+    ):
+        self.config = config
+        self.results = results
+        self.stats = stats
+        self.complete = complete
 
 
 @functools.cache

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 # node budget of one bounded search: extend_locally here, and the diagram
@@ -577,13 +576,13 @@ def is_locally(g: Graph, h: Graph) -> bool:
     return True
 
 
-@dataclass
 class ExtensionResult:
     """Outcome of a bounded locally-H search."""
 
-    graphs: list[Graph]
-    complete: bool
-    nodes: int
+    def __init__(self, graphs: list[Graph], complete: bool, nodes: int):
+        self.graphs = graphs
+        self.complete = complete
+        self.nodes = nodes
 
     def __iter__(self):
         return iter(self.graphs)

@@ -17,7 +17,6 @@ geometric objects.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional
@@ -50,11 +49,18 @@ def delsarte_bound(d: int, s: int) -> int:
     return comb(d + s - 1, d - 1) + comb(d + s - 2, d - 1)
 
 
-@dataclass(frozen=True)
 class LocalGramProblem:
-    """A candidate neighbourhood graph with unknown cosines (beta1, beta2)."""
+    """A candidate neighbourhood graph with unknown cosines (beta1, beta2);
+    immutable."""
 
-    graph: Graph
+    def __init__(self, graph: Graph):
+        self.__dict__["graph"] = graph
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LocalGramProblem is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"LocalGramProblem is immutable: cannot delete {name!r}")
 
     @property
     def n(self) -> int:
@@ -92,15 +98,22 @@ class LocalGramProblem:
         )
 
 
-@dataclass
 class LocalSolution:
     """A feasible neighbourhood graph with its exact cosine solutions."""
 
-    graph: Graph
-    name: Optional[str]
-    geometric_label: Optional[str]
-    solutions: list  # list of (beta1 | None, beta2 | None)
-    family: bool = False  # True when the solution set is a positive-dimensional family
+    def __init__(
+        self,
+        graph: Graph,
+        name: Optional[str],
+        geometric_label: Optional[str],
+        solutions: list,  # list of (beta1 | None, beta2 | None)
+        family: bool = False,  # True when the solution set is a positive-dimensional family
+    ):
+        self.graph = graph
+        self.name = name
+        self.geometric_label = geometric_label
+        self.solutions = solutions
+        self.family = family
 
     def __repr__(self) -> str:
         sols = [
@@ -111,9 +124,9 @@ class LocalSolution:
         return f"LocalSolution({self.name}, {self.geometric_label},{tag} {sols})"
 
 
-@dataclass
 class ClassifyLocalResult:
-    solutions: list  # of LocalSolution
+    def __init__(self, solutions: list):  # of LocalSolution
+        self.solutions = solutions
 
 
 GEOMETRIC_LABELS = {

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -33,27 +32,42 @@ class NoQPolynomialOrderingError(ValueError):
     """Raised when no ordering of the idempotents makes a scheme cometric."""
 
 
-@dataclass(frozen=True)
 class SchemeRefutation:
-    """Structured refutation naming the first violated axiom with a witness."""
+    """Structured refutation naming the first violated axiom with a witness;
+    immutable."""
 
-    axiom: str
-    detail: str
-    witness: tuple = ()
+    def __init__(self, axiom: str, detail: str, witness: tuple = ()):
+        self.__dict__.update(axiom=axiom, detail=detail, witness=witness)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SchemeRefutation is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SchemeRefutation is immutable: cannot delete {name!r}")
 
     def __bool__(self):
         return False
 
 
-@dataclass(frozen=True)
 class Scheme:
-    """Symmetric association scheme given by its relation map on X x X."""
+    """Symmetric association scheme given by its relation map on X x X;
+    immutable."""
 
-    n: int
-    d: int
-    relations: tuple[tuple[int, ...], ...]
-    valencies: tuple[int, ...]
-    p: tuple  # intersection numbers, indexed p[i][j][h]
+    def __init__(
+        self,
+        n: int,
+        d: int,
+        relations: tuple[tuple[int, ...], ...],
+        valencies: tuple[int, ...],
+        p: tuple,  # intersection numbers, indexed p[i][j][h]
+    ):
+        self.__dict__.update(n=n, d=d, relations=relations, valencies=valencies, p=p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Scheme is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Scheme is immutable: cannot delete {name!r}")
 
     def __bool__(self):
         return True
@@ -160,21 +174,33 @@ def scheme_from_graph_distances(g: Graph) -> SchemeResult:
     return verify_scheme(dist)
 
 
-@dataclass(frozen=True)
 class Spectra:
-    """Exact spectral data of a scheme.
+    """Exact spectral data of a scheme; immutable.
 
     Idempotents are ordered canonically: E_0 first, the rest by decreasing
     eigenvalue of the generic combination used for diagonalization.  Use
     ``reordered`` to move to a Q-polynomial ordering."""
 
-    scheme: Scheme
-    P: tuple[tuple[QuadNumber, ...], ...]  # P[c][i], c idempotent, i relation
-    Q: tuple[tuple[QuadNumber, ...], ...]  # Q[i][c]
-    multiplicities: tuple[int, ...]
-    krein: tuple  # krein[i][j][k], QuadNumber
-    cosines: tuple[tuple[QuadNumber, ...], ...]  # cosines[i][c] = omega_{i,c}
-    radicand: int
+    def __init__(
+        self,
+        scheme: Scheme,
+        P: tuple[tuple[QuadNumber, ...], ...],  # P[c][i], c idempotent, i relation
+        Q: tuple[tuple[QuadNumber, ...], ...],  # Q[i][c]
+        multiplicities: tuple[int, ...],
+        krein: tuple,  # krein[i][j][k], QuadNumber
+        cosines: tuple[tuple[QuadNumber, ...], ...],  # cosines[i][c] = omega_{i,c}
+        radicand: int,
+    ):
+        self.__dict__.update(
+            scheme=scheme, P=P, Q=Q, multiplicities=multiplicities, krein=krein,
+            cosines=cosines, radicand=radicand,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Spectra is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Spectra is immutable: cannot delete {name!r}")
 
     @property
     def d(self) -> int:

@@ -201,6 +201,14 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "argument --budget: must be >= 0, got -1" in err and not out
 
+    def test_negative_max_depth_is_usage_error(self, capsys):
+        argv = ("search", "--k1", "4", "--a1", "0", "--max-depth")
+        code, out, err = run(capsys, *argv, "-1")
+        assert code == EXIT_USAGE
+        assert "argument --max-depth: must be >= 0, got -1" in err and not out
+        # a cap of 0 is in range: it cuts below the degree bound
+        assert run(capsys, *argv, "0")[0] == EXIT_BUDGET
+
     def test_search_budget_exhaustion(self, capsys):
         code, out, _ = run(
             capsys, "search", "--k1", "4", "--a1", "0", "--budget", "3"
@@ -368,8 +376,9 @@ class TestSubcommands:
         assert parse_scheme_file(serialize_scheme_file(sf)) == sf
 
 
-def test_import_does_not_load_sympy():
-    """sympy is a test-only oracle; the package and its CLI run without it."""
+def _loaded_modules(names, imports: str) -> set:
+    """Those of names that a fresh interpreter holds after running imports,
+    with this checkout's package on its path."""
     import os
     import subprocess
     import sys
@@ -377,7 +386,7 @@ def test_import_does_not_load_sympy():
     import schemeforge
 
     src = os.path.dirname(os.path.dirname(schemeforge.__file__))
-    code = "import sys, schemeforge, schemeforge.cli; print('sympy' in sys.modules)"
+    code = f"import sys\n{imports}\nprint(*[m for m in {tuple(names)!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},
@@ -385,4 +394,17 @@ def test_import_does_not_load_sympy():
         text=True,
         check=True,
     )
-    assert proc.stdout.strip() == "False"
+    return set(proc.stdout.split())
+
+
+def test_import_does_not_load_sympy():
+    """sympy is a test-only oracle; the package and its CLI run without it."""
+    assert not _loaded_modules(["sympy"], "import schemeforge, schemeforge.cli")
+
+
+def test_import_loads_neither_dataclasses_nor_hashlib():
+    """Every command pays for what the package imports.  dataclasses brings
+    inspect, dis and ast and builds its methods with exec; hashlib maps
+    OpenSSL, which only load_bundled needs and so imports itself."""
+    names = ["dataclasses", "hashlib"]
+    assert _loaded_modules(names, "import schemeforge.cli") <= _loaded_modules(names, "")

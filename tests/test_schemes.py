@@ -263,3 +263,28 @@ class TestLightTail:
     def test_undefined_at_valency(self):
         with pytest.raises(ValueError):
             light_tail_bound(4, 4, 0, 3)
+
+
+def test_value_types_are_immutable(catalogue, catalogue_spectra):
+    """Assigning or deleting an attribute of an immutable type raises."""
+    from schemeforge.cli import SchemeFile
+    from schemeforge.diagsearch import SearchConfig
+    from schemeforge.graphs import Graph
+    from schemeforge.localclass import LocalGramProblem
+
+    values = [
+        SchemeFile(1, ((0,),)),
+        SearchConfig(k1=4, a1=0),
+        LocalGramProblem(Graph(3, [])),
+        SchemeRefutation("shape", "relation map is not square"),
+        catalogue["AS06[3]"],
+        catalogue_spectra["AS06[3]"][0],
+    ]
+    for value in values:
+        name = next(iter(vars(value)))
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
