@@ -7,10 +7,11 @@ bounded locally-H extension search plus a spectral screen), or the
 relation-distribution diagram search enumerates every feasible scheme
 directly.  Six schemes survive.
 
-Run:  python demos/classification_walkthrough.py   (about a minute)
+Run:  python demos/classification_walkthrough.py   (about a second)
 """
 
 from schemeforge import (
+    SchemeRefutation,
     SearchConfig,
     classify_local,
     extend_locally,
@@ -31,7 +32,7 @@ def resolve_by_extension(case, n_max):
     for g in ext.graphs:
         name = identify_graph(g)
         scheme = scheme_from_graph_distances(g)
-        if not scheme:
+        if isinstance(scheme, SchemeRefutation):
             print(f"    {name}: not distance-regular -> excluded")
             continue
         sp, _ = qpolynomial_spectra(scheme)
@@ -58,7 +59,7 @@ def resolve_by_search(case, k1, a1):
 def main():
     print("stage 1: feasible neighbourhoods of a point")
     local = classify_local(9)
-    names = [s.name for s in local.solutions]
+    names = [s.name for s in local]
     print(f"  {', '.join(names)}\n")
     print("stage 2: resolve each local case")
     for case in names:

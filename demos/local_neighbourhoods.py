@@ -16,14 +16,14 @@ from schemeforge import classify_local
 
 def main():
     result = classify_local(9)
-    print(f"{len(result.solutions)} feasible neighbourhood graphs:\n")
-    for sol in result.solutions:
+    print(f"{len(result)} feasible neighbourhood graphs:\n")
+    for sol in result:
         kind = "family" if sol.family else "point"
         print(f"  {sol.name:<12} ({sol.geometric_label}, {kind})")
         for b1, b2 in sol.solutions:
             show = lambda b: "free" if b is None else str(b)
             print(f"      beta1 = {show(b1):<22} beta2 = {show(b2)}")
-    labels = sorted({s.geometric_label for s in result.solutions})
+    labels = sorted({s.geometric_label for s in result})
     print(f"\ngeometric configurations: {', '.join(labels)}")
 
 

@@ -57,8 +57,6 @@ from .schemes import (
     verify_scheme,
 )
 from .localclass import (
-    ClassifyLocalResult,
-    LocalGramProblem,
     LocalSolution,
     classify_local,
     delsarte_bound,
@@ -81,7 +79,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CATALOGUE",
     "CLASSIFIED",
-    "ClassifyLocalResult",
     "CosineColumns",
     "DistributionDiagram",
     "ExactMatrix",
@@ -90,7 +87,6 @@ __all__ = [
     "FieldMismatchError",
     "Graph",
     "KISSING_NUMBER_R4",
-    "LocalGramProblem",
     "LocalSolution",
     "NoQPolynomialOrderingError",
     "QuadNumber",

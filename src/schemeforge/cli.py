@@ -23,12 +23,11 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactnum import QuadNumber, squarefree_decompose
 from .graphs import (
     DEFAULT_BUDGET,
-    Graph,
     extend_locally,
     identify_graph,
     named_graph,
@@ -38,6 +37,7 @@ from .schemes import (
     NoQPolynomialOrderingError,
     Scheme,
     SchemeRefutation,
+    SplittingFieldError,
     krein_check,
     light_tail_bound,
     partially_metric_level,
@@ -83,28 +83,15 @@ class UnreadableFileError(Exception):
     """A scheme file that cannot be read, or is not UTF-8 text."""
 
 
-class SchemeFile:
-    """Integer relation matrix with an optional id header; immutable.
+class SchemeFile(NamedTuple):
+    """Integer relation matrix with an optional id header.
 
     Format: '#' starts a comment; an optional ``id <string>`` line; a line
     holding the order n; then n rows of n relation indices."""
 
-    def __init__(self, n: int, grid: tuple, scheme_id: Optional[str] = None):
-        self.__dict__.update(n=n, grid=grid, scheme_id=scheme_id)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SchemeFile is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"SchemeFile is immutable: cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, SchemeFile):
-            return NotImplemented
-        return (self.n, self.grid, self.scheme_id) == (other.n, other.grid, other.scheme_id)
-
-    def __repr__(self):
-        return f"SchemeFile(n={self.n}, grid={self.grid}, scheme_id={self.scheme_id!r})"
+    n: int
+    grid: tuple
+    scheme_id: Optional[str] = None
 
 
 def _tokenize(text: str):
@@ -239,29 +226,17 @@ def exactify(obj):
     return obj
 
 
-class RunReport:
-    """Reproducible record of one command invocation."""
-
-    def __init__(self, command: str, config: dict, payload: dict, elapsed_seconds: float):
-        self.command = command
-        self.config = config
-        self.payload = payload
-        self.elapsed_seconds = elapsed_seconds
-
-    def to_dict(self) -> dict:
-        return {
-            "tool": "schemeforge",
-            "version": __version__,
-            "command": self.command,
-            "config": exactify(self.config),
-            "payload": exactify(self.payload),
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
-        }
-
-
 def emit_report(command: str, config: dict, payload: dict, started: float):
-    report = RunReport(command, config, payload, time.monotonic() - started)
-    print(json.dumps(report.to_dict(), indent=2))
+    """Print the reproducible JSON record of one command invocation."""
+    report = {
+        "tool": "schemeforge",
+        "version": __version__,
+        "command": command,
+        "config": exactify(config),
+        "payload": exactify(payload),
+        "elapsed_seconds": round(time.monotonic() - started, 3),
+    }
+    print(json.dumps(report, indent=2))
 
 
 def _fail_usage(message: str) -> int:
@@ -281,6 +256,16 @@ def _read_scheme_file(path: str) -> SchemeFile:
     return parse_scheme_file(text)
 
 
+def _scheme_summary(sf: SchemeFile, scheme: Scheme) -> dict:
+    """The report fields naming a verified scheme."""
+    return {
+        "id": sf.scheme_id,
+        "n": scheme.n,
+        "d": scheme.d,
+        "valencies": list(scheme.valencies),
+    }
+
+
 def cmd_verify(args) -> int:
     started = time.monotonic()
     sf = _read_scheme_file(args.file)
@@ -294,13 +279,7 @@ def cmd_verify(args) -> int:
         }
         emit_report("verify", {"file": args.file}, payload, started)
         return EXIT_NEGATIVE
-    payload = {
-        "valid": True,
-        "id": sf.scheme_id,
-        "n": result.n,
-        "d": result.d,
-        "valencies": list(result.valencies),
-    }
+    payload = {"valid": True, **_scheme_summary(sf, result)}
     emit_report("verify", {"file": args.file}, payload, started)
     return EXIT_OK
 
@@ -313,14 +292,16 @@ def cmd_spectra(args) -> int:
         payload = {"valid": False, "axiom": result.axiom, "detail": result.detail}
         emit_report("spectra", {"file": args.file}, payload, started)
         return EXIT_NEGATIVE
-    sp = spectra(result)
+    try:
+        sp = spectra(result)
+    except SplittingFieldError as e:
+        payload = {"valid": True, **_scheme_summary(sf, result), "reason": str(e)}
+        emit_report("spectra", {"file": args.file}, payload, started)
+        return EXIT_NEGATIVE
     orderings = sorted(q_poly_orderings(sp))
     krein_ok, krein_witness = krein_check(sp)
     payload = {
-        "id": sf.scheme_id,
-        "n": result.n,
-        "d": result.d,
-        "valencies": list(result.valencies),
+        **_scheme_summary(sf, result),
         "multiplicities": list(sp.multiplicities),
         "radicand": sp.radicand,
         "P": [list(row) for row in sp.P],
@@ -333,8 +314,7 @@ def cmd_spectra(args) -> int:
         qsp = sp.reordered(orderings[0])
         payload["m1"] = qsp.multiplicities[1]
         payload["cosines"] = [list(row) for row in qsp.cosines]
-        g = result.scheme_graph(1) if result.d >= 1 else None
-        if g is not None and g.is_connected():
+        if result.scheme_graph(1).is_connected():
             payload["partially_metric_level"] = partially_metric_level(result, 1)
     emit_report("spectra", {"file": args.file}, payload, started)
     return EXIT_OK
@@ -347,7 +327,7 @@ def cmd_classify_local(args) -> int:
     except ValueError as e:
         return _fail_usage(str(e))
     solutions = []
-    for sol in result.solutions:
+    for sol in result:
         solutions.append(
             {
                 "name": sol.name,
@@ -516,7 +496,10 @@ def cmd_bound(args) -> int:
             k, theta, a1, b1 = (QuadNumber.parse(x) for x in args.params)
         except (ValueError, ZeroDivisionError):
             return _fail_usage("light-tail parameters must parse as exact numbers")
-        payload = {"bound": light_tail_bound(k, theta, a1, b1)}
+        try:
+            payload = {"bound": light_tail_bound(k, theta, a1, b1)}
+        except ValueError as e:
+            return _fail_usage(f"bound light-tail: {e}")
     else:  # pragma: no cover - argparse restricts choices
         return _fail_usage(f"unknown bound kind {args.kind!r}")
     emit_report("bound", {"kind": args.kind, "params": args.params}, payload, started)
@@ -541,11 +524,6 @@ _SEARCH_CASES = {
     "N4": (4, 0),
 }
 CASE_NAMES = sorted(_EXTENSION_CASES) + sorted(_SEARCH_CASES)
-
-
-def _scheme_id_of_graph(g: Graph) -> Optional[str]:
-    name = identify_graph(g)
-    return CLASSIFIED.get(name)
 
 
 def _classify_extension_case(name: str, n_max: int, budget: int) -> dict:
@@ -580,11 +558,10 @@ def _classify_extension_case(name: str, n_max: int, budget: int) -> dict:
                 }
             )
             continue
-        sid = _scheme_id_of_graph(g)
         results.append(
             {
                 "graph": gname,
-                "scheme_id": sid,
+                "scheme_id": CLASSIFIED.get(gname),
                 "case": name,
                 "via": "extension",
                 "n_max": n_max,
@@ -628,7 +605,7 @@ def cmd_classify(args) -> int:
         return _fail_usage(f"unknown case {args.case!r}; choose from {CASE_NAMES}")
     local = classify_local(9)
     cases = []
-    for sol in local.solutions:
+    for sol in local:
         if sol.name not in cases:
             cases.append(sol.name)
     if args.case is not None:
@@ -652,7 +629,7 @@ def cmd_classify(args) -> int:
             entry["golden_file"] = bundled_filename(sid)
     results.sort(key=lambda e: (e["scheme_id"] or "", e["graph"]))
     payload = {
-        "local_cases": [s.name for s in local.solutions],
+        "local_cases": [s.name for s in local],
         "results": results,
         "exclusions": exclusions,
         "complete": complete,

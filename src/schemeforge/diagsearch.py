@@ -26,7 +26,7 @@ import bisect
 import functools
 import itertools
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactnum import (
     QuadNumber,
@@ -262,18 +262,11 @@ class SearchResult:
         return (arcs, data)
 
 
-class SearchOutcome:
-    def __init__(
-        self,
-        config: SearchConfig,
-        results: list,  # of SearchResult
-        stats: dict,
-        complete: bool,  # False when the node budget or a user depth cap cut a branch
-    ):
-        self.config = config
-        self.results = results
-        self.stats = stats
-        self.complete = complete
+class SearchOutcome(NamedTuple):
+    config: SearchConfig
+    results: list  # of SearchResult
+    stats: dict
+    complete: bool  # False when the node budget or a user depth cap cut a branch
 
 
 @functools.cache

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactnum import (
     ExactMatrix,
@@ -33,9 +33,8 @@ from .graphs import Graph, enumerate_regular_graphs, identify_graph
 
 __all__ = [
     "delsarte_bound",
-    "LocalGramProblem",
+    "gram_matrix",
     "LocalSolution",
-    "ClassifyLocalResult",
     "classify_local",
     "GEOMETRIC_LABELS",
 ]
@@ -49,84 +48,33 @@ def delsarte_bound(d: int, s: int) -> int:
     return comb(d + s - 1, d - 1) + comb(d + s - 2, d - 1)
 
 
-class LocalGramProblem:
-    """A candidate neighbourhood graph with unknown cosines (beta1, beta2);
-    immutable."""
-
-    def __init__(self, graph: Graph):
-        self.__dict__["graph"] = graph
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"LocalGramProblem is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"LocalGramProblem is immutable: cannot delete {name!r}")
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def valency(self) -> int:
-        return self.graph.degree(0) if self.n else 0
-
-    @property
-    def has_class1(self) -> bool:
-        return self.valency >= 1
-
-    @property
-    def has_class2(self) -> bool:
-        return self.valency <= self.n - 2
-
-    def gram(
-        self, beta1: Optional[QuadNumber], beta2: Optional[QuadNumber]
-    ) -> ExactMatrix:
-        g = self.graph
-        zero = QuadNumber(0)
-        b1 = zero if beta1 is None else beta1
-        b2 = zero if beta2 is None else beta2
-        return ExactMatrix(
+def gram_matrix(
+    graph: Graph, beta1: Optional[QuadNumber], beta2: Optional[QuadNumber]
+) -> ExactMatrix:
+    """G = I + beta1*B1 + beta2*(J - I - B1) of a candidate neighbourhood
+    graph, an absent cosine class counting as 0."""
+    zero = QuadNumber(0)
+    b1 = zero if beta1 is None else beta1
+    b2 = zero if beta2 is None else beta2
+    return ExactMatrix(
+        [
             [
-                [
-                    QuadNumber(1)
-                    if i == j
-                    else (b1 if g.adj[i] >> j & 1 else b2)
-                    for j in range(self.n)
-                ]
-                for i in range(self.n)
+                QuadNumber(1) if i == j else (b1 if graph.adj[i] >> j & 1 else b2)
+                for j in range(graph.n)
             ]
-        )
+            for i in range(graph.n)
+        ]
+    )
 
 
-class LocalSolution:
+class LocalSolution(NamedTuple):
     """A feasible neighbourhood graph with its exact cosine solutions."""
 
-    def __init__(
-        self,
-        graph: Graph,
-        name: Optional[str],
-        geometric_label: Optional[str],
-        solutions: list,  # list of (beta1 | None, beta2 | None)
-        family: bool = False,  # True when the solution set is a positive-dimensional family
-    ):
-        self.graph = graph
-        self.name = name
-        self.geometric_label = geometric_label
-        self.solutions = solutions
-        self.family = family
-
-    def __repr__(self) -> str:
-        sols = [
-            "(" + ", ".join("-" if b is None else str(b) for b in pair) + ")"
-            for pair in self.solutions
-        ]
-        tag = " family" if self.family else ""
-        return f"LocalSolution({self.name}, {self.geometric_label},{tag} {sols})"
-
-
-class ClassifyLocalResult:
-    def __init__(self, solutions: list):  # of LocalSolution
-        self.solutions = solutions
+    graph: Graph
+    name: Optional[str]
+    geometric_label: Optional[str]
+    solutions: list  # of (beta1 | None, beta2 | None)
+    family: bool = False  # True when the solution set is a positive-dimensional family
 
 
 GEOMETRIC_LABELS = {
@@ -145,7 +93,7 @@ HALF = QuadNumber(Fraction(1, 2))
 
 
 def _constraints_ok(
-    problem: LocalGramProblem,
+    graph: Graph,
     beta1: Optional[QuadNumber],
     beta2: Optional[QuadNumber],
 ) -> bool:
@@ -157,7 +105,7 @@ def _constraints_ok(
         # R1 is the nearest relation, so its cosine dominates.
         if not beta2 < beta1:
             return False
-    g = problem.gram(beta1, beta2)
+    g = gram_matrix(graph, beta1, beta2)
     return is_psd(g) and rank(g) <= 3
 
 
@@ -199,7 +147,7 @@ def _adjacency_eigenvalues(graph: Graph) -> list:
     return out
 
 
-def _solve_problem(problem: LocalGramProblem) -> Optional[LocalSolution]:
+def _solve_problem(graph: Graph) -> Optional[LocalSolution]:
     """Feasible cosines for one candidate graph.
 
     The Gram matrix G = I + b1*B1 + b2*(J-I-B1) of a k-regular graph has the
@@ -214,8 +162,9 @@ def _solve_problem(problem: LocalGramProblem) -> Optional[LocalSolution]:
     Depending on the multiplicity of lam* the feasible set is a point or a
     one-parameter family; families are reported through rational-grid
     witnesses."""
-    n, k = problem.n, problem.valency
-    name = identify_graph(problem.graph)
+    n, k = graph.n, graph.degree(0)
+    has_class1, has_class2 = k >= 1, k <= n - 2
+    name = identify_graph(graph)
     label = GEOMETRIC_LABELS.get(name) if name else None
     need = n - 3  # required multiplicity of the zero Gram eigenvalue
     one = QuadNumber(1)
@@ -229,7 +178,7 @@ def _solve_problem(problem: LocalGramProblem) -> Optional[LocalSolution]:
             if len(out) == _MAX_FAMILY_WITNESSES:
                 break
             key = tuple(str(x) for x in pair)
-            if key not in seen and _constraints_ok(problem, *pair):
+            if key not in seen and _constraints_ok(graph, *pair):
                 seen.add(key)
                 out.append(pair)
         return out
@@ -237,16 +186,12 @@ def _solve_problem(problem: LocalGramProblem) -> Optional[LocalSolution]:
     def finish(pairs, family):
         if not pairs:
             return None
-        return LocalSolution(problem.graph, name, label, pairs, family)
+        return LocalSolution(graph, name, label, pairs, family)
 
-    if not (problem.has_class1 and problem.has_class2):
+    if not (has_class1 and has_class2):
         # One cosine class: G = I + b*(J - I), spectrum 1 + (n-1)*b once and
         # 1 - b with multiplicity n - 1.  Only mu0 may vanish (b = 1 is out).
-        wrap = (
-            (lambda b: (b, None))
-            if problem.has_class1
-            else (lambda b: (None, b))
-        )
+        wrap = (lambda b: (b, None)) if has_class1 else (lambda b: (None, b))
         if need <= 0:
             return finish(witnesses(wrap(QuadNumber(w)) for w in _WITNESS_GRID), family=True)
         if need == 1:
@@ -255,7 +200,7 @@ def _solve_problem(problem: LocalGramProblem) -> Optional[LocalSolution]:
 
     # Both classes need n >= 4, so need >= 1: on 3 vertices the valency would
     # be 1, and a 1-regular graph has an even number of vertices.
-    eigs = _adjacency_eigenvalues(problem.graph)
+    eigs = _adjacency_eigenvalues(graph)
 
     def on_line(lam, b1):
         """b2 making the lam block vanish: (1+lam)*b2 = 1 + lam*b1."""
@@ -293,7 +238,7 @@ def _solve_problem(problem: LocalGramProblem) -> Optional[LocalSolution]:
     return finish(pairs, family)
 
 
-def classify_local(k_max: int = 9) -> ClassifyLocalResult:
+def classify_local(k_max: int = 9) -> list[LocalSolution]:
     """Feasible neighbourhood graphs among all regular graphs on <= k_max
     vertices.  The size cap is the two-distance bound on S^2, and the
     smallest neighbourhood searched has 3 vertices."""
@@ -308,7 +253,7 @@ def classify_local(k_max: int = 9) -> ClassifyLocalResult:
     for n in range(3, k_max + 1):
         for k in range(0, n):
             for g in enumerate_regular_graphs(n, k):
-                sol = _solve_problem(LocalGramProblem(g))
+                sol = _solve_problem(g)
                 if sol is not None:
                     solutions.append(sol)
-    return ClassifyLocalResult(solutions)
+    return solutions

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .exactnum import (
     ExactMatrix,
@@ -32,21 +32,12 @@ class NoQPolynomialOrderingError(ValueError):
     """Raised when no ordering of the idempotents makes a scheme cometric."""
 
 
-class SchemeRefutation:
-    """Structured refutation naming the first violated axiom with a witness;
-    immutable."""
+class SchemeRefutation(NamedTuple):
+    """Structured refutation naming the first violated axiom with a witness."""
 
-    def __init__(self, axiom: str, detail: str, witness: tuple = ()):
-        self.__dict__.update(axiom=axiom, detail=detail, witness=witness)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SchemeRefutation is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"SchemeRefutation is immutable: cannot delete {name!r}")
-
-    def __bool__(self):
-        return False
+    axiom: str
+    detail: str
+    witness: tuple = ()
 
 
 class Scheme:
@@ -68,9 +59,6 @@ class Scheme:
 
     def __delattr__(self, name):
         raise AttributeError(f"Scheme is immutable: cannot delete {name!r}")
-
-    def __bool__(self):
-        return True
 
     def scheme_graph(self, i: int) -> Graph:
         if i == 0:
@@ -174,33 +162,20 @@ def scheme_from_graph_distances(g: Graph) -> SchemeResult:
     return verify_scheme(dist)
 
 
-class Spectra:
-    """Exact spectral data of a scheme; immutable.
+class Spectra(NamedTuple):
+    """Exact spectral data of a scheme.
 
     Idempotents are ordered canonically: E_0 first, the rest by decreasing
     eigenvalue of the generic combination used for diagonalization.  Use
     ``reordered`` to move to a Q-polynomial ordering."""
 
-    def __init__(
-        self,
-        scheme: Scheme,
-        P: tuple[tuple[QuadNumber, ...], ...],  # P[c][i], c idempotent, i relation
-        Q: tuple[tuple[QuadNumber, ...], ...],  # Q[i][c]
-        multiplicities: tuple[int, ...],
-        krein: tuple,  # krein[i][j][k], QuadNumber
-        cosines: tuple[tuple[QuadNumber, ...], ...],  # cosines[i][c] = omega_{i,c}
-        radicand: int,
-    ):
-        self.__dict__.update(
-            scheme=scheme, P=P, Q=Q, multiplicities=multiplicities, krein=krein,
-            cosines=cosines, radicand=radicand,
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Spectra is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Spectra is immutable: cannot delete {name!r}")
+    scheme: Scheme
+    P: tuple[tuple[QuadNumber, ...], ...]  # P[c][i], c idempotent, i relation
+    Q: tuple[tuple[QuadNumber, ...], ...]  # Q[i][c]
+    multiplicities: tuple[int, ...]
+    krein: tuple  # krein[i][j][k], QuadNumber
+    cosines: tuple[tuple[QuadNumber, ...], ...]  # cosines[i][c] = omega_{i,c}
+    radicand: int
 
     @property
     def d(self) -> int:
@@ -413,8 +388,11 @@ def q_poly_orderings(sp: Spectra) -> list[tuple[int, ...]]:
     """All orderings of the idempotents making the scheme cometric.
 
     An ordering is cometric iff in the reindexed Krein tensor
-    q_{1,i}^{j} = 0 whenever |i - j| > 1 and q_{1,i}^{i+1} > 0 for i < d."""
+    q_{1,i}^{j} = 0 whenever |i - j| > 1 and q_{1,i}^{i+1} > 0 for i < d.
+    A scheme with d = 0 has no E_1, so no ordering is cometric."""
     d = sp.d
+    if d == 0:
+        return []
     out = []
     for tail in itertools.permutations(range(1, d + 1)):
         perm = (0,) + tail
@@ -497,6 +475,8 @@ def light_tail_bound(k, theta, a1, b1):
     a1q = a1 if isinstance(a1, QuadNumber) else QuadNumber(a1)
     b1q = b1 if isinstance(b1, QuadNumber) else QuadNumber(b1)
     denom = ((a1q + 1) * th + k_) ** 2 + k_ * a1q * b1q
+    if not denom:
+        raise ValueError("bound undefined when ((a1+1) theta + k)^2 + k a1 b1 = 0")
     return k_ - k_ * (th + 1) ** 2 * a1q * (a1q + 1) / denom
 
 

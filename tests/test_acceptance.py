@@ -13,7 +13,7 @@ from schemeforge.cli import main, parse_scheme_file, SchemeFileError
 from schemeforge.diagsearch import SearchConfig, generate_diagrams
 from schemeforge.exactnum import QuadNumber, is_psd, rank
 from schemeforge.graphs import extend_locally, identify_graph, named_graph
-from schemeforge.localclass import LocalGramProblem, classify_local, delsarte_bound
+from schemeforge.localclass import classify_local, delsarte_bound, gram_matrix
 from schemeforge.schemes import (
     SchemeRefutation,
     krein_check,
@@ -66,17 +66,16 @@ def test_2_local_classification():
     with criterion(2, "nine local graphs, six geometric cases, exact witnesses, < 60 s"):
         start = time.monotonic()
         result = classify_local(9)
-        names = {s.name for s in result.solutions}
+        names = {s.name for s in result}
         assert names == {
             "N3", "K3", "N4", "K4", "2K2", "C4", "C5", "K3xK2", "octahedron",
         }
-        labels = {s.geometric_label for s in result.solutions}
+        labels = {s.geometric_label for s in result}
         assert len(labels) == 6
-        for sol in result.solutions:
-            problem = LocalGramProblem(sol.graph)
+        for sol in result:
             assert sol.solutions
             for b1, b2 in sol.solutions:
-                g = problem.gram(b1, b2)
+                g = gram_matrix(sol.graph, b1, b2)
                 assert is_psd(g) and rank(g) <= 3
         assert time.monotonic() - start < 60
 

@@ -19,7 +19,8 @@ from schemeforge.cli import (
     main,
     parse_scheme_file,
 )
-from schemeforge.graphs import DEFAULT_BUDGET
+from schemeforge.graphs import DEFAULT_BUDGET, named_graph
+from schemeforge.schemes import scheme_from_graph_distances
 
 VALID = """\
 # the K3,3 scheme: relation 1 across the parts, relation 2 within
@@ -184,6 +185,8 @@ class TestExitCodes:
             "classify-local --k-max 100",
             "classify-local --k-max 2",
             "classify-local --k-max -5",
+            "bound light-tail 4 4 0 3",  # theta = k
+            "bound light-tail 4 -2 1 0",  # zero denominator
         ],
     )
     def test_bad_value_is_usage_error(self, capsys, argv):
@@ -235,6 +238,28 @@ class TestSubcommands:
         # exact values are strings, never floats
         for row in payload["P"]:
             assert all(isinstance(x, str) for x in row)
+
+    def test_spectra_outside_the_quadratic_fields(self, capsys, tmp_path):
+        # C7: eigenvalues 2cos(2*pi*j/7) generate a cubic field
+        s = scheme_from_graph_distances(named_graph("C7"))
+        f = tmp_path / "c7.scheme"
+        f.write_text(serialize_scheme_file(SchemeFile(s.n, s.relations)))
+        code, out, err = run(capsys, "spectra", str(f))
+        assert code == EXIT_NEGATIVE and not err
+        payload = payload_of(out)
+        assert "real quadratic field" in payload.pop("reason")
+        assert payload == {"valid": True, "id": None, "n": 7, "d": 3, "valencies": [1, 2, 2, 2]}
+
+    def test_spectra_of_the_one_point_scheme(self, capsys, tmp_path):
+        # d = 0: there is no E_1, so no ordering is cometric
+        f = tmp_path / "point.scheme"
+        f.write_text("1\n0\n")
+        code, out, err = run(capsys, "spectra", str(f))
+        assert code == EXIT_OK and not err
+        payload = payload_of(out)
+        assert (payload["n"], payload["d"], payload["multiplicities"]) == (1, 0, [1])
+        assert payload["q_polynomial_orderings"] == []
+        assert "m1" not in payload
 
     def test_search_matches_k33(self, capsys):
         code, out, _ = run(capsys, "search", "--k1", "3", "--a1", "0")
@@ -400,6 +425,22 @@ def _loaded_modules(names, imports: str) -> set:
 def test_import_does_not_load_sympy():
     """sympy is a test-only oracle; the package and its CLI run without it."""
     assert not _loaded_modules(["sympy"], "import schemeforge, schemeforge.cli")
+
+
+def test_every_exported_name_resolves():
+    """A stale __all__ entry fails only on import *, so check each name."""
+    import importlib
+    import pkgutil
+
+    import schemeforge
+
+    modules = [schemeforge] + [
+        importlib.import_module(f"schemeforge.{info.name}")
+        for info in pkgutil.iter_modules(schemeforge.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_import_loads_neither_dataclasses_nor_hashlib():

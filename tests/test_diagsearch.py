@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schemeforge import diagsearch, schemes
+from schemeforge import cli, diagsearch, schemes
 from schemeforge.catalogue import catalogue_scheme
 from schemeforge.diagsearch import (
     KISSING_NUMBER_R4,
@@ -30,6 +30,7 @@ from schemeforge.diagsearch import (
     solve_cosines,
 )
 from schemeforge.exactnum import QuadNumber, quad_sqrt
+from schemeforge.graphs import DEFAULT_BUDGET, named_graph
 from schemeforge.schemes import NoQPolynomialOrderingError, SplittingFieldError
 
 
@@ -237,6 +238,24 @@ class TestOpenSearch:
         monkeypatch.setattr(diagsearch, "_check_extension", recording)
         generate_diagrams(SearchConfig(k1=3, a1=0, radicand=None))
         assert 1 in seen and len(seen) > 1
+
+
+class TestExtensionCasesAgree:
+    """The open search at (k1, a1) = (|H|, valency of H) covers every scheme
+    whose local graph is H, with no n_max, so its matches must be the
+    classified schemes that the extension route finds for H (the local
+    case K3xK2, at (6, 3), does not finish in tier-1 time)."""
+
+    @pytest.mark.parametrize("case", ["K3", "K4", "C4", "C5", "octahedron"])
+    def test_open_search_matches_the_extension_route(self, case):
+        h = named_graph(case)
+        outcome = generate_diagrams(SearchConfig(k1=h.n, a1=h.degree(0), radicand=None))
+        assert outcome.complete
+        matched = {res.matched for res in outcome.results}
+        assert None not in matched, "unmatched feasible diagram"
+        ext = cli._classify_extension_case(case, cli._EXTENSION_CASES[case], DEFAULT_BUDGET)
+        assert ext["complete"]
+        assert matched == {r["scheme_id"] for r in ext["results"]}
 
 
 class TestDepthCap:

@@ -9,13 +9,13 @@ import sympy as sp
 
 from schemeforge import cli
 from schemeforge.exactnum import QuadNumber, is_psd, rank
-from schemeforge.graphs import named_graph
+from schemeforge.graphs import Graph, named_graph
 from schemeforge.localclass import (
     GEOMETRIC_LABELS,
-    LocalGramProblem,
     classify_local,
     _adjacency_eigenvalues,
     delsarte_bound,
+    gram_matrix,
 )
 
 EXPECTED_GRAPHS = {
@@ -27,34 +27,33 @@ EXPECTED_LABELS = {
 }
 
 
-def sym_gram(problem: LocalGramProblem, b1, b2) -> sp.Matrix:
-    g = problem.graph
+def sym_gram(g: Graph, b1, b2) -> sp.Matrix:
     return sp.Matrix(
-        problem.n,
-        problem.n,
+        g.n,
+        g.n,
         lambda i, j: sp.Integer(1)
         if i == j
         else (b1 if g.adj[i] >> j & 1 else b2),
     )
 
 
-def rank_constraints(problem: LocalGramProblem, b1=None, b2=None) -> list:
+def rank_constraints(g: Graph, b1=None, b2=None) -> list:
     """Characteristic-polynomial coefficient equations forcing rank <= 3.
 
     A Gram matrix of points in R^3 has 0 as an eigenvalue of multiplicity at
     least n - 3, i.e. the coefficients of t^0 .. t^(n-4) all vanish.  Empty
     system for n <= 3.  A sympy oracle, independent of the exact solver."""
-    if problem.n < 2:
+    if g.n < 2:
         raise ValueError("need at least 2 points")
     if b1 is None:
         b1 = sp.Symbol("b1")
     if b2 is None:
         b2 = sp.Symbol("b2")
-    n = problem.n
+    n = g.n
     if n <= 3:
         return []
     t = sp.Symbol("t")
-    chi = sym_gram(problem, b1, b2).charpoly(t)
+    chi = sym_gram(g, b1, b2).charpoly(t)
     coeffs = chi.all_coeffs()  # descending: t^n .. t^0
     return [sp.expand(coeffs[n - i]) for i in range(0, n - 3)]
 
@@ -75,11 +74,11 @@ class TestDelsarteBound:
 
 class TestClassifyLocal:
     def test_exact_graph_list(self, result):
-        assert {s.name for s in result.solutions} == EXPECTED_GRAPHS
-        assert len(result.solutions) == 9
+        assert {s.name for s in result} == EXPECTED_GRAPHS
+        assert len(result) == 9
 
     def test_exact_label_list(self, result):
-        assert {s.geometric_label for s in result.solutions} == EXPECTED_LABELS
+        assert {s.geometric_label for s in result} == EXPECTED_LABELS
 
     def test_nothing_unresolved(self, result, monkeypatch, capsys):
         # every adjacency spectrum is real, so the payload lists no graph
@@ -90,28 +89,27 @@ class TestClassifyLocal:
         assert payload["unresolved"] == []
 
     def test_every_witness_is_psd_rank_le_3(self, result):
-        for sol in result.solutions:
-            problem = LocalGramProblem(sol.graph)
+        for sol in result:
             assert sol.solutions, f"{sol.name} has no witness"
             for b1, b2 in sol.solutions:
-                g = problem.gram(b1, b2)
+                g = gram_matrix(sol.graph, b1, b2)
                 assert is_psd(g), f"{sol.name} witness ({b1}, {b2}) not PSD"
                 assert rank(g) <= 3, f"{sol.name} witness ({b1}, {b2}) rank > 3"
 
     def test_pentagon_witness_is_golden(self, result):
-        (sol,) = [s for s in result.solutions if s.name == "C5"]
+        (sol,) = [s for s in result if s.name == "C5"]
         b1, b2 = sol.solutions[0]
         assert b1 == QuadNumber(Fraction(-1, 4), Fraction(1, 4), 5)
         assert b2 == QuadNumber(Fraction(-1, 4), Fraction(-1, 4), 5)
 
     def test_labels_cover_all_names(self, result):
-        for sol in result.solutions:
+        for sol in result:
             assert GEOMETRIC_LABELS[sol.name] == sol.geometric_label
 
     def test_families_flagged(self, result):
         # one-parameter witness families exist exactly where one cosine is
         # free (or a whole eigenvalue block vanishes along a line)
-        families = {s.name for s in result.solutions if s.family}
+        families = {s.name for s in result if s.family}
         assert families == {"N3", "K3", "2K2", "C4", "C5"}
 
     def test_k_max_beyond_two_distance_bound_rejected(self):
@@ -121,13 +119,12 @@ class TestClassifyLocal:
 
 class TestRankConstraints:
     def test_empty_system_for_small_n(self):
-        assert rank_constraints(LocalGramProblem(named_graph("K3"))) == []
+        assert rank_constraints(named_graph("K3")) == []
 
     def test_witnesses_satisfy_the_polynomial_system(self, result):
         b1s, b2s = sp.Symbol("b1"), sp.Symbol("b2")
-        for sol in result.solutions:
-            problem = LocalGramProblem(sol.graph)
-            eqs = rank_constraints(problem, b1s, b2s)
+        for sol in result:
+            eqs = rank_constraints(sol.graph, b1s, b2s)
             for b1, b2 in sol.solutions:
                 if b1 is None or b2 is None:
                     continue
@@ -138,8 +135,8 @@ class TestRankConstraints:
                     assert sp.simplify(eq.subs(subs)) == 0
 
     def test_system_size(self):
-        problem = LocalGramProblem(named_graph("octahedron"))
-        assert len(rank_constraints(problem)) == problem.n - 3
+        g = named_graph("octahedron")
+        assert len(rank_constraints(g)) == g.n - 3
 
 
 class TestAdjacencyEigenvalues:
