@@ -31,7 +31,6 @@ from .graphs import (
     Graph,
     enumerate_regular_graphs,
     extend_locally,
-    from_graph6,
     identify_graph,
     is_locally,
     named_graph,
@@ -44,11 +43,8 @@ from .schemes import (
     SchemeResult,
     Spectra,
     SplittingFieldError,
-    embedding_gram,
-    is_light_tail,
     krein_check,
     light_tail_bound,
-    nearest_neighbour_relation,
     partially_metric_level,
     q_poly_orderings,
     qpolynomial_spectra,
@@ -72,7 +68,7 @@ from .diagsearch import (
     generate_diagrams,
     match_known,
 )
-from .catalogue import CATALOGUE, CLASSIFIED, catalogue_graph, catalogue_scheme
+from .catalogue import CATALOGUE, CLASSIFIED, catalogue_scheme
 
 __version__ = "0.1.0"
 
@@ -100,25 +96,20 @@ __all__ = [
     "SplittingFieldError",
     "bounded_algebraic_integers",
     "candidate_radicands",
-    "catalogue_graph",
     "catalogue_scheme",
     "char_poly",
     "classify_local",
     "delsarte_bound",
-    "embedding_gram",
     "enumerate_regular_graphs",
     "extend_locally",
-    "from_graph6",
     "generate_diagrams",
     "identify_graph",
-    "is_light_tail",
     "is_locally",
     "is_psd",
     "krein_check",
     "light_tail_bound",
     "match_known",
     "named_graph",
-    "nearest_neighbour_relation",
     "nullspace",
     "partially_metric_level",
     "q_poly_orderings",

@@ -9,7 +9,7 @@ inner-product partition of the polytope's spherical embedding.
 
 from __future__ import annotations
 
-from .graphs import Graph, cell24_vertices, named_graph
+from .graphs import cell24_vertices, named_graph
 from .schemes import Scheme, scheme_from_graph_distances, verify_scheme
 
 
@@ -61,7 +61,3 @@ def catalogue_scheme(scheme_id: str) -> Scheme:
     result = scheme_from_graph_distances(named_graph(CATALOGUE[scheme_id]))
     assert isinstance(result, Scheme)
     return result
-
-
-def catalogue_graph(scheme_id: str) -> Graph:
-    return named_graph(CATALOGUE[scheme_id])

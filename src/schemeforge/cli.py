@@ -25,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .exactnum import QuadNumber, squarefree_decompose
+from .exactnum import QuadNumber
 from .graphs import (
     DEFAULT_BUDGET,
     extend_locally,
@@ -43,6 +43,7 @@ from .schemes import (
     partially_metric_level,
     q_poly_orderings,
     qpolynomial_spectra,
+    relation_layers,
     scheme_from_graph_distances,
     spectra,
     verify_scheme,
@@ -314,7 +315,7 @@ def cmd_spectra(args) -> int:
         qsp = sp.reordered(orderings[0])
         payload["m1"] = qsp.multiplicities[1]
         payload["cosines"] = [list(row) for row in qsp.cosines]
-        if result.scheme_graph(1).is_connected():
+        if None not in relation_layers(result):
             payload["partially_metric_level"] = partially_metric_level(result, 1)
     emit_report("spectra", {"file": args.file}, payload, started)
     return EXIT_OK
@@ -364,8 +365,6 @@ def _parse_field(spec: str) -> Optional[int]:
             raise ValueError(f"bad field spec {spec!r}") from None
         if p < 2:
             raise ValueError("quad radicand must be an integer >= 2")
-        if squarefree_decompose(p)[1] != p:
-            raise ValueError(f"quad radicand {p} is not square-free")
         return p
     raise ValueError(f"bad field spec {spec!r} (rational, quad:<p>, or auto)")
 

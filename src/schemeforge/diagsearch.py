@@ -3,9 +3,10 @@
 Generates all feasible relation-distribution diagrams of the nearest
 neighbourhood relation of a partially metric Q-polynomial association scheme
 with m1 = 4, together with the first two cosine columns, by the recursive
-exhaustion with pruning described in the module docstrings below.  Emitted
-diagrams are matched against the bundled catalogue schemes; unmatched
-feasible diagrams are surfaced, never dropped.
+exhaustion with pruning described in the module docstrings below.  An
+emitted diagram matches a bundled catalogue scheme when its canonical key is
+that of the diagram the scheme's intersection numbers and cosines give
+(scheme_diagram); unmatched feasible diagrams are surfaced, never dropped.
 
 Structure of the search state:
 
@@ -13,7 +14,7 @@ Structure of the search state:
     w(j -> h) = p_{h1}^j, so every vertex has total out-weight k1;
   * every relation has a well-defined distance from R0 in the scheme graph
     (the distance-t graph is a union of relations), so vertices carry a
-    layer and arcs never skip layers;
+    layer (schemes.relation_layers) and arcs never skip layers;
   * partial metricity makes layer 2 a single relation R2;
   * the cosine columns obey k1*w(1,c)*w(i,c) = sum_h p_{h1}^i w(h,c), and
     with m1 = 4 the dual recurrence pins column 2 to column 1 pointwise:
@@ -34,6 +35,7 @@ from .exactnum import (
     candidate_radicands,
     is_algebraic_integer,
     quad_sqrt,
+    squarefree_decompose,
 )
 from .graphs import DEFAULT_BUDGET
 
@@ -50,6 +52,7 @@ __all__ = [
     "check_solution_valid",
     "generate_diagrams",
     "match_known",
+    "scheme_diagram",
     "candidate_radicands",
     "KISSING_NUMBER_R4",
 ]
@@ -62,14 +65,15 @@ _ZERO = QuadNumber(0)
 _ONE = QuadNumber(1)
 _THREE = QuadNumber(3)
 _FOUR = QuadNumber(4)
+_HALF = QuadNumber(Fraction(1, 2))
 
 
 class SearchConfig:
     """Parameters of one search run.
 
-    radicand fixes the field: 1 for Q, p for Q[sqrt(p)], or None for every
-    candidate field, each subtree then taking the field of its first
-    irrational cosine.  max_depth caps the class count d below the degree
+    radicand fixes the field: 1 for Q, a square-free p for Q[sqrt(p)], or
+    None for every candidate field, each subtree then taking the field of its
+    first irrational cosine.  max_depth caps the class count d below the degree
     bound; a cap that cuts a node leaves the search incomplete, and a cap at
     or above the bound cuts nothing.  budget caps the nodes of the search.
     light_tail is forced when k1 = m1 and a1 = 0: the multiplicity bound is
@@ -87,6 +91,8 @@ class SearchConfig:
             raise ValueError("need k1 >= 3")
         if not 0 <= a1 < k1:
             raise ValueError("need 0 <= a1 < k1")
+        if radicand not in (None, 1) and (radicand < 2 or squarefree_decompose(radicand)[0] > 1):
+            raise ValueError(f"radicand {radicand}: need None, 1 or a square-free p >= 2")
         self.__dict__.update(
             k1=k1, a1=a1, radicand=radicand, max_depth=max_depth, budget=budget
         )
@@ -370,6 +376,7 @@ def arrangements(diagram: DistributionDiagram, v: int, config: SearchConfig):
       * every new arc has a positive weight;
       * R0's arcs are untouched, and only R1 has an arc to R0 (0 is never a
         target);
+      * layer 2 holds at most one relation (partial metricity);
       * no arc skips a layer;
       * v's out-weight is k1;
       * v has an arc to each in-neighbour, and to a determined vertex only
@@ -487,6 +494,8 @@ def check_diagram_valid(diagram: DistributionDiagram):
                 return False, "handshake"
     if not all(_yamazaki_ok(diagram, j) for j in range(diagram.n)):
         return False, "yamazaki"
+    if diagram.layers.count(2) > 1:
+        return False, "partial-metricity"
     return True, ""
 
 
@@ -812,6 +821,15 @@ def _catalogue() -> dict:
     return {sid: catalogue_scheme(sid) for sid in CATALOGUE}
 
 
+def _kissing_prune(diagram: DistributionDiagram, cosines: CosineColumns) -> bool:
+    """With w(1,1) <= 1/2, X is a spherical [-1,1/2]-code in R^4: True when the
+    valencies known so far already sum past its bound."""
+    if cosines.values[1][0] > _HALF:
+        return False
+    known_size = sum(k for k in diagram.valencies if k is not None)
+    return known_size > KISSING_NUMBER_R4
+
+
 class _BudgetExhausted(Exception):
     """Unwinds the search from the first node past the budget."""
 
@@ -836,15 +854,8 @@ def generate_diagrams(config: SearchConfig) -> SearchOutcome:
             "budget": 0,
         },
     }
-    half = QuadNumber(Fraction(1, 2))
     results = {}
     complete = True
-
-    def kissing_prune(diagram, cosines) -> bool:
-        if cosines.values[1][0] > half:
-            return False
-        known_size = sum(k for k in diagram.valencies if k is not None)
-        return known_size > KISSING_NUMBER_R4
 
     def rec(diagram, cosines, todo):
         nonlocal complete
@@ -870,7 +881,7 @@ def generate_diagrams(config: SearchConfig) -> SearchOutcome:
             if not ok:
                 stats["pruned"]["diagram"] += 1
                 continue
-            if kissing_prune(nd, cosines):
+            if _kissing_prune(nd, cosines):
                 stats["pruned"]["kissing"] += 1
                 continue
             exts = solve_cosines(nd, cosines, v, fresh, config)
@@ -906,42 +917,34 @@ def generate_diagrams(config: SearchConfig) -> SearchOutcome:
     return SearchOutcome(config, ordered, stats, complete)
 
 
-def match_known(result: SearchResult, scheme) -> bool:
-    """Does the result's diagram and cosine data equal the scheme's, up to a
-    relabeling of relations fixing R0 and R1?"""
-    from .schemes import NoQPolynomialOrderingError, SplittingFieldError
+def scheme_diagram(scheme) -> Optional[SearchResult]:
+    """The SearchResult the search would emit for a known scheme: arcs
+    p_{h1}^j, the layers of schemes.relation_layers, the valencies, and cosine
+    columns 1 and 2 in the first Q-polynomial ordering.  None, as the search
+    emits none of these, when d < 2, the splitting field is not quadratic, no
+    ordering is Q-polynomial, or the graph of R1 is disconnected."""
+    from .schemes import NoQPolynomialOrderingError, SplittingFieldError, relation_layers
 
-    diagram = result.diagram
-    if scheme.d + 1 != diagram.n:
-        return False
+    if scheme.d < 2:
+        return None
     try:
         sp, _orderings = scheme.qpolynomial
     except (SplittingFieldError, NoQPolynomialOrderingError):
+        return None
+    layers = relation_layers(scheme)
+    if None in layers:
+        return None
+    n, p, ks = scheme.d + 1, scheme.p, list(scheme.valencies)
+    arcs = {(j, h): p[h][1][j] for j in range(n) for h in range(n) if p[h][1][j]}
+    diagram = DistributionDiagram(ks[1], layers, arcs, ks, [True] * n)
+    values = [(row[1], row[2]) for row in sp.cosines]
+    return SearchResult(diagram, CosineColumns(sp.radicand, sp.krein[1][1][1], values))
+
+
+def match_known(result: SearchResult, scheme) -> bool:
+    """Is the result the scheme's diagram up to a relabelling of relations
+    fixing R0 and R1, that is, are their canonical keys equal?"""
+    if scheme.d + 1 != result.diagram.n or scheme.valencies[1] != result.diagram.k1:
         return False
-    if scheme.valencies[1] != diagram.k1:
-        return False
-    others = list(range(2, scheme.d + 1))
-    for perm_tail in itertools.permutations(others):
-        perm = (0, 1) + perm_tail  # diagram vertex i -> scheme relation perm[i]
-        if any(
-            scheme.valencies[perm[i]] != diagram.valencies[i]
-            for i in range(diagram.n)
-        ):
-            continue
-        ok = True
-        for j in range(diagram.n):
-            for h in range(diagram.n):
-                if diagram.weight(j, h) != scheme.p[perm[h]][1][perm[j]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        if all(
-            sp.cosines[perm[i]][1] == result.cosines.values[i][0]
-            and sp.cosines[perm[i]][2] == result.cosines.values[i][1]
-            for i in range(diagram.n)
-        ):
-            return True
-    return False
+    known = scheme_diagram(scheme)
+    return known is not None and known.canonical_key() == result.canonical_key()

@@ -111,15 +111,6 @@ class Graph:
     def distance_matrix(self) -> list[list[int]]:
         return [self.distances_from(v) for v in range(self.n)]
 
-    def diameter(self) -> int:
-        best = 0
-        for v in range(self.n):
-            dv = self.distances_from(v)
-            if any(d < 0 for d in dv):
-                return -1  # disconnected
-            best = max(best, max(dv))
-        return best
-
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
@@ -266,23 +257,6 @@ def dedupe_isomorphs(graphs: Iterable[Graph]) -> list[Graph]:
         if key not in seen:
             seen[key] = g
     return [seen[k] for k in sorted(seen)]
-
-
-# ---------------------------------------------------------------------------
-# distance-i graphs
-
-
-def distance_i_graph(g: Graph, i: int) -> Graph:
-    """Graph on the same vertices whose edges are the pairs at distance i.
-
-    If i exceeds the diameter the result simply has no edges."""
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    edges = []
-    for v in range(g.n):
-        dv = g.distances_from(v)
-        edges.extend((v, u) for u in range(v + 1, g.n) if dv[u] == i)
-    return Graph(g.n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +689,7 @@ def _embeds_induced(nb: list[int], adj: list[int], h: Graph, saturated_upto: int
 
 
 # ---------------------------------------------------------------------------
-# graph6 codec (bit-exact: 6-bit packed upper triangle, offset 63)
+# graph6 encoder (bit-exact: 6-bit packed upper triangle, offset 63)
 
 
 def to_graph6(g: Graph) -> str:
@@ -734,30 +708,3 @@ def to_graph6(g: Graph) -> str:
             val = (val << 1) | b
         chars.append(chr(63 + val))
     return "".join(chars)
-
-
-def from_graph6(text: str) -> Graph:
-    text = text.strip()
-    if not text:
-        raise ValueError("empty graph6 string")
-    n = ord(text[0]) - 63
-    if n < 0 or n > 62:
-        raise ValueError("unsupported graph6 header")
-    need = (n * (n - 1) // 2 + 5) // 6
-    body = text[1:]
-    if len(body) != need:
-        raise ValueError("graph6 length mismatch")
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
-            raise ValueError("invalid graph6 character")
-        bits.extend((val >> s) & 1 for s in range(5, -1, -1))
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph(n, edges)

@@ -1,7 +1,7 @@
 """Symmetric association schemes: axioms, intersection numbers, exact spectra
 (P, Q, multiplicities, Krein parameters, cosine matrix), Q-polynomial
-orderings, partial metricity, nearest neighbourhood relation, the light-tail
-multiplicity bound, and spherical embedding Gram matrices.
+orderings, the layers of the relations and partial metricity read from them,
+and the light-tail multiplicity bound.
 
 All spectral data lives in Q or a single real quadratic field Q[sqrt(p)];
 computations are exact throughout.
@@ -21,7 +21,7 @@ from .exactnum import (
     nullspace,
     split_integer_polynomial,
 )
-from .graphs import Graph, distance_i_graph
+from .graphs import Graph
 
 
 class SplittingFieldError(ValueError):
@@ -59,19 +59,6 @@ class Scheme:
 
     def __delattr__(self, name):
         raise AttributeError(f"Scheme is immutable: cannot delete {name!r}")
-
-    def scheme_graph(self, i: int) -> Graph:
-        if i == 0:
-            raise ValueError("the trivial relation is not a simple graph")
-        return Graph(
-            self.n,
-            [
-                (x, y)
-                for x in range(self.n)
-                for y in range(x + 1, self.n)
-                if self.relations[x][y] == i
-            ],
-        )
 
     def intersection_matrix(self, i: int) -> list[list[int]]:
         """B_i with (B_i)[h][j] = p_{ij}^h (regular representation of A_i)."""
@@ -423,42 +410,34 @@ def qpolynomial_spectra(s: Scheme) -> tuple[Spectra, list[tuple[int, ...]]]:
     return sp.reordered(orderings[0]), orderings
 
 
+def relation_layers(s: Scheme, r: int = 1) -> list[Optional[int]]:
+    """Each relation's distance from R0 in the scheme graph of R_r, or None
+    where that graph never reaches it.  In a scheme a pair's distance depends
+    on its relation only, and R_h is one step from R_j iff p_{hr}^j > 0."""
+    if not 1 <= r <= s.d:
+        raise ValueError(f"no nontrivial relation R_{r} in a scheme with d = {s.d}")
+    layers: list[Optional[int]] = [0] + [None] * s.d
+    frontier, t = [0], 0
+    while frontier:
+        t += 1
+        frontier = [h for h in range(s.d + 1)
+                    if layers[h] is None and any(s.p[h][r][j] for j in frontier)]
+        for h in frontier:
+            layers[h] = t
+    return layers
+
+
 def partially_metric_level(s: Scheme, r: int) -> int:
     """Largest t such that the distance-i graph of the scheme graph of R_r is
-    itself a scheme graph for every i <= t; t = d means metric."""
-    g = s.scheme_graph(r)
-    if not g.is_connected():
+    itself a scheme graph for every i <= t, that is, each of the layers 1..t
+    of relation_layers holds a single relation; t = d means metric."""
+    layers = relation_layers(s, r)
+    if None in layers:
         raise ValueError(f"scheme graph of relation {r} is disconnected")
-    diam = g.diameter()
     t = 1
-    matched = {1: r}
-    for i in range(2, min(diam, s.d) + 1):
-        gi = distance_i_graph(g, i)
-        hit = None
-        for j in range(1, s.d + 1):
-            if j in matched.values():
-                continue
-            if s.scheme_graph(j) == gi:
-                hit = j
-                break
-        if hit is None:
-            break
-        matched[i] = hit
-        t = i
-    # metric means all d relations are exhausted by distance graphs
+    while layers.count(t + 1) == 1:
+        t += 1
     return t
-
-
-def nearest_neighbour_relation(sp: Spectra) -> int:
-    """Relation index maximizing the E_1 inner product alpha_i < 1.
-
-    Requires all alpha_i distinct (faithfulness of the E_1 representation)."""
-    d = sp.d
-    alphas = [sp.cosines[i][1] for i in range(d + 1)]
-    if len(set(alphas)) != d + 1:
-        raise ValueError("cosine column 1 has repeated values; not faithful")
-    best = max(range(1, d + 1), key=lambda i: alphas[i])
-    return best
 
 
 def light_tail_bound(k, theta, a1, b1):
@@ -478,20 +457,3 @@ def light_tail_bound(k, theta, a1, b1):
     if not denom:
         raise ValueError("bound undefined when ((a1+1) theta + k)^2 + k a1 b1 = 0")
     return k_ - k_ * (th + 1) ** 2 * a1q * (a1q + 1) / denom
-
-
-def is_light_tail(m, k, theta, a1, b1) -> bool:
-    mq = m if isinstance(m, QuadNumber) else QuadNumber(m)
-    return mq == light_tail_bound(k, theta, a1, b1)
-
-
-def embedding_gram(sp: Spectra, j: int) -> ExactMatrix:
-    """Gram matrix (|X|/m_j) E_j of the spherical representation: the (x,y)
-    entry is the cosine of the relation joining x and y."""
-    s = sp.scheme
-    return ExactMatrix(
-        [
-            [sp.cosines[s.relations[x][y]][j] for y in range(s.n)]
-            for x in range(s.n)
-        ]
-    )

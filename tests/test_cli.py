@@ -261,6 +261,24 @@ class TestSubcommands:
         assert payload["q_polynomial_orderings"] == []
         assert "m1" not in payload
 
+    @pytest.mark.parametrize("swap,level", [(False, None), (True, 2)])
+    def test_spectra_when_the_graph_of_r1_is_disconnected(
+        self, capsys, tmp_path, two_triangles, swap, level
+    ):
+        # the graph of R1 is 2K3, so no partial metricity level is reported;
+        # with R1 and R2 swapped it is K3,3
+        grid = two_triangles
+        if swap:
+            grid = [[(3 - e) % 3 for e in row] for row in grid]
+        f = tmp_path / "triangles.scheme"
+        f.write_text(serialize_scheme_file(SchemeFile(6, grid)))
+        code, out, err = run(capsys, "spectra", str(f))
+        assert code == EXIT_OK and not err
+        payload = payload_of(out)
+        assert payload["m1"] == 4  # Q-polynomial, so the guard is reached
+        assert payload.get("partially_metric_level") == level
+        assert ("partially_metric_level" in payload) == swap
+
     def test_search_matches_k33(self, capsys):
         code, out, _ = run(capsys, "search", "--k1", "3", "--a1", "0")
         assert code == EXIT_OK

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemeforge import cli, diagsearch, schemes
-from schemeforge.catalogue import catalogue_scheme
+from schemeforge.catalogue import CATALOGUE, catalogue_scheme
 from schemeforge.diagsearch import (
     KISSING_NUMBER_R4,
     CosineColumns,
@@ -18,7 +18,9 @@ from schemeforge.diagsearch import (
     _check_arrangement,
     _check_extension,
     _cosine_candidates,
+    _emission_checks,
     _in_field,
+    _kissing_prune,
     _tail_slice,
     arrangements,
     candidate_radicands,
@@ -27,11 +29,17 @@ from schemeforge.diagsearch import (
     generate_diagrams,
     initial_state,
     match_known,
+    scheme_diagram,
     solve_cosines,
 )
 from schemeforge.exactnum import QuadNumber, quad_sqrt
 from schemeforge.graphs import DEFAULT_BUDGET, named_graph
-from schemeforge.schemes import NoQPolynomialOrderingError, SplittingFieldError
+from schemeforge.schemes import (
+    NoQPolynomialOrderingError,
+    SplittingFieldError,
+    scheme_from_graph_distances,
+    verify_scheme,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +63,17 @@ class TestConfig:
             SearchConfig(k1=2, a1=0)
         with pytest.raises(ValueError):
             SearchConfig(k1=4, a1=4)
+
+    @pytest.mark.parametrize("radicand", [8, 4, 0, -3])
+    def test_radicand_must_be_square_free(self, radicand):
+        # Q[sqrt(8)] is Q[sqrt(2)], whose cosines carry radicand 2, so a
+        # search over 8 would drop them all and still report complete
+        with pytest.raises(ValueError, match="square-free"):
+            SearchConfig(k1=4, a1=1, radicand=radicand)
+
+    @pytest.mark.parametrize("radicand", [None, 1, 2, 5, 6])
+    def test_radicands_of_fields_are_accepted(self, radicand):
+        assert SearchConfig(k1=4, a1=1, radicand=radicand).radicand == radicand
 
     def test_light_tail_is_forced(self):
         assert SearchConfig(k1=4, a1=0).light_tail
@@ -240,6 +259,19 @@ class TestOpenSearch:
         assert 1 in seen and len(seen) > 1
 
 
+@pytest.fixture(scope="module")
+def open_search():
+    """(k1, a1) -> the open search there, run once per module."""
+    runs = {}
+
+    def run(k1, a1):
+        if (k1, a1) not in runs:
+            runs[k1, a1] = generate_diagrams(SearchConfig(k1=k1, a1=a1, radicand=None))
+        return runs[k1, a1]
+
+    return run
+
+
 class TestExtensionCasesAgree:
     """The open search at (k1, a1) = (|H|, valency of H) covers every scheme
     whose local graph is H, with no n_max, so its matches must be the
@@ -247,9 +279,9 @@ class TestExtensionCasesAgree:
     case K3xK2, at (6, 3), does not finish in tier-1 time)."""
 
     @pytest.mark.parametrize("case", ["K3", "K4", "C4", "C5", "octahedron"])
-    def test_open_search_matches_the_extension_route(self, case):
+    def test_open_search_matches_the_extension_route(self, open_search, case):
         h = named_graph(case)
-        outcome = generate_diagrams(SearchConfig(k1=h.n, a1=h.degree(0), radicand=None))
+        outcome = open_search(h.n, h.degree(0))
         assert outcome.complete
         matched = {res.matched for res in outcome.results}
         assert None not in matched, "unmatched feasible diagram"
@@ -359,6 +391,119 @@ class TestMatchKnown:
         (res,) = run_3_0.results
         with pytest.raises(TypeError, match="bug in spectra"):
             match_known(res, catalogue_scheme("AS06[3]"))
+
+
+# -- the diagrams of the known schemes: oracles of the prune rules, and the
+# relabelling search that match_known replaced
+
+
+def reference_match_known(result, scheme) -> bool:
+    """match_known as it was before it compared canonical keys, kept verbatim
+    as the reference: does the result's diagram and cosine data equal the
+    scheme's, up to a relabeling of relations fixing R0 and R1?"""
+    diagram = result.diagram
+    if scheme.d + 1 != diagram.n:
+        return False
+    try:
+        sp, _orderings = scheme.qpolynomial
+    except (SplittingFieldError, NoQPolynomialOrderingError):
+        return False
+    if scheme.valencies[1] != diagram.k1:
+        return False
+    others = list(range(2, scheme.d + 1))
+    for perm_tail in itertools.permutations(others):
+        perm = (0, 1) + perm_tail  # diagram vertex i -> scheme relation perm[i]
+        if any(
+            scheme.valencies[perm[i]] != diagram.valencies[i]
+            for i in range(diagram.n)
+        ):
+            continue
+        ok = True
+        for j in range(diagram.n):
+            for h in range(diagram.n):
+                if diagram.weight(j, h) != scheme.p[perm[h]][1][perm[j]]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        if all(
+            sp.cosines[perm[i]][1] == result.cosines.values[i][0]
+            and sp.cosines[perm[i]][2] == result.cosines.values[i][1]
+            for i in range(diagram.n)
+        ):
+            return True
+    return False
+
+
+# the catalogue schemes that a search can find: d >= 2 and partially metric
+SEARCHABLE = ["AS06[3]", "AS08[2]", "AS09[3]", "AS10[3]", "AS10[6]", "AS16[30]"]
+
+
+def _own_config(known) -> SearchConfig:
+    """The search config at the scheme's own (k1, a1) and field."""
+    d = known.diagram
+    return SearchConfig(k1=d.k1, a1=d.weight(1, 1), radicand=known.cosines.radicand)
+
+
+class TestSchemeDiagram:
+    @pytest.mark.parametrize("sid", SEARCHABLE + ["AS24[43]"])
+    def test_its_seed_is_among_the_seeds(self, catalogue, sid):
+        known = scheme_diagram(catalogue[sid])
+        _diagram, seeds, _todo = initial_state(_own_config(known))
+        assert (known.cosines.values[1], known.cosines.q111) in [
+            (seed.values[1], seed.q111) for seed in seeds
+        ]
+
+    @pytest.mark.parametrize("sid", SEARCHABLE + ["AS24[43]"])
+    def test_passes_every_prune_rule(self, catalogue, sid):
+        known = scheme_diagram(catalogue[sid])
+        diagram, cosines = known.diagram, known.cosines
+        # the 24-cell scheme has two relations at distance 2, so it is not
+        # partially metric; check_diagram_valid tests that rule last, so it
+        # is the only rule this scheme breaks
+        want = (False, "partial-metricity") if sid == "AS24[43]" else (True, "")
+        assert check_diagram_valid(diagram) == want
+        assert check_solution_valid(cosines, diagram) == (True, "")
+        assert _emission_checks(diagram, cosines) == (True, "")
+        assert not _kissing_prune(diagram, cosines)
+
+    def test_no_diagram(self, catalogue, two_triangles):
+        # d = 1
+        assert scheme_diagram(catalogue["AS05[1]"]) is None
+        # a cubic splitting field
+        assert scheme_diagram(scheme_from_graph_distances(named_graph("C7"))) is None
+        # the graph of R1 is 2K3, disconnected; with R1 and R2 swapped it is
+        # K3,3, the scheme AS06[3]
+        assert scheme_diagram(verify_scheme(two_triangles)) is None
+        swapped = [[(3 - e) % 3 for e in row] for row in two_triangles]
+        assert scheme_diagram(verify_scheme(swapped)).canonical_key() == (
+            scheme_diagram(catalogue["AS06[3]"]).canonical_key()
+        )
+
+
+@pytest.fixture(scope="module")
+def open_results(open_search):
+    """The results of the open searches at (3, 0), (4, 1), (4, 0) and (6, 4)."""
+    cases = [(3, 0), (4, 1), (4, 0), (6, 4)]
+    return [res for case in cases for res in open_search(*case).results]
+
+
+class TestMatchKnownAgainstReference:
+    def test_every_result_and_scheme(self, catalogue, open_results):
+        for res in open_results:
+            for sid, scheme in catalogue.items():
+                assert match_known(res, scheme) == reference_match_known(res, scheme), sid
+
+    def test_each_result_names_the_reference_match(self, catalogue, open_results):
+        assert sorted(res.matched for res in open_results) == [
+            "AS06[3]", "AS08[2]", "AS09[3]", "AS10[6]", "AS16[30]"
+        ]
+        for res in open_results:
+            assert [sid for sid in CATALOGUE if reference_match_known(res, catalogue[sid])] == [
+                res.matched
+            ]
 
 
 # -- the closed-form tail discriminant against the solver it replaced -------

@@ -11,7 +11,6 @@ from schemeforge.graphs import (
     dedupe_isomorphs,
     enumerate_regular_graphs,
     extend_locally,
-    from_graph6,
     identify_graph,
     is_isomorphic,
     is_locally,
@@ -184,6 +183,35 @@ class TestLocalStructure:
         h = named_graph("C4")
         for g in extend_locally(h, 12):
             assert is_locally(g, h)
+
+
+def from_graph6(text: str) -> Graph:
+    """The decoder of to_graph6, as a test oracle: the pipeline writes graph6
+    and never reads it."""
+    text = text.strip()
+    if not text:
+        raise ValueError("empty graph6 string")
+    n = ord(text[0]) - 63
+    if n < 0 or n > 62:
+        raise ValueError("unsupported graph6 header")
+    need = (n * (n - 1) // 2 + 5) // 6
+    body = text[1:]
+    if len(body) != need:
+        raise ValueError("graph6 length mismatch")
+    bits = []
+    for ch in body:
+        val = ord(ch) - 63
+        if not 0 <= val < 64:
+            raise ValueError("invalid graph6 character")
+        bits.extend((val >> s) & 1 for s in range(5, -1, -1))
+    edges = []
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[idx]:
+                edges.append((i, j))
+            idx += 1
+    return Graph(n, edges)
 
 
 class TestGraph6:

@@ -5,21 +5,20 @@ from fractions import Fraction
 import pytest
 
 from schemeforge import schemes
-from schemeforge.catalogue import CATALOGUE, catalogue_graph, catalogue_scheme
-from schemeforge.exactnum import QuadNumber
-from schemeforge.graphs import named_graph
+from schemeforge.catalogue import CATALOGUE, catalogue_scheme
+from schemeforge.exactnum import ExactMatrix, QuadNumber
+from schemeforge.graphs import Graph, named_graph
 from schemeforge.schemes import (
     Scheme,
     SchemeRefutation,
+    Spectra,
     SplittingFieldError,
-    embedding_gram,
-    is_light_tail,
     krein_check,
     light_tail_bound,
-    nearest_neighbour_relation,
     partially_metric_level,
     q_poly_orderings,
     qpolynomial_spectra,
+    relation_layers,
     scheme_from_graph_distances,
     spectra,
     verify_scheme,
@@ -30,6 +29,38 @@ IDS = sorted(CATALOGUE)
 
 def q(text: str) -> QuadNumber:
     return QuadNumber.parse(text)
+
+
+# -- spectral helpers that the pipeline itself does not need
+
+
+def nearest_neighbour_relation(sp: Spectra) -> int:
+    """Relation index maximizing the E_1 inner product alpha_i < 1.
+
+    Requires all alpha_i distinct (faithfulness of the E_1 representation)."""
+    d = sp.d
+    alphas = [sp.cosines[i][1] for i in range(d + 1)]
+    if len(set(alphas)) != d + 1:
+        raise ValueError("cosine column 1 has repeated values; not faithful")
+    best = max(range(1, d + 1), key=lambda i: alphas[i])
+    return best
+
+
+def embedding_gram(sp: Spectra, j: int) -> ExactMatrix:
+    """Gram matrix (|X|/m_j) E_j of the spherical representation: the (x,y)
+    entry is the cosine of the relation joining x and y."""
+    s = sp.scheme
+    return ExactMatrix(
+        [
+            [sp.cosines[s.relations[x][y]][j] for y in range(s.n)]
+            for x in range(s.n)
+        ]
+    )
+
+
+def is_light_tail(m, k, theta, a1, b1) -> bool:
+    mq = m if isinstance(m, QuadNumber) else QuadNumber(m)
+    return mq == light_tail_bound(k, theta, a1, b1)
 
 
 class TestVerify:
@@ -215,7 +246,128 @@ class TestSpectra:
         assert g.scale(QuadNumber(Fraction(m1, s.n))) == sp.idempotent(1)
 
 
+# -- partial metricity from graphs: the reference of relation_layers
+
+
+def scheme_graph(s: Scheme, i: int) -> Graph:
+    if i == 0:
+        raise ValueError("the trivial relation is not a simple graph")
+    return Graph(
+        s.n,
+        [
+            (x, y)
+            for x in range(s.n)
+            for y in range(x + 1, s.n)
+            if s.relations[x][y] == i
+        ],
+    )
+
+
+def diameter(g: Graph) -> int:
+    best = 0
+    for v in range(g.n):
+        dv = g.distances_from(v)
+        if any(d < 0 for d in dv):
+            return -1  # disconnected
+        best = max(best, max(dv))
+    return best
+
+
+def distance_i_graph(g: Graph, i: int) -> Graph:
+    """Graph on the same vertices whose edges are the pairs at distance i.
+
+    If i exceeds the diameter the result simply has no edges."""
+    if i < 1:
+        raise ValueError("i must be >= 1")
+    edges = []
+    for v in range(g.n):
+        dv = g.distances_from(v)
+        edges.extend((v, u) for u in range(v + 1, g.n) if dv[u] == i)
+    return Graph(g.n, edges)
+
+
+def reference_partially_metric_level(s: Scheme, r: int) -> int:
+    """partially_metric_level as it was before relation_layers, kept verbatim
+    as the reference: it builds every distance-i graph of the scheme graph of
+    R_r and looks for a scheme graph equal to it."""
+    g = scheme_graph(s, r)
+    if not g.is_connected():
+        raise ValueError(f"scheme graph of relation {r} is disconnected")
+    diam = diameter(g)
+    t = 1
+    matched = {1: r}
+    for i in range(2, min(diam, s.d) + 1):
+        gi = distance_i_graph(g, i)
+        hit = None
+        for j in range(1, s.d + 1):
+            if j in matched.values():
+                continue
+            if scheme_graph(s, j) == gi:
+                hit = j
+                break
+        if hit is None:
+            break
+        matched[i] = hit
+        t = i
+    # metric means all d relations are exhausted by distance graphs
+    return t
+
+
+@pytest.fixture(scope="module")
+def layered_schemes(catalogue, two_triangles):
+    """The catalogue schemes, the distance schemes of four more
+    distance-regular graphs, and the two-triangles scheme, by name."""
+    out = dict(catalogue)
+    for name in ("Petersen", "cube", "icosahedron", "C6"):
+        out[name] = scheme_from_graph_distances(named_graph(name))
+    out["2K3 and K3,3"] = verify_scheme(two_triangles)
+    return out
+
+
 class TestPartialMetricity:
+    def test_layers(self, catalogue):
+        assert relation_layers(catalogue["AS16[30]"]) == [0, 1, 2, 3, 4]
+        # the 24-cell: inner products 0 and -1 both lie at distance 2
+        assert relation_layers(catalogue["AS24[43]"]) == [0, 1, 2, 2, 3]
+        # its antipodal relation is a perfect matching
+        assert relation_layers(catalogue["AS24[43]"], 4) == [0, None, None, None, 1]
+
+    def test_layers_are_the_graph_distances(self, layered_schemes):
+        # the distance from point 0 to y in the scheme graph of R_r is the
+        # layer of the relation of (0, y), or None when y is out of reach
+        for name, s in layered_schemes.items():
+            for r in range(1, s.d + 1):
+                layers = relation_layers(s, r)
+                dist = scheme_graph(s, r).distances_from(0)
+                assert [layers[s.relations[0][y]] for y in range(s.n)] == [
+                    None if t < 0 else t for t in dist
+                ], (name, r)
+
+    def test_level_is_the_graph_reference(self, layered_schemes):
+        for name, s in layered_schemes.items():
+            for r in range(1, s.d + 1):
+                try:
+                    want = reference_partially_metric_level(s, r)
+                except ValueError:
+                    with pytest.raises(ValueError, match="disconnected"):
+                        partially_metric_level(s, r)
+                    continue
+                assert partially_metric_level(s, r) == want, (name, r)
+
+    def test_disconnected_relation_graph(self, layered_schemes):
+        s = layered_schemes["2K3 and K3,3"]
+        assert relation_layers(s, 1) == [0, 1, None]
+        assert relation_layers(s, 2) == [0, 2, 1]
+        with pytest.raises(ValueError, match="disconnected"):
+            partially_metric_level(s, 1)
+        assert partially_metric_level(s, 2) == 2
+
+    def test_trivial_relation_has_no_layers(self, catalogue):
+        with pytest.raises(ValueError, match="no nontrivial relation"):
+            relation_layers(catalogue["AS06[3]"], 0)
+        with pytest.raises(ValueError, match="no nontrivial relation"):
+            relation_layers(catalogue["AS06[3]"], 3)
+
     def test_levels(self, catalogue):
         expected = {
             "AS05[1]": 1,
