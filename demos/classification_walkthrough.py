@@ -10,21 +10,15 @@ directly.  Six schemes survive.
 Run:  python demos/classification_walkthrough.py   (about a second)
 """
 
-from schemeforge import (
+from schemeforge.diagsearch import SearchConfig, generate_diagrams
+from schemeforge.graphs import extend_locally, identify_graph, named_graph
+from schemeforge.localclass import LOCAL_CASES, classify_local
+from schemeforge.schemes import (
     SchemeRefutation,
-    SearchConfig,
-    classify_local,
-    extend_locally,
-    generate_diagrams,
-    identify_graph,
-    named_graph,
     partially_metric_level,
     qpolynomial_spectra,
     scheme_from_graph_distances,
 )
-
-EXTENSION = {"K3": 6, "K4": 7, "C4": 12, "C5": 24, "K3xK2": 15, "octahedron": 24}
-SEARCH = {"N3": (3, 0), "2K2": (4, 1), "N4": (4, 0)}
 
 
 def resolve_by_extension(case, n_max):
@@ -47,7 +41,9 @@ def resolve_by_extension(case, n_max):
         print(f"    {name}: survives (n = {scheme.n}, degree {scheme.d})")
 
 
-def resolve_by_search(case, k1, a1):
+def resolve_by_search(case):
+    h = named_graph(case)
+    k1, a1 = h.n, h.degree(0)
     config = SearchConfig(k1=k1, a1=a1)
     tag = ", light tail" if config.light_tail else ""
     print(f"    diagram search with k1 = {k1}, a1 = {a1}{tag}")
@@ -64,10 +60,11 @@ def main():
     print("stage 2: resolve each local case")
     for case in names:
         print(f"  local graph {case}:")
-        if case in EXTENSION:
-            resolve_by_extension(case, EXTENSION[case])
+        n_max = LOCAL_CASES[case].n_max
+        if n_max is None:
+            resolve_by_search(case)
         else:
-            resolve_by_search(case, *SEARCH[case])
+            resolve_by_extension(case, n_max)
     print("\nsurvivors: K3,3, K2,2,2,2, K3xK3, J(5,2), crown, Q4")
 
 

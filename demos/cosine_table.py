@@ -7,7 +7,8 @@ column lists the exact inner products realized by each relation.
 Run:  python demos/cosine_table.py
 """
 
-from schemeforge import CATALOGUE, catalogue_scheme, qpolynomial_spectra
+from schemeforge.catalogue import CATALOGUE, catalogue_scheme
+from schemeforge.schemes import qpolynomial_spectra
 
 
 def main():

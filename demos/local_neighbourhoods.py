@@ -11,7 +11,7 @@ feasible neighbourhood graphs, realizing six geometric configurations.
 Run:  python demos/local_neighbourhoods.py
 """
 
-from schemeforge import classify_local
+from schemeforge.localclass import classify_local
 
 
 def main():

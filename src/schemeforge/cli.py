@@ -48,7 +48,7 @@ from .schemes import (
     spectra,
     verify_scheme,
 )
-from .localclass import classify_local, delsarte_bound
+from .localclass import LOCAL_CASES, classify_local, delsarte_bound
 from .diagsearch import (
     KISSING_NUMBER_R4,
     SearchConfig,
@@ -508,21 +508,26 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 # the full pipeline
 
-# local case -> how the proof resolves it
-_EXTENSION_CASES = {
-    "K3": 6,
-    "K4": 7,
-    "C4": 12,
-    "C5": 24,
-    "K3xK2": 15,
-    "octahedron": 24,
-}
-_SEARCH_CASES = {
-    "N3": (3, 0),
-    "2K2": (4, 1),
-    "N4": (4, 0),
-}
-CASE_NAMES = sorted(_EXTENSION_CASES) + sorted(_SEARCH_CASES)
+# extension cases first, then search cases, each sorted
+CASE_NAMES = sorted(LOCAL_CASES, key=lambda c: (LOCAL_CASES[c].n_max is None, c))
+
+
+def _why_not_classified(scheme) -> Optional[str]:
+    """Why the distance partition of a graph (scheme_from_graph_distances)
+    is not one of the classified schemes, or None when it is one: a
+    Q-polynomial scheme with m1 = 4 that is at least 2-partially metric."""
+    if isinstance(scheme, SchemeRefutation):
+        return f"not distance-regular: {scheme.detail}"
+    try:
+        m1 = qpolynomial_spectra(scheme)[0].multiplicities[1]
+    except NoQPolynomialOrderingError:
+        return "no Q-polynomial ordering"
+    if m1 != 4:
+        return f"m1 = {m1}"
+    level = partially_metric_level(scheme, 1)
+    if level < 2:
+        return f"partially_metric_level = {level}"
+    return None
 
 
 def _classify_extension_case(name: str, n_max: int, budget: int) -> dict:
@@ -531,31 +536,9 @@ def _classify_extension_case(name: str, n_max: int, budget: int) -> dict:
     results, exclusions = [], []
     for g in ext.graphs:
         gname = identify_graph(g) or to_graph6(g)
-        scheme = scheme_from_graph_distances(g)
-        if isinstance(scheme, SchemeRefutation):
-            exclusions.append(
-                {"case": name, "graph": gname, "reason": f"not distance-regular: {scheme.detail}"}
-            )
-            continue
-        try:
-            m1 = qpolynomial_spectra(scheme)[0].multiplicities[1]
-        except NoQPolynomialOrderingError:
-            exclusions.append(
-                {"case": name, "graph": gname, "reason": "no Q-polynomial ordering"}
-            )
-            continue
-        if m1 != 4:
-            exclusions.append({"case": name, "graph": gname, "reason": f"m1 = {m1}"})
-            continue
-        level = partially_metric_level(scheme, 1)
-        if level < 2:
-            exclusions.append(
-                {
-                    "case": name,
-                    "graph": gname,
-                    "reason": f"partially_metric_level = {level}",
-                }
-            )
+        reason = _why_not_classified(scheme_from_graph_distances(g))
+        if reason is not None:
+            exclusions.append({"case": name, "graph": gname, "reason": reason})
             continue
         results.append(
             {
@@ -569,8 +552,11 @@ def _classify_extension_case(name: str, n_max: int, budget: int) -> dict:
     return {"results": results, "exclusions": exclusions, "complete": ext.complete}
 
 
-def _classify_search_case(name: str, k1: int, a1: int, budget: int) -> dict:
-    """Resolve a local case by one diagram search over every candidate field."""
+def _classify_search_case(name: str, budget: int) -> dict:
+    """Resolve a local case H by one diagram search at (k1, a1) = (|H|,
+    valency of H) over every candidate field."""
+    h = named_graph(name)
+    k1, a1 = h.n, h.degree(0)
     outcome = generate_diagrams(SearchConfig(k1=k1, a1=a1, radicand=None, budget=budget))
     results, exclusions = [], []
     matched_ids = set()
@@ -612,11 +598,11 @@ def cmd_classify(args) -> int:
     results, exclusions = [], []
     complete = True
     for case in cases:
-        if case in _EXTENSION_CASES:
-            outcome = _classify_extension_case(case, _EXTENSION_CASES[case], args.budget)
+        n_max = LOCAL_CASES[case].n_max
+        if n_max is None:
+            outcome = _classify_search_case(case, args.budget)
         else:
-            k1, a1 = _SEARCH_CASES[case]
-            outcome = _classify_search_case(case, k1, a1, args.budget)
+            outcome = _classify_extension_case(case, n_max, args.budget)
         results.extend(outcome["results"])
         exclusions.extend(outcome["exclusions"])
         complete = complete and outcome["complete"]

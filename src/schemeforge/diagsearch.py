@@ -231,9 +231,13 @@ class CosineColumns:
         return [pair[c - 1] for pair in self.values]
 
     def second_from_first(self, w1: QuadNumber) -> QuadNumber:
-        """Column-2 value forced by the dual recurrence
-        m1*w1^2 = 1 + q111*w1 + (m1 - 1 - q111)*w2 with m1 = 4."""
-        return (_FOUR * w1 * w1 - _ONE - self.q111 * w1) / (_THREE - self.q111)
+        return _second_from_first(w1, self.q111)
+
+
+def _second_from_first(w1: QuadNumber, q111: QuadNumber) -> QuadNumber:
+    """Column-2 value forced by the dual recurrence
+    m1*w1^2 = 1 + q111*w1 + (m1 - 1 - q111)*w2 with m1 = 4."""
+    return (_FOUR * w1 * w1 - _ONE - q111 * w1) / (_THREE - q111)
 
 
 class SearchResult:
@@ -309,7 +313,7 @@ def initial_state(config: SearchConfig):
             if not (-one < w1 < one):
                 continue
             if config.light_tail:
-                w2 = (m1 * w1 * w1 - one) / (m1 - one)
+                w2 = _second_from_first(w1, _ZERO)
                 if w2 == w1 or not (-one <= w2 <= one):
                     continue
                 pairs = [(w2, QuadNumber(0))]
@@ -429,25 +433,18 @@ def _infer_valencies(diagram: DistributionDiagram, v: int) -> bool:
     """Set k_v from the handshake k_v * w(v->h) = k_h * w(h->v) against every
     neighbour with known valency; False on contradiction or non-integer.
     This is the search's one handshake check.
-    The verdict and k_v do not depend on which neighbour sets k_v first."""
+    The verdict and k_v do not depend on which neighbour sets k_v first.
+
+    Some neighbour always sets k_v: v (R1 aside, whose k1 the seed sets) was
+    made fresh by a determined vertex, whose valency is known, and v's
+    arrangement adds the mandatory back-arc to it.  The loop below checks that
+    neighbour too, so it refuses a quotient k_h * w(h->v) / w(v->h) that is
+    not an integer; an integral one, of positive terms, is at least 1."""
     valencies, out = diagram.valencies, diagram.out
     outs = out[v]
     if valencies[v] is None:
-        for h, den in outs.items():
-            kh = valencies[h]
-            back = out[h].get(v, 0)
-            if kh is None or not back:
-                continue
-            num = kh * back
-            if num % den:
-                return False
-            kv = num // den
-            if kv < 1:
-                return False
-            valencies[v] = kv
-            break
-        else:
-            return False
+        h = next(h for h in outs if valencies[h] is not None and out[h].get(v))
+        valencies[v] = valencies[h] * out[h][v] // outs[h]
     kv = valencies[v]
     for h, w in outs.items():
         kh = valencies[h]
@@ -588,9 +585,8 @@ def solve_cosines(
 
     def extend(first_column):
         full = values + [(a, phi(a)) for a in first_column]
-        r1, r2 = residuals(full)
-        if r1 or r2:
-            return None
+        if any(residuals(full)):
+            raise ArithmeticError("a closed-form cosine column misses a recurrence")
         radicand = cosines.radicand
         if radicand == 1:
             # an open subtree takes the field of its first irrational cosine
@@ -679,8 +675,6 @@ def solve_cosines(
     seen = set()
     for col in columns:
         ext = extend(col)
-        if ext is None:
-            continue
         # fresh vertices of equal weight are interchangeable, others are not
         key = tuple(sorted((outs[f], str(ext.values[f][0])) for f in fresh))
         if key in seen:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 # node budget of one bounded search: extend_locally here, and the diagram
 # search of diagsearch
@@ -550,16 +550,12 @@ def is_locally(g: Graph, h: Graph) -> bool:
     return True
 
 
-class ExtensionResult:
+class ExtensionResult(NamedTuple):
     """Outcome of a bounded locally-H search."""
 
-    def __init__(self, graphs: list[Graph], complete: bool, nodes: int):
-        self.graphs = graphs
-        self.complete = complete
-        self.nodes = nodes
-
-    def __iter__(self):
-        return iter(self.graphs)
+    graphs: list[Graph]
+    complete: bool
+    nodes: int
 
 
 def extend_locally(h: Graph, n_max: int, budget: int = DEFAULT_BUDGET) -> ExtensionResult:

@@ -36,7 +36,8 @@ __all__ = [
     "gram_matrix",
     "LocalSolution",
     "classify_local",
-    "GEOMETRIC_LABELS",
+    "LocalCase",
+    "LOCAL_CASES",
 ]
 
 
@@ -77,16 +78,25 @@ class LocalSolution(NamedTuple):
     family: bool = False  # True when the solution set is a positive-dimensional family
 
 
-GEOMETRIC_LABELS = {
-    "N3": "triangle",
-    "K3": "triangle",
-    "N4": "tetrahedron",
-    "K4": "tetrahedron",
-    "2K2": "2-antiprism",
-    "C4": "2-antiprism",
-    "C5": "pentagon",
-    "K3xK2": "3-prism",
-    "octahedron": "octahedron",
+class LocalCase(NamedTuple):
+    """How the classification settles one feasible local graph H."""
+
+    label: str  # the geometric configuration of H's points on S^2
+    # extend_locally bound on the graph's order, or None for one diagram
+    # search at (k1, a1) = (|H|, valency of H)
+    n_max: Optional[int]
+
+
+LOCAL_CASES = {
+    "N3": LocalCase("triangle", None),
+    "K3": LocalCase("triangle", 6),
+    "N4": LocalCase("tetrahedron", None),
+    "K4": LocalCase("tetrahedron", 7),
+    "2K2": LocalCase("2-antiprism", None),
+    "C4": LocalCase("2-antiprism", 12),
+    "C5": LocalCase("pentagon", 24),
+    "K3xK2": LocalCase("3-prism", 15),
+    "octahedron": LocalCase("octahedron", 24),
 }
 
 HALF = QuadNumber(Fraction(1, 2))
@@ -165,7 +175,8 @@ def _solve_problem(graph: Graph) -> Optional[LocalSolution]:
     n, k = graph.n, graph.degree(0)
     has_class1, has_class2 = k >= 1, k <= n - 2
     name = identify_graph(graph)
-    label = GEOMETRIC_LABELS.get(name) if name else None
+    case = LOCAL_CASES.get(name)
+    label = case.label if case else None
     need = n - 3  # required multiplicity of the zero Gram eigenvalue
     one = QuadNumber(1)
     seen = set()

@@ -402,9 +402,10 @@ class TestSubcommands:
 
         monkeypatch.setattr(diagsearch, "_catalogue", dict)
         monkeypatch.setattr(cli, "generate_diagrams", recording)
-        outcome = cli._classify_search_case(case, k1, a1, DEFAULT_BUDGET)
+        outcome = cli._classify_search_case(case, DEFAULT_BUDGET)
         assert outcome["results"] == [] and outcome["complete"]
         (searched,) = outcomes
+        assert (searched.config.k1, searched.config.a1) == (k1, a1)
         assert len(outcome["exclusions"]) == unmatched
         assert [e["reason"] for e in outcome["exclusions"]] == [
             f"unmatched feasible diagram (radicand {res.cosines.radicand})"

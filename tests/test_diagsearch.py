@@ -34,6 +34,7 @@ from schemeforge.diagsearch import (
 )
 from schemeforge.exactnum import QuadNumber, quad_sqrt
 from schemeforge.graphs import DEFAULT_BUDGET, named_graph
+from schemeforge.localclass import LOCAL_CASES, classify_local
 from schemeforge.schemes import (
     NoQPolynomialOrderingError,
     SplittingFieldError,
@@ -285,9 +286,41 @@ class TestExtensionCasesAgree:
         assert outcome.complete
         matched = {res.matched for res in outcome.results}
         assert None not in matched, "unmatched feasible diagram"
-        ext = cli._classify_extension_case(case, cli._EXTENSION_CASES[case], DEFAULT_BUDGET)
+        ext = cli._classify_extension_case(case, LOCAL_CASES[case].n_max, DEFAULT_BUDGET)
         assert ext["complete"]
         assert matched == {r["scheme_id"] for r in ext["results"]}
+
+
+class TestLocalStageBySearch:
+    """The open search at (k1, a1) covers every local graph H with |H| = k1
+    and valency a1, so it checks the local stage by a second route: at each
+    (k1, a1) with 3 <= k1 <= 5 it must emit exactly the schemes that classify
+    reports for the local cases with those parameters, and nothing where the
+    local stage leaves none."""
+
+    @pytest.fixture(scope="class")
+    def classified(self):
+        """(k1, a1) -> the scheme ids of the local cases of classify_local(5)
+        there, each resolved by its route in LOCAL_CASES."""
+        out = {}
+        for sol in classify_local(5):
+            n_max = LOCAL_CASES[sol.name].n_max
+            if n_max is None:
+                outcome = cli._classify_search_case(sol.name, DEFAULT_BUDGET)
+            else:
+                outcome = cli._classify_extension_case(sol.name, n_max, DEFAULT_BUDGET)
+            assert outcome["complete"]
+            ids = out.setdefault((sol.graph.n, sol.graph.degree(0)), set())
+            ids.update(r["scheme_id"] for r in outcome["results"])
+        return out
+
+    @pytest.mark.parametrize("k1,a1", [(k1, a1) for k1 in (3, 4, 5) for a1 in range(k1)])
+    def test_open_search_emits_the_local_cases_schemes(self, open_search, classified, k1, a1):
+        outcome = open_search(k1, a1)
+        assert outcome.complete
+        matched = [res.matched for res in outcome.results]
+        assert None not in matched, "unmatched feasible diagram"
+        assert sorted(matched) == sorted(classified.get((k1, a1), set()))
 
 
 class TestDepthCap:
@@ -856,6 +889,30 @@ class TestSolveCosines:
         found = _solve_planted_surplus(6, (3, 2, 1, 1), first)
         assert any(col in found for col in (first, first[:2] + first[:1:-1]))
         assert any(col in found for col in (second, second[:2] + second[:1:-1]))
+
+    def test_a_column_that_misses_a_recurrence_raises(self, monkeypatch):
+        # vertex 1 of the (3, 0) search makes one fresh relation, whose cosine
+        # the column-1 recurrence gives and the column-2 recurrence checks;
+        # a column-2 value off by one when the column is built must raise
+        config = SearchConfig(k1=3, a1=0)
+        diagram, seeds, _ = initial_state(config)
+        nd, fresh, seed = next(
+            (nd, fresh, seed)
+            for seed in seeds
+            for nd, fresh in arrangements(diagram, 1, config)
+            if solve_cosines(nd, seed, 1, fresh, config)
+        )
+        assert len(fresh) == 1
+        phi, calls = CosineColumns.second_from_first, []
+
+        def second_call_off_by_one(self, w1):
+            calls.append(w1)
+            return phi(self, w1) + (QuadNumber(1) if len(calls) == 2 else QuadNumber(0))
+
+        monkeypatch.setattr(CosineColumns, "second_from_first", second_call_off_by_one)
+        with pytest.raises(ArithmeticError, match="misses a recurrence"):
+            solve_cosines(nd, seed, 1, fresh, config)
+        assert len(calls) == 2
 
     @pytest.mark.xfail(
         strict=True,

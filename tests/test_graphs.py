@@ -181,7 +181,7 @@ class TestLocalStructure:
 
     def test_every_result_is_locally_h(self):
         h = named_graph("C4")
-        for g in extend_locally(h, 12):
+        for g in extend_locally(h, 12).graphs:
             assert is_locally(g, h)
 
 

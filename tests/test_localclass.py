@@ -11,7 +11,7 @@ from schemeforge import cli
 from schemeforge.exactnum import QuadNumber, is_psd, rank
 from schemeforge.graphs import Graph, named_graph
 from schemeforge.localclass import (
-    GEOMETRIC_LABELS,
+    LOCAL_CASES,
     classify_local,
     _adjacency_eigenvalues,
     delsarte_bound,
@@ -104,7 +104,7 @@ class TestClassifyLocal:
 
     def test_labels_cover_all_names(self, result):
         for sol in result:
-            assert GEOMETRIC_LABELS[sol.name] == sol.geometric_label
+            assert LOCAL_CASES[sol.name].label == sol.geometric_label
 
     def test_families_flagged(self, result):
         # one-parameter witness families exist exactly where one cosine is

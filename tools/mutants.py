@@ -1,0 +1,164 @@
+"""Mutation gate: every mutant in the table must be killed by its tests.
+
+Each entry of MUTANTS names one file under src/schemeforge, an exact snippet
+of it, a replacement, and the test ids expected to kill the result.  For each
+entry the script copies src/ to a temporary directory, applies the edit
+there, and runs ``pytest -x -q`` on those ids against the copy.  The gate
+fails when a mutant survives (its tests pass), when its snippet is not found
+exactly once (a refactor updates the table, it does not skip an entry), or
+when pytest ends in anything but a test failure (a stale test id, say).
+
+EQUIVALENT lists mutants that change no behaviour, so no test can kill them;
+they are not run, but their snippets must still be found.
+
+Standard library only.  Run from anywhere, with the test dependencies
+installed:
+
+    python tools/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PYTEST_KILLED = 1  # pytest's exit code when a test failed
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/schemeforge
+    snippet: str
+    replacement: str
+    tests: tuple = ()
+
+
+MUTANTS = [
+    Mutant(
+        "partial metricity counts a layer of two relations",
+        "schemes.py",
+        "while layers.count(t + 1) == 1:",
+        "while layers.count(t + 1) >= 1:",
+        ("tests/test_schemes.py::TestPartialMetricity::test_levels",),
+    ),
+    Mutant(
+        "layer 2 of a diagram may hold two relations",
+        "diagsearch.py",
+        "if diagram.layers.count(2) > 1:",
+        "if diagram.layers.count(2) > 2:",
+        ("tests/test_diagsearch.py::TestSchemeDiagram::test_passes_every_prune_rule",),
+    ),
+    Mutant(
+        "match_known without the canonical-key test",
+        "diagsearch.py",
+        "return known is not None and known.canonical_key() == result.canonical_key()",
+        "return known is not None",
+        ("tests/test_diagsearch.py::TestMatchKnownAgainstReference::test_every_result_and_scheme",),
+    ),
+    Mutant(
+        "relation layers walk R1 whatever r",
+        "schemes.py",
+        "if layers[h] is None and any(s.p[h][r][j] for j in frontier)]",
+        "if layers[h] is None and any(s.p[h][1][j] for j in frontier)]",
+        ("tests/test_schemes.py::TestPartialMetricity::test_layers_are_the_graph_distances",),
+    ),
+    Mutant(
+        "SearchConfig takes a radicand that is not square-free",
+        "diagsearch.py",
+        "(radicand < 2 or squarefree_decompose(radicand)[0] > 1)",
+        "(radicand < 2)",
+        ("tests/test_diagsearch.py::TestConfig::test_radicand_must_be_square_free",),
+    ),
+    Mutant(
+        "a closed-form cosine column that misses a recurrence is kept",
+        "diagsearch.py",
+        "if any(residuals(full)):",
+        "if False:",
+        ("tests/test_diagsearch.py::TestSolveCosines::test_a_column_that_misses_a_recurrence_raises",),
+    ),
+    Mutant(
+        "the handshake at a newly determined vertex is not checked",
+        "diagsearch.py",
+        "if back and kv * w != kh * back:",
+        "if False:",
+        ("tests/test_diagsearch.py::TestSolveCosines::test_search_stats_are_pinned",),
+    ),
+]
+
+EQUIVALENT = [
+    (
+        Mutant(
+            "root isolation to width 1/R instead of 1/(8R)",
+            "exactnum.py",
+            "width = Fraction(1, 8 * r_max)",
+            "width = Fraction(1, r_max)",
+        ),
+        "R is the power-of-two Cauchy bound, which overshoots the roots, so "
+        "the factor 8 is margin that no input here exercises",
+    ),
+]
+
+
+def _source(mutant: Mutant) -> str:
+    return (ROOT / "src" / "schemeforge" / mutant.file).read_text(encoding="utf-8")
+
+
+def _found_once(mutant: Mutant) -> bool:
+    return _source(mutant).count(mutant.snippet) == 1
+
+
+def run_mutant(mutant: Mutant) -> str:
+    """'killed', or why the gate fails on this mutant."""
+    if not _found_once(mutant):
+        return "snippet not found exactly once"
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / "schemeforge" / mutant.file
+        target.write_text(_source(mutant).replace(mutant.snippet, mutant.replacement),
+                          encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        where = subprocess.run(
+            [sys.executable, "-c", "import schemeforge; print(schemeforge.__file__)"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        if not Path(where).is_relative_to(src):
+            return f"the tests would import {where}, not the mutated copy"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+        )
+    if proc.returncode == PYTEST_KILLED:
+        return "killed"
+    if proc.returncode == 0:
+        return "SURVIVED"
+    tail = proc.stdout.strip().splitlines()[-1:] or proc.stderr.strip().splitlines()[-1:]
+    return f"pytest exit code {proc.returncode}: {' '.join(tail)}"
+
+
+def main() -> int:
+    failures = 0
+    for mutant in MUTANTS:
+        started = time.monotonic()
+        verdict = run_mutant(mutant)
+        failures += verdict != "killed"
+        print(f"{verdict:<8} {time.monotonic() - started:6.1f} s  {mutant.name}", flush=True)
+    for mutant, reason in EQUIVALENT:
+        found = _found_once(mutant)
+        failures += not found
+        verdict = "equivalent" if found else "snippet not found exactly once"
+        print(f"{verdict}: {mutant.name} ({reason})")
+    print(f"{len(MUTANTS)} mutants, {len(EQUIVALENT)} equivalent, {failures} failing the gate")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
