@@ -7,18 +7,13 @@ bounded locally-H extension search plus a spectral screen), or the
 relation-distribution diagram search enumerates every feasible scheme
 directly.  Six schemes survive.
 
-Run:  python demos/classification_walkthrough.py   (about a second)
+Run:  python demos/classification_walkthrough.py   (a few seconds)
 """
 
 from schemeforge.diagsearch import SearchConfig, generate_diagrams
 from schemeforge.graphs import extend_locally, identify_graph, named_graph
 from schemeforge.localclass import LOCAL_CASES, classify_local
-from schemeforge.schemes import (
-    SchemeRefutation,
-    partially_metric_level,
-    qpolynomial_spectra,
-    scheme_from_graph_distances,
-)
+from schemeforge.schemes import scheme_from_graph_distances, why_not_classified
 
 
 def resolve_by_extension(case, n_max):
@@ -26,27 +21,19 @@ def resolve_by_extension(case, n_max):
     for g in ext.graphs:
         name = identify_graph(g)
         scheme = scheme_from_graph_distances(g)
-        if isinstance(scheme, SchemeRefutation):
-            print(f"    {name}: not distance-regular -> excluded")
-            continue
-        sp, _ = qpolynomial_spectra(scheme)
-        m1 = sp.multiplicities[1]
-        if m1 != 4:
-            print(f"    {name}: m1 = {m1} -> excluded")
-            continue
-        level = partially_metric_level(scheme, 1)
-        if level < 2:
-            print(f"    {name}: partially metric level {level} -> excluded")
-            continue
-        print(f"    {name}: survives (n = {scheme.n}, degree {scheme.d})")
+        reason = why_not_classified(scheme)
+        if reason is None:
+            print(f"    {name}: survives (n = {scheme.n}, degree {scheme.d})")
+        else:
+            print(f"    {name}: {reason} -> excluded")
 
 
 def resolve_by_search(case):
     h = named_graph(case)
     k1, a1 = h.n, h.degree(0)
-    config = SearchConfig(k1=k1, a1=a1)
+    config = SearchConfig(k1=k1, a1=a1, radicand=None)
     tag = ", light tail" if config.light_tail else ""
-    print(f"    diagram search with k1 = {k1}, a1 = {a1}{tag}")
+    print(f"    diagram search with k1 = {k1}, a1 = {a1}{tag}, over every field")
     outcome = generate_diagrams(config)
     for res in outcome.results:
         print(f"    -> |X| = {res.diagram.size()}, matches {res.matched}")

@@ -34,7 +34,6 @@ from .graphs import (
     to_graph6,
 )
 from .schemes import (
-    NoQPolynomialOrderingError,
     Scheme,
     SchemeRefutation,
     SplittingFieldError,
@@ -42,11 +41,11 @@ from .schemes import (
     light_tail_bound,
     partially_metric_level,
     q_poly_orderings,
-    qpolynomial_spectra,
     relation_layers,
     scheme_from_graph_distances,
     spectra,
     verify_scheme,
+    why_not_classified,
 )
 from .localclass import LOCAL_CASES, classify_local, delsarte_bound
 from .diagsearch import (
@@ -512,31 +511,13 @@ def cmd_bound(args) -> int:
 CASE_NAMES = sorted(LOCAL_CASES, key=lambda c: (LOCAL_CASES[c].n_max is None, c))
 
 
-def _why_not_classified(scheme) -> Optional[str]:
-    """Why the distance partition of a graph (scheme_from_graph_distances)
-    is not one of the classified schemes, or None when it is one: a
-    Q-polynomial scheme with m1 = 4 that is at least 2-partially metric."""
-    if isinstance(scheme, SchemeRefutation):
-        return f"not distance-regular: {scheme.detail}"
-    try:
-        m1 = qpolynomial_spectra(scheme)[0].multiplicities[1]
-    except NoQPolynomialOrderingError:
-        return "no Q-polynomial ordering"
-    if m1 != 4:
-        return f"m1 = {m1}"
-    level = partially_metric_level(scheme, 1)
-    if level < 2:
-        return f"partially_metric_level = {level}"
-    return None
-
-
 def _classify_extension_case(name: str, n_max: int, budget: int) -> dict:
     """Resolve a local case by bounded extension plus spectral screening."""
     ext = extend_locally(named_graph(name), n_max, budget=budget)
     results, exclusions = [], []
     for g in ext.graphs:
         gname = identify_graph(g) or to_graph6(g)
-        reason = _why_not_classified(scheme_from_graph_distances(g))
+        reason = why_not_classified(scheme_from_graph_distances(g))
         if reason is not None:
             exclusions.append({"case": name, "graph": gname, "reason": reason})
             continue

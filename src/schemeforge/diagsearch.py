@@ -16,6 +16,12 @@ Structure of the search state:
     (the distance-t graph is a union of relations), so vertices carry a
     layer (schemes.relation_layers) and arcs never skip layers;
   * partial metricity makes layer 2 a single relation R2;
+  * the search finishes the relations in index order: vertices
+    0 .. done-1 have complete out-arcs, and vertex done is finished next.
+    Only finished relations have out-arcs (R1's seed arcs aside), and fresh
+    relations are appended one layer above the relation that makes them, so
+    every in-neighbour of an unfinished relation is finished and layers never
+    decrease with the index;
   * the cosine columns obey k1*w(1,c)*w(i,c) = sum_h p_{h1}^i w(h,c), and
     with m1 = 4 the dual recurrence pins column 2 to column 1 pointwise:
     4*w(i,1)^2 = 1 + q111*w(i,1) + (3 - q111)*w(i,2).
@@ -38,6 +44,7 @@ from .exactnum import (
     squarefree_decompose,
 )
 from .graphs import DEFAULT_BUDGET
+from .localclass import delsarte_bound
 
 __all__ = [
     "SearchConfig",
@@ -77,7 +84,9 @@ class SearchConfig:
     bound; a cap that cuts a node leaves the search incomplete, and a cap at
     or above the bound cuts nothing.  budget caps the nodes of the search.
     light_tail is forced when k1 = m1 and a1 = 0: the multiplicity bound is
-    then attained, so E1 is a light tail and q111 = 0.  Immutable."""
+    then attained, so E1 is a light tail and q111 = 0.  k1 is at most 9: the
+    neighbourhood of a point is a two-distance set on S^2, whose size
+    delsarte_bound(3, 2) caps, as in localclass.classify_local.  Immutable."""
 
     def __init__(
         self,
@@ -89,6 +98,12 @@ class SearchConfig:
     ):
         if k1 < 3:
             raise ValueError("need k1 >= 3")
+        bound = delsarte_bound(3, 2)
+        if k1 > bound:
+            raise ValueError(
+                f"need k1 <= {bound}: more than {bound} points cannot form a "
+                "two-distance set on S^2"
+            )
         if not 0 <= a1 < k1:
             raise ValueError("need 0 <= a1 < k1")
         if radicand not in (None, 1) and (radicand < 2 or squarefree_decompose(radicand)[0] > 1):
@@ -123,40 +138,34 @@ class SearchConfig:
 class DistributionDiagram:
     """Weighted digraph of relations with arc weights p_{h1}^j.
 
-    The arcs are stored once, as an out-map h -> w per vertex with the set of
-    in-neighbours beside it, so a query about one vertex reads that vertex's
-    arcs only; ``arcs`` is the (j, h) -> w view of the same store."""
+    The arcs are stored once, as an out-map h -> w per vertex, so a query
+    about one vertex reads that vertex's arcs only; ``arcs`` is the
+    (j, h) -> w view of the same store.  Vertices 0 .. done-1 are finished:
+    their out-arcs are complete."""
 
-    __slots__ = ("k1", "layers", "valencies", "determined", "out", "into")
+    __slots__ = ("k1", "layers", "valencies", "out", "done")
 
     def __init__(self, k1: int, layers: list, arcs: dict, valencies: list,
-                 determined: list):
+                 done: int):
         self.k1 = k1
         self.layers = layers  # layer (scheme-graph distance) per vertex
         self.valencies = valencies  # k_j per vertex, None until inferred
-        self.determined = determined  # True once the out-arcs are complete
+        self.done = done  # the number of finished vertices
         self.out = [{} for _ in layers]  # per vertex: h -> weight
-        self.into = [set() for _ in layers]  # per vertex: its in-neighbours
         for (j, h), w in arcs.items():
-            self.add_arc(j, h, w)
+            self.out[j][h] = w
 
     @classmethod
     def seed(cls, k1: int, a1: int) -> "DistributionDiagram":
         arcs = {(0, 1): k1, (1, 0): 1}
         if a1:
             arcs[(1, 1)] = a1
-        return cls(
-            k1=k1,
-            layers=[0, 1],
-            arcs=arcs,
-            valencies=[1, k1],
-            determined=[True, False],
-        )
+        return cls(k1, layers=[0, 1], arcs=arcs, valencies=[1, k1], done=1)
 
     def __repr__(self):
         return (f"DistributionDiagram(k1={self.k1}, layers={self.layers}, "
                 f"arcs={self.arcs}, valencies={self.valencies}, "
-                f"determined={self.determined})")
+                f"done={self.done})")
 
     @property
     def n(self) -> int:
@@ -172,14 +181,9 @@ class DistributionDiagram:
         new.k1 = self.k1
         new.layers = list(self.layers)
         new.valencies = list(self.valencies)
-        new.determined = list(self.determined)
+        new.done = self.done
         new.out = [dict(out) for out in self.out]
-        new.into = [set(into) for into in self.into]
         return new
-
-    def add_arc(self, j: int, h: int, w: int) -> None:
-        self.out[j][h] = w
-        self.into[h].add(j)
 
     def out_weight(self, j: int) -> int:
         return sum(self.out[j].values())
@@ -190,9 +194,7 @@ class DistributionDiagram:
     def add_vertex(self, layer: int) -> int:
         self.layers.append(layer)
         self.valencies.append(None)
-        self.determined.append(False)
         self.out.append({})
-        self.into.append(set())
         return self.n - 1
 
     def size(self):
@@ -202,30 +204,15 @@ class DistributionDiagram:
         return sum(self.valencies)
 
 
-class CosineColumns:
+class CosineColumns(NamedTuple):
     """Columns 1 and 2 of the cosine matrix, one (w1, w2) pair per vertex.
 
     radicand is the field of the search subtree: 1 while an open search has
     met only rational cosines."""
 
-    def __init__(self, radicand: int, q111: QuadNumber, values: list):
-        self.radicand = radicand
-        self.q111 = q111
-        self.values = values  # (QuadNumber, QuadNumber) per vertex
-
-    def __eq__(self, other):
-        if not isinstance(other, CosineColumns):
-            return NotImplemented
-        return (self.radicand, self.q111, self.values) == (
-            other.radicand, other.q111, other.values
-        )
-
-    def __repr__(self):
-        return (f"CosineColumns(radicand={self.radicand}, q111={self.q111!r}, "
-                f"values={self.values!r})")
-
-    def copy(self) -> "CosineColumns":
-        return CosineColumns(self.radicand, self.q111, list(self.values))
+    radicand: int
+    q111: QuadNumber
+    values: list  # (QuadNumber, QuadNumber) per vertex
 
     def column(self, c: int) -> list:
         return [pair[c - 1] for pair in self.values]
@@ -240,16 +227,10 @@ def _second_from_first(w1: QuadNumber, q111: QuadNumber) -> QuadNumber:
     return (_FOUR * w1 * w1 - _ONE - q111 * w1) / (_THREE - q111)
 
 
-class SearchResult:
-    def __init__(
-        self,
-        diagram: DistributionDiagram,
-        cosines: CosineColumns,
-        matched: Optional[str] = None,  # catalogue id, or None for unmatched
-    ):
-        self.diagram = diagram
-        self.cosines = cosines
-        self.matched = matched
+class SearchResult(NamedTuple):
+    diagram: DistributionDiagram
+    cosines: CosineColumns
+    matched: Optional[str] = None  # catalogue id, or None for unmatched
 
     def canonical_key(self):
         order = sorted(
@@ -293,8 +274,9 @@ def _cosine_candidates(k: int, radicand: int) -> tuple:
     return tuple(lam / kq for lam in bounded_algebraic_integers(k, radicand))
 
 
-def initial_state(config: SearchConfig):
-    """Seed diagram R0 -> R1 plus the finitely many cosine seeds (w1, w2).
+def initial_state(config: SearchConfig) -> list:
+    """The finitely many cosine seeds (w1, w2) of the seed diagram R0 -> R1
+    (DistributionDiagram.seed).
 
     w1 = omega_{1,1} ranges over bounded algebraic integers over k1 in each
     searched field, and the seed takes that field; w2 is forced by q111 = 0
@@ -302,35 +284,31 @@ def initial_state(config: SearchConfig):
     seed is kept only when the Krein value q111 = ((m1-1)*w2 - m1*w1^2 + 1)
     / (w2 - w1) satisfies 0 <= q111 < m1 - 1; q111 = m1 - 1 collapses
     column 1 onto two values, which is the complete-graph degeneracy."""
-    diagram = DistributionDiagram.seed(config.k1, config.a1)
-    todo = [1]
-    one = QuadNumber(1)
-    m1 = QuadNumber(M1)
     seeds = []
     for field in config.fields:
         cands = _cosine_candidates(config.k1, field)
         for w1 in cands:
-            if not (-one < w1 < one):
+            if not (-_ONE < w1 < _ONE):
                 continue
             if config.light_tail:
                 w2 = _second_from_first(w1, _ZERO)
-                if w2 == w1 or not (-one <= w2 <= one):
+                if w2 == w1 or not (-_ONE <= w2 <= _ONE):
                     continue
-                pairs = [(w2, QuadNumber(0))]
+                pairs = [(w2, _ZERO)]
             else:
                 pairs = []
                 for w2 in cands:
-                    if w2 == w1 or not (-one <= w2 <= one):
+                    if w2 == w1 or not (-_ONE <= w2 <= _ONE):
                         continue
-                    q111 = ((m1 - one) * w2 - m1 * w1 * w1 + one) / (w2 - w1)
-                    if QuadNumber(0) <= q111 < m1 - one:
+                    q111 = (_THREE * w2 - _FOUR * w1 * w1 + _ONE) / (w2 - w1)
+                    if _ZERO <= q111 < _THREE:
                         pairs.append((w2, q111))
             for w2, q111 in pairs:
                 # rational seeds lie in every field: only the first takes them
                 if field != config.fields[0] and w1.is_rational and w2.is_rational:
                     continue
-                seeds.append(CosineColumns(field, q111, [(one, one), (w1, w2)]))
-    return diagram, seeds, todo
+                seeds.append(CosineColumns(field, q111, [(_ONE, _ONE), (w1, w2)]))
+    return seeds
 
 
 def _weight_assignments(total: int, minimums: list):
@@ -342,7 +320,6 @@ def _weight_assignments(total: int, minimums: list):
     for w in range(lo, total + 1):
         for rest, left in _weight_assignments(total - w, minimums[1:]):
             yield (w,) + rest, left
-    return
 
 
 def _partitions(total: int, max_parts: int):
@@ -368,13 +345,15 @@ def _partitions(total: int, max_parts: int):
 
 
 def arrangements(diagram: DistributionDiagram, v: int, config: SearchConfig):
-    """All ways to finish vertex v's out-arcs: weights on mandatory back-arcs
-    (one per in-neighbour), optional arcs to undetermined vertices within one
-    layer (v's loop among them), and fresh next-layer vertices (non-increasing
-    weights; layer 2 holds a single relation by partial metricity), with at
-    most config.degree_bound classes.
+    """All ways to finish vertex v = diagram.done's out-arcs: weights on
+    mandatory back-arcs (one per in-neighbour, all of them finished),
+    optional arcs to unfinished vertices at most one layer up (v's loop among
+    them; no unfinished vertex lies below v's layer), and fresh next-layer
+    vertices (non-increasing weights; layer 2 holds a single relation by
+    partial metricity), with at most config.degree_bound classes.
 
-    Yields (new diagram, fresh vertex list), with v determined and k_v set.
+    Yields (new diagram, fresh vertex list), with v finished and k_v set.
+    The yielded diagrams are never changed afterwards, so they may be shared.
     From a diagram that passes check_diagram_valid, each yielded diagram keeps
     these axioms by construction:
       * every new arc has a positive weight;
@@ -383,23 +362,17 @@ def arrangements(diagram: DistributionDiagram, v: int, config: SearchConfig):
       * layer 2 holds at most one relation (partial metricity);
       * no arc skips a layer;
       * v's out-weight is k1;
-      * v has an arc to each in-neighbour, and to a determined vertex only
+      * v has an arc to each in-neighbour, and to a finished vertex only
         when it has an arc back;
       * k_v * w(v->h) = k_h * w(h->v) wherever both valencies are known,
         checked by _infer_valencies.
     So _check_arrangement is left with Yamazaki's lemma."""
-    lv = diagram.layers[v]
-    outs = diagram.out[v]
+    layers, out = diagram.layers, diagram.out
+    lv = layers[v]
+    outs = out[v]
     remaining = diagram.k1 - sum(outs.values())
-    mandatory = sorted(h for h in diagram.into[v] if h not in outs)
-    optional = [
-        h
-        for h in range(1, diagram.n)
-        if not diagram.determined[h]
-        and abs(diagram.layers[h] - lv) <= 1
-        and h not in outs
-        and h not in mandatory
-    ]
+    mandatory = [j for j in range(v) if v in out[j] and j not in outs]
+    optional = [h for h in range(v, diagram.n) if layers[h] <= lv + 1 and h not in outs]
     targets = mandatory + optional
     fresh_layer = lv + 1
     max_fresh = remaining
@@ -415,15 +388,16 @@ def arrangements(diagram: DistributionDiagram, v: int, config: SearchConfig):
             if diagram.n + len(parts) > config.degree_bound + 1:
                 continue
             nd = diagram.copy()
+            nouts = nd.out[v]
             for h, w in zip(targets, weights):
                 if w:
-                    nd.add_arc(v, h, w)
+                    nouts[h] = w
             fresh = []
             for w in parts:
                 f = nd.add_vertex(fresh_layer)
-                nd.add_arc(v, f, w)
+                nouts[f] = w
                 fresh.append(f)
-            nd.determined[v] = True
+            nd.done = v + 1
             if not _infer_valencies(nd, v):
                 continue
             yield nd, fresh
@@ -436,7 +410,7 @@ def _infer_valencies(diagram: DistributionDiagram, v: int) -> bool:
     The verdict and k_v do not depend on which neighbour sets k_v first.
 
     Some neighbour always sets k_v: v (R1 aside, whose k1 the seed sets) was
-    made fresh by a determined vertex, whose valency is known, and v's
+    made fresh by a finished vertex, whose valency is known, and v's
     arrangement adds the mandatory back-arc to it.  The loop below checks that
     neighbour too, so it refuses a quotient k_h * w(h->v) / w(v->h) that is
     not an integer; an integral one, of positive terms, is at least 1."""
@@ -476,13 +450,11 @@ def check_diagram_valid(diagram: DistributionDiagram):
     # out-weights
     for v in range(1, diagram.n):
         ow = diagram.out_weight(v)
-        if diagram.determined[v] and ow != k1:
+        if ow > k1 or (v < diagram.done and ow != k1):
             return False, "out-weight"
-        if not diagram.determined[v] and ow > k1:
-            return False, "out-weight"
-    # support symmetry and handshake for determined pairs
+    # support symmetry and handshake for finished pairs
     for (j, h), w in arcs.items():
-        if diagram.determined[h] and not diagram.weight(h, j):
+        if h < diagram.done and not diagram.weight(h, j):
             return False, "handshake"
         kj, kh = diagram.valencies[j], diagram.valencies[h]
         back = diagram.weight(h, j)
@@ -501,11 +473,13 @@ def _check_arrangement(diagram: DistributionDiagram, v: int):
     diagram that passed it.
 
     arrangements keeps every other axiom by construction, so only Yamazaki's
-    lemma is left, at v and at v's in-neighbours one layer down: the only
-    relations whose determined next-layer out-neighbours changed."""
-    layers = diagram.layers
-    if not _yamazaki_ok(diagram, v) or not all(
-        _yamazaki_ok(diagram, j) for j in diagram.into[v] if layers[j] == layers[v] - 1
+    lemma is left, at v's in-neighbours one layer down: the only relations
+    whose finished next-layer out-neighbours changed.  At v itself there is
+    nothing to check, as every next-layer out-neighbour of v was made after
+    v and so is unfinished."""
+    layers, out = diagram.layers, diagram.out
+    if not all(
+        _yamazaki_ok(diagram, j) for j in range(v) if layers[j] == layers[v] - 1 and v in out[j]
     ):
         return False, "yamazaki"
     return True, ""
@@ -515,7 +489,7 @@ def _yamazaki_ok(diagram: DistributionDiagram, j: int) -> bool:
     """Diagram-local reading of Yamazaki's lemma at relation R_j.
 
     Interpretation (documented, since the lemma speaks of points): take a
-    relation R_j at layer i >= 2 with two distinct determined out-neighbours
+    relation R_j at layer i >= 2 with two distinct finished out-neighbours
     R3, R4 at layer i+1 such that R3 sends total weight exactly 1 back to
     layer i (c_{i+1} = 1 for its points).  The lemma then demands a relation
     R5 adjacent to both R3 and R4 that avoids the distance-i graph, i.e. a
@@ -524,7 +498,7 @@ def _yamazaki_ok(diagram: DistributionDiagram, j: int) -> bool:
     lj = layers[j]
     if lj < 2:
         return True
-    outs = [h for h in out[j] if layers[h] == lj + 1 and diagram.determined[h]]
+    outs = [h for h in out[j] if layers[h] == lj + 1 and h < diagram.done]
     for r3 in outs:
         if sum(w for h, w in out[r3].items() if layers[h] == lj) != 1:
             continue
@@ -709,17 +683,15 @@ def check_solution_valid(cosines: CosineColumns, diagram: DistributionDiagram):
 
     The search checks each extension with _check_extension instead; this
     full check is its reference."""
-    one = QuadNumber(1)
-    col1 = [pair[0] for pair in cosines.values]
-    col2 = [pair[1] for pair in cosines.values]
+    col1, col2 = cosines.column(1), cosines.column(2)
     for x in col1 + col2:
         if not _in_field(x, cosines.radicand):
             return False, "field"
-    for i, x in enumerate(col1[1:], start=1):
-        if not (-one <= x < one):
+    for x in col1[1:]:
+        if not (-_ONE <= x < _ONE):
             return False, "range"
     for x in col2[1:]:
-        if not (-one <= x <= one):
+        if not (-_ONE <= x <= _ONE):
             return False, "range"
     if len({str(x) for x in col1}) != len(col1):
         return False, "faithfulness"
@@ -785,19 +757,17 @@ def _emission_checks(diagram: DistributionDiagram, cosines: CosineColumns):
     size = diagram.size()
     if size is None:
         return False, "valency-unknown"
-    zero = QuadNumber(0)
     ks = [QuadNumber(k) for k in diagram.valencies]
-    col1 = [pair[0] for pair in cosines.values]
-    col2 = [pair[1] for pair in cosines.values]
-    if sum((k * w for k, w in zip(ks, col1)), zero):
+    col1, col2 = cosines.column(1), cosines.column(2)
+    if sum((k * w for k, w in zip(ks, col1)), _ZERO):
         return False, "orthogonality"
-    if sum((k * w for k, w in zip(ks, col2)), zero):
+    if sum((k * w for k, w in zip(ks, col2)), _ZERO):
         return False, "orthogonality"
-    if sum((k * w * w for k, w in zip(ks, col1)), zero) * QuadNumber(4) != QuadNumber(size):
+    if sum((k * w * w for k, w in zip(ks, col1)), _ZERO) * _FOUR != QuadNumber(size):
         return False, "multiplicity-m1"
-    if sum((k * a * b for k, a, b in zip(ks, col1, col2)), zero):
+    if sum((k * a * b for k, a, b in zip(ks, col1, col2)), _ZERO):
         return False, "orthogonality"
-    s2 = sum((k * w * w for k, w in zip(ks, col2)), zero)
+    s2 = sum((k * w * w for k, w in zip(ks, col2)), _ZERO)
     if not s2:
         return False, "multiplicity-m2"
     m2 = QuadNumber(size) / s2
@@ -836,40 +806,29 @@ def generate_diagrams(config: SearchConfig) -> SearchOutcome:
     feasible diagrams are kept in the result list with matched=None.  The
     search stops at the first node past the budget, so it then counts
     budget + 1 nodes; the diagrams found before that are kept."""
-    stats = {
-        "nodes": 0,
-        "emitted": 0,
-        "pruned": {
-            "diagram": 0,
-            "cosines": 0,
-            "solution": 0,
-            "kissing": 0,
-            "emission": 0,
-            "budget": 0,
-        },
-    }
+    reasons = ("diagram", "cosines", "solution", "kissing", "emission", "budget")
+    stats = {"nodes": 0, "emitted": 0, "pruned": dict.fromkeys(reasons, 0)}
     results = {}
     complete = True
 
-    def rec(diagram, cosines, todo):
+    def rec(diagram, cosines):
         nonlocal complete
         stats["nodes"] += 1
         if stats["nodes"] > config.budget:
             stats["pruned"]["budget"] += 1
             raise _BudgetExhausted
-        if not todo:
+        v = diagram.done
+        if v == diagram.n:
             ok, _reason = _emission_checks(diagram, cosines)
             if not ok:
                 stats["pruned"]["emission"] += 1
                 return
-            res = SearchResult(diagram.copy(), cosines.copy())
+            res = SearchResult(diagram, cosines)
             key = res.canonical_key()
             if key not in results:
                 stats["emitted"] += 1
                 results[key] = res
             return
-        v = todo[0]
-        rest = todo[1:]
         for nd, fresh in arrangements(diagram, v, config):
             ok, _reason = _check_arrangement(nd, v)
             if not ok:
@@ -893,20 +852,20 @@ def generate_diagrams(config: SearchConfig) -> SearchOutcome:
                 if config.max_depth is not None and nd.n > config.max_depth + 1:
                     complete = False
                     continue
-                rec(nd, ext, rest + fresh)
+                rec(nd, ext)
 
-    diagram, seeds, todo = initial_state(config)
+    diagram = DistributionDiagram.seed(config.k1, config.a1)
     try:
-        for seed in seeds:
-            rec(diagram.copy(), seed, list(todo))
+        for seed in initial_state(config):
+            rec(diagram, seed)
     except _BudgetExhausted:
         complete = False
 
     ordered = [results[k] for k in sorted(results)]
-    for res in ordered:
+    for i, res in enumerate(ordered):
         for sid, scheme in _catalogue().items():
             if match_known(res, scheme):
-                res.matched = sid
+                ordered[i] = res._replace(matched=sid)
                 break
     return SearchOutcome(config, ordered, stats, complete)
 
@@ -930,7 +889,7 @@ def scheme_diagram(scheme) -> Optional[SearchResult]:
         return None
     n, p, ks = scheme.d + 1, scheme.p, list(scheme.valencies)
     arcs = {(j, h): p[h][1][j] for j in range(n) for h in range(n) if p[h][1][j]}
-    diagram = DistributionDiagram(ks[1], layers, arcs, ks, [True] * n)
+    diagram = DistributionDiagram(ks[1], layers, arcs, ks, n)
     values = [(row[1], row[2]) for row in sp.cosines]
     return SearchResult(diagram, CosineColumns(sp.radicand, sp.krein[1][1][1], values))
 

@@ -608,10 +608,10 @@ def _isolate_real_roots(f: list[int], r_max: int) -> list[tuple[Fraction, Fracti
     chain = _sturm_chain(f)
     width = Fraction(1, 8 * r_max)
     lo, hi = Fraction(-r_max), Fraction(r_max)
-    todo = [(lo, _variations(chain, lo), hi, _variations(chain, hi))]
+    pending = [(lo, _variations(chain, lo), hi, _variations(chain, hi))]
     out = []
-    while todo:
-        a, va, b, vb = todo.pop()
+    while pending:
+        a, va, b, vb = pending.pop()
         if va == vb:
             continue
         if va - vb == 1 and b - a < width:
@@ -619,7 +619,7 @@ def _isolate_real_roots(f: list[int], r_max: int) -> list[tuple[Fraction, Fracti
             continue
         mid = (a + b) / 2
         vm = _variations(chain, mid)
-        todo += [(a, va, mid, vm), (mid, vm, b, vb)]
+        pending += [(a, va, mid, vm), (mid, vm, b, vb)]
     return out
 
 

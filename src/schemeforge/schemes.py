@@ -1,7 +1,8 @@
 """Symmetric association schemes: axioms, intersection numbers, exact spectra
 (P, Q, multiplicities, Krein parameters, cosine matrix), Q-polynomial
 orderings, the layers of the relations and partial metricity read from them,
-and the light-tail multiplicity bound.
+the screen that says why a scheme is not one of the classified ones, and the
+light-tail multiplicity bound.
 
 All spectral data lives in Q or a single real quadratic field Q[sqrt(p)];
 computations are exact throughout.
@@ -438,6 +439,24 @@ def partially_metric_level(s: Scheme, r: int) -> int:
     while layers.count(t + 1) == 1:
         t += 1
     return t
+
+
+def why_not_classified(s: SchemeResult) -> Optional[str]:
+    """Why a verify_scheme or scheme_from_graph_distances result is not one
+    of the classified schemes, or None when it is one: a Q-polynomial scheme
+    with m1 = 4 that is at least 2-partially metric."""
+    if isinstance(s, SchemeRefutation):
+        return f"not distance-regular: {s.detail}"
+    try:
+        m1 = qpolynomial_spectra(s)[0].multiplicities[1]
+    except NoQPolynomialOrderingError:
+        return "no Q-polynomial ordering"
+    if m1 != 4:
+        return f"m1 = {m1}"
+    level = partially_metric_level(s, 1)
+    if level < 2:
+        return f"partially_metric_level = {level}"
+    return None
 
 
 def light_tail_bound(k, theta, a1, b1):

@@ -204,6 +204,16 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "argument --budget: must be >= 0, got -1" in err and not out
 
+    def test_search_k1_above_the_two_distance_bound_is_usage_error(self, capsys):
+        # without the bound, the seeds of an open search at k1 = 16 took
+        # half a minute before the first node that the budget counts
+        argv = "search --k1 10 --a1 0 --field auto --budget 1".split()
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and not out
+        assert err == (
+            "error: need k1 <= 9: more than 9 points cannot form a two-distance set on S^2\n"
+        )
+
     def test_negative_max_depth_is_usage_error(self, capsys):
         argv = ("search", "--k1", "4", "--a1", "0", "--max-depth")
         code, out, err = run(capsys, *argv, "-1")

@@ -34,7 +34,7 @@ from schemeforge.diagsearch import (
 )
 from schemeforge.exactnum import QuadNumber, quad_sqrt
 from schemeforge.graphs import DEFAULT_BUDGET, named_graph
-from schemeforge.localclass import LOCAL_CASES, classify_local
+from schemeforge.localclass import LOCAL_CASES, classify_local, delsarte_bound
 from schemeforge.schemes import (
     NoQPolynomialOrderingError,
     SplittingFieldError,
@@ -64,6 +64,13 @@ class TestConfig:
             SearchConfig(k1=2, a1=0)
         with pytest.raises(ValueError):
             SearchConfig(k1=4, a1=4)
+
+    def test_k1_is_at_most_the_two_distance_bound(self):
+        # the neighbourhood of a point is a two-distance set on S^2
+        assert delsarte_bound(3, 2) == 9
+        assert SearchConfig(k1=9, a1=0).k1 == 9
+        with pytest.raises(ValueError, match="need k1 <= 9: more than 9 points"):
+            SearchConfig(k1=10, a1=0, radicand=None)
 
     @pytest.mark.parametrize("radicand", [8, 4, 0, -3])
     def test_radicand_must_be_square_free(self, radicand):
@@ -484,7 +491,7 @@ class TestSchemeDiagram:
     @pytest.mark.parametrize("sid", SEARCHABLE + ["AS24[43]"])
     def test_its_seed_is_among_the_seeds(self, catalogue, sid):
         known = scheme_diagram(catalogue[sid])
-        _diagram, seeds, _todo = initial_state(_own_config(known))
+        seeds = initial_state(_own_config(known))
         assert (known.cosines.values[1], known.cosines.q111) in [
             (seed.values[1], seed.q111) for seed in seeds
         ]
@@ -600,8 +607,9 @@ def reference_solve_cosines(
         r1, r2 = residuals(vals)
         if r1 or r2:
             return None
-        out = cosines.copy()
-        out.values = list(out.values) + [None] * (max(fresh) + 1 - len(out.values))
+        out = cosines._replace(
+            values=list(cosines.values) + [None] * (max(fresh) + 1 - len(cosines.values))
+        )
         for f, pair in zip(fresh, vals):
             out.values[f] = pair
         return out
@@ -793,7 +801,7 @@ def planted_tails(draw):
         layers=[0, 1, 2] + [3] * m,
         arcs={(2, f): w for f, w in zip(fresh, weights)},
         valencies=[1, k1, 1] + [None] * m,
-        determined=[True, True, True] + [False] * m,
+        done=3,
     )
     return diagram, cosines, fresh, SearchConfig(k1=k1, a1=0, radicand=p), cands, planted
 
@@ -827,7 +835,7 @@ def _solve_planted_surplus(kv, weights, planted):
         layers=[0, 1, 2] + [3] * m,
         arcs={(2, f): w for f, w in zip(fresh, weights)},
         valencies=[1, k1, kv] + [None] * m,
-        determined=[True, True, True] + [False] * m,
+        done=3,
     )
     config = SearchConfig(k1=k1, a1=0, radicand=1)
     return [
@@ -895,7 +903,7 @@ class TestSolveCosines:
         # the column-1 recurrence gives and the column-2 recurrence checks;
         # a column-2 value off by one when the column is built must raise
         config = SearchConfig(k1=3, a1=0)
-        diagram, seeds, _ = initial_state(config)
+        diagram, seeds = DistributionDiagram.seed(3, 0), initial_state(config)
         nd, fresh, seed = next(
             (nd, fresh, seed)
             for seed in seeds
@@ -929,7 +937,7 @@ class TestSolveCosines:
             arcs={(0, 1): 4, (1, 0): 1, (1, 2): 3, (2, 1): 1, (2, 2): 1,
                   (2, 3): 1, (2, 4): 1},
             valencies=[1, 4, 12, None, None],
-            determined=[True, True, True, False, False],
+            done=3,
         )
         half, third = QuadNumber(Fraction(1, 2)), QuadNumber(Fraction(1, 3))
         zero, one = QuadNumber(0), QuadNumber(1)
@@ -1030,23 +1038,19 @@ class TestIncrementalChecks:
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
-    def test_arrangements_keep_the_axioms_in_any_order(self, data):
-        # The search finishes the relations layer by layer, so it never has
-        # an undetermined relation two layers from v.  This walk finishes
-        # them in any order, continuing from arrangements that pass the full
-        # check, and compares the two checks on every arrangement it meets.
-        k1 = data.draw(st.sampled_from([3, 4]))
-        config = SearchConfig(
-            k1=k1,
-            a1=data.draw(st.integers(0, k1 - 1)),
-            radicand=data.draw(st.sampled_from([1, None])),
-        )
-        diagram = DistributionDiagram.seed(config.k1, config.a1)
+    def test_arrangements_in_index_order_keep_the_axioms(self, data):
+        # A walk that finishes the relations in index order, as the search
+        # does, through any arrangement that passes the full check, not only
+        # those whose cosines solve; it compares the two checks on every
+        # arrangement it meets.
+        k1 = data.draw(st.sampled_from([3, 4, 5]))
+        a1 = data.draw(st.integers(0, k1 - 1))
+        config = SearchConfig(k1=k1, a1=a1, radicand=None)
+        diagram = DistributionDiagram.seed(k1, a1)
         for _step in range(10):
-            open_ = [h for h in range(1, diagram.n) if not diagram.determined[h]]
-            if not open_:
+            v = diagram.done
+            if v == diagram.n:
                 break
-            v = data.draw(st.sampled_from(open_))
             valid = []
             for nd, _fresh in arrangements(diagram, v, config):
                 verdict = check_diagram_valid(nd)
@@ -1065,35 +1069,14 @@ class TestIncrementalChecks:
         assert sum(1 for got, _want in pairs if not got[0]) == pruned > 0
         assert len(reasons) > 1
 
-    def test_yamazaki_at_v(self):
-        # The search finishes the relations layer by layer, so it never gives
-        # v a determined out-neighbour one layer up; this diagram is built by
-        # hand.  R3 and R4 are determined and send weight 1 each back to
-        # v = 2; once v is determined, R3 and R4 are v's out-neighbours with
-        # no common out-neighbour at layer >= 3.
-        parent = DistributionDiagram(
-            k1=3,
-            layers=[0, 1, 2, 3, 3],
-            arcs={(0, 1): 3, (1, 0): 1, (1, 2): 2, (3, 2): 1, (3, 3): 2,
-                  (4, 2): 1, (4, 4): 2},
-            valencies=[1, 3, None, 6, 6],
-            determined=[True, True, False, True, True],
-        )
-        assert check_diagram_valid(parent) == (True, "")
-        child = parent.copy()
-        for h in (1, 3, 4):
-            child.add_arc(2, h, 1)
-        child.determined[2] = True
-        child.valencies[2] = 6
-        assert _check_arrangement(child, 2) == check_diagram_valid(child) == (False, "yamazaki")
-
     @pytest.mark.parametrize("k1,a1,p", DIFFERENTIAL_RUNS)
     def test_a_seed_can_fail_only_vertex_1s_test(self, k1, a1, p):
         # vertex 1's algebraic-integer test, which the first arrangement (at
         # v = 1) runs; the seed diagram itself is valid
-        diagram, seeds, todo = initial_state(SearchConfig(k1=k1, a1=a1, radicand=p))
-        assert todo == [1]
+        diagram = DistributionDiagram.seed(k1, a1)
+        assert diagram.done == 1
         assert check_diagram_valid(diagram) == (True, "")
+        seeds = initial_state(SearchConfig(k1=k1, a1=a1, radicand=p))
         for seed in seeds:
             assert check_solution_valid(seed, diagram) == _check_extension(seed, diagram, 1, [])
 

@@ -22,6 +22,7 @@ from schemeforge.schemes import (
     scheme_from_graph_distances,
     spectra,
     verify_scheme,
+    why_not_classified,
 )
 
 IDS = sorted(CATALOGUE)
@@ -386,6 +387,29 @@ class TestPartialMetricity:
         for sid in ("AS10[6]", "AS16[30]"):
             s = catalogue[sid]
             assert partially_metric_level(s, 1) == s.d
+
+
+class TestWhyNotClassified:
+    @pytest.mark.parametrize("name,reason", [
+        ("K3xK2", "not distance-regular: p_{11}^1 is 0 at pair (0, 1) but 1 at (0,2)"),
+        ("octahedron", "m1 = 3"),
+        ("K5", "partially_metric_level = 1"),
+        ("J(5,2)", None),
+        ("crown", None),
+    ])
+    def test_each_reason(self, name, reason):
+        assert why_not_classified(scheme_from_graph_distances(named_graph(name))) == reason
+
+    def test_no_q_polynomial_ordering(self):
+        # the line graph of the Petersen graph is distance-regular, with
+        # integral eigenvalues, but no ordering of its idempotents is cometric
+        petersen = named_graph("Petersen")
+        edges = [(i, j) for i in range(10) for j in range(i) if petersen.adj[i] >> j & 1]
+        line_graph = Graph(15, [
+            (a, b) for a in range(15) for b in range(a) if set(edges[a]) & set(edges[b])
+        ])
+        reason = why_not_classified(scheme_from_graph_distances(line_graph))
+        assert reason == "no Q-polynomial ordering"
 
 
 class TestLightTail:

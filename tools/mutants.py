@@ -84,11 +84,60 @@ MUTANTS = [
         ("tests/test_diagsearch.py::TestSolveCosines::test_a_column_that_misses_a_recurrence_raises",),
     ),
     Mutant(
-        "the handshake at a newly determined vertex is not checked",
+        "the handshake at a newly finished vertex is not checked",
         "diagsearch.py",
         "if back and kv * w != kh * back:",
         "if False:",
         ("tests/test_diagsearch.py::TestSolveCosines::test_search_stats_are_pinned",),
+    ),
+    Mutant(
+        "Yamazaki's lemma is not checked at v's in-neighbours",
+        "diagsearch.py",
+        "_yamazaki_ok(diagram, j) for j in range(v) if layers[j] == layers[v] - 1",
+        "True for j in range(v) if layers[j] == layers[v] - 1",
+        ("tests/test_diagsearch.py::TestIncrementalChecks::test_arrangement_check_is_the_full_check",),
+    ),
+    Mutant(
+        "finished vertices are offered as optional targets",
+        "diagsearch.py",
+        "optional = [h for h in range(v, diagram.n)",
+        "optional = [h for h in range(1, diagram.n)",
+        ("tests/test_diagsearch.py::TestIncrementalChecks::test_arrangements_in_index_order_keep_the_axioms",),
+    ),
+    Mutant(
+        "a mandatory back-arc may be left out",
+        "diagsearch.py",
+        "[1] * len(mandatory) + [0] * len(optional)",
+        "[0] * len(mandatory) + [0] * len(optional)",
+        ("tests/test_diagsearch.py::TestIncrementalChecks::test_arrangements_in_index_order_keep_the_axioms",),
+    ),
+    Mutant(
+        "each surplus cosine takes the candidates of the first fresh vertex",
+        "diagsearch.py",
+        "_cosine_candidates(kv * outs[f], field) for f in fresh[:surplus]",
+        "_cosine_candidates(kv * outs[fresh[0]], field) for f in fresh[:surplus]",
+        ("tests/test_diagsearch.py::TestSolveCosines::test_each_surplus_cosine_takes_its_own_candidates",),
+    ),
+    Mutant(
+        "the search goes on past the node budget",
+        "diagsearch.py",
+        "raise _BudgetExhausted",
+        "return",
+        ("tests/test_diagsearch.py::TestBudget::test_search_stops_at_the_first_node_past_the_budget",),
+    ),
+    Mutant(
+        "arithmetic results are not reduced by their gcd",
+        "exactnum.py",
+        "    g = gcd(x, y, d)\n    if g != 1:",
+        "    g = 1\n    if g != 1:",
+        ("tests/test_exactnum.py::TestIntegerCoreAgainstFractionPairs::test_binary_operations",),
+    ),
+    Mutant(
+        "is_algebraic_integer without its norm test",
+        "exactnum.py",
+        "return 2 * u % d == 0 and (u * u - x._p * v * v) % (d * d) == 0",
+        "return 2 * u % d == 0",
+        ("tests/test_exactnum.py::TestNumberTheory::test_is_algebraic_integer_examples",),
     ),
 ]
 
