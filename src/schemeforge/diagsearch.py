@@ -33,10 +33,13 @@ import bisect
 import functools
 import itertools
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import NamedTuple, Optional
 
 from .exactnum import (
     QuadNumber,
+    _make,
+    _sign,
     bounded_algebraic_integers,
     candidate_radicands,
     is_algebraic_integer,
@@ -270,8 +273,10 @@ def _cosine_candidates(k: int, radicand: int) -> tuple:
     j*lambda is an algebraic integer with conjugates in [-j*k, j*k].  So a
     fresh vertex f made at v, whose valency k_v*w(v->f)/w(f->v) divides
     k_v*w(v->f), draws its cosine from the set for k_v*w(v->f)."""
-    kq = QuadNumber(k)
-    return tuple(lam / kq for lam in bounded_algebraic_integers(k, radicand))
+    return tuple(
+        _make(lam._x, lam._y, lam._d * k, lam._p)
+        for lam in bounded_algebraic_integers(k, radicand)
+    )
 
 
 def initial_state(config: SearchConfig) -> list:
@@ -284,7 +289,12 @@ def initial_state(config: SearchConfig) -> list:
     seed is kept only when the Krein value q111 = ((m1-1)*w2 - m1*w1^2 + 1)
     / (w2 - w1) satisfies 0 <= q111 < m1 - 1; q111 = m1 - 1 collapses
     column 1 onto two values, which is the complete-graph degeneracy."""
-    seeds = []
+    return list(_seeds(config))
+
+
+def _seeds(config: SearchConfig):
+    """initial_state's seeds, in its order, drawn one field at a time: the
+    search counts a node per seed, so a node budget also bounds this walk."""
     for field in config.fields:
         cands = _cosine_candidates(config.k1, field)
         for w1 in cands:
@@ -297,18 +307,18 @@ def initial_state(config: SearchConfig) -> list:
                 pairs = [(w2, _ZERO)]
             else:
                 pairs = []
+                rest = _ONE - _FOUR * w1 * w1
                 for w2 in cands:
                     if w2 == w1 or not (-_ONE <= w2 <= _ONE):
                         continue
-                    q111 = (_THREE * w2 - _FOUR * w1 * w1 + _ONE) / (w2 - w1)
+                    q111 = (_THREE * w2 + rest) / (w2 - w1)
                     if _ZERO <= q111 < _THREE:
                         pairs.append((w2, q111))
             for w2, q111 in pairs:
                 # rational seeds lie in every field: only the first takes them
                 if field != config.fields[0] and w1.is_rational and w2.is_rational:
                     continue
-                seeds.append(CosineColumns(field, q111, [(_ONE, _ONE), (w1, w2)]))
-    return seeds
+                yield CosineColumns(field, q111, [(_ONE, _ONE), (w1, w2)])
 
 
 def _weight_assignments(total: int, minimums: list):
@@ -533,33 +543,32 @@ def solve_cosines(
     remaining quadratic.  The fresh vertices are the last of the diagram, as
     arrangements appends them.  Returns a list of CosineColumns (empty =
     prune)."""
-    k1q = QuadNumber(diagram.k1)
+    k1 = diagram.k1
     values = cosines.values
     outs = diagram.out[v]
 
-    def residuals(full):
-        """Residuals of both recurrences at v, given every vertex's pair."""
-        res = []
-        for c in (0, 1):
-            rhs = QuadNumber(0)
-            for h, w in outs.items():
-                rhs = rhs + QuadNumber(w) * full[h][c]
-            res.append(k1q * values[1][c] * full[v][c] - rhs)
+    def residual(c, full):
+        """k1*w(1,c)*w(v,c) - sum_h p_{h1}^v * w(h,c) over the vertices h
+        that full gives a pair: the residual of the column-c recurrence at v
+        when full covers every vertex, and over the known vertices the target
+        that the fresh vertices' terms must meet."""
+        res = full[1][c] * full[v][c] * k1
+        for h, w in outs.items():
+            if h < len(full):
+                res = res - full[h][c] * w
         return res
 
     if not fresh:
-        r1, r2 = residuals(values)
-        return [cosines] if not r1 and not r2 else []
+        return [cosines] if not residual(0, values) and not residual(1, values) else []
 
-    # arrangements appends the fresh vertices after the known ones; with
-    # their cosines at 0 the residuals are the targets their terms must meet
-    target1, target2 = residuals(values + [(_ZERO, _ZERO)] * len(fresh))
+    # arrangements appends the fresh vertices after the known ones
+    target1, target2 = residual(0, values), residual(1, values)
     weights = [QuadNumber(outs[f]) for f in fresh]
     phi = cosines.second_from_first
 
     def extend(first_column):
         full = values + [(a, phi(a)) for a in first_column]
-        if any(residuals(full)):
+        if residual(0, full) or residual(1, full):
             raise ArithmeticError("a closed-form cosine column misses a recurrence")
         radicand = cosines.radicand
         if radicand == 1:
@@ -590,10 +599,10 @@ def solve_cosines(
         four_a_w = four_a * (wa + wb)
         c = QuadNumber(-64) * wa / wb
 
-        def tail_roots(prefix, t1, disc, radicand):
+        def tail_roots(prefix, t1, root, radicand):
             """The completions prefix + [a, b] in Q[sqrt(radicand)] for a tail
-            with target t1 and discriminant disc."""
-            root = quad_sqrt(disc)
+            with target t1 whose discriminant has the square root root, or
+            none when root is None."""
             if root is None:
                 return []
             B = QuadNumber(-8) * t1 * wa / wb
@@ -610,13 +619,14 @@ def solve_cosines(
         if surplus == 0:
             t1, t2 = target1, target2
             disc = c * t1 * t1 + four_aq * t1 + four_a_rest * t2 + four_a_w
-            columns = tail_roots([], t1, disc, cosines.radicand)
+            columns = tail_roots([], t1, quad_sqrt(disc), cosines.radicand)
         else:
             # The last surplus cosine a, of weight w0, leaves t1 = T1 - w0*a
             # and t2 = T2 - w0*phi(a); the discriminant is then P*a^2 + Q*a + R
             # (the q*a terms cancel) with P = w0*(c*w0 - 16A) < 0, as c < 0 < A,
             # and only the candidates in its non-negative slice (_tail_slice)
-            # are solved.  Each surplus cosine of a fresh f is drawn from the
+            # are solved, on ints as far as _tail_root can refuse them.  Each
+            # surplus cosine of a fresh f is drawn from the
             # candidates for k_v*w(v->f), per field, as values of two fields
             # do not mix; a rational tuple recurs under every field, and the
             # dedup below keeps its first copy.
@@ -638,13 +648,32 @@ def solve_cosines(
                         T2 = T2 - wq * phi(a)
                     Q = minus_2c_w0 * T1
                     R = c * T1 * T1 + four_aq * T1 + four_a_rest * T2 + four_a_w0
-                    prefix = list(outer)
                     lo, hi = _tail_slice(cands, P, Q, R)
+                    if lo == hi:
+                        continue
+                    prefix = list(outer)
+                    # with P, Q, R over one denominator den and a written
+                    # (x + y*sqrt(field))/e, den*e^2 times the discriminant
+                    # (P*a + Q)*a + R is, by Horner, X + Y*sqrt(field)
+                    den = lcm(P._d, Q._d, R._d)
+                    p0, p1, q0, q1, r0, r1 = (
+                        n * (den // z._d) for z in (P, Q, R) for n in (z._x, z._y)
+                    )
                     for a in cands[lo:hi]:
-                        disc = (P * a + Q) * a + R
-                        columns.extend(
-                            tail_roots(prefix + [a], T1 - w0 * a, disc, field)
+                        x, y, e = a._x, a._y, a._d
+                        m0 = p0 * x + p1 * y * field + q0 * e
+                        m1 = p0 * y + p1 * x + q1 * e
+                        ee = e * e
+                        root = _tail_root(
+                            m0 * x + m1 * y * field + r0 * ee,
+                            m0 * y + m1 * x + r1 * ee,
+                            den * ee,
+                            field,
                         )
+                        if root is not None:
+                            columns.extend(
+                                tail_roots(prefix + [a], T1 - w0 * a, root, field)
+                            )
     results = []
     seen = set()
     for col in columns:
@@ -656,6 +685,19 @@ def solve_cosines(
         seen.add(key)
         results.append(ext)
     return results
+
+
+def _tail_root(x: int, y: int, d: int, p: int) -> Optional[QuadNumber]:
+    """quad_sqrt of the tail discriminant (x + y*sqrt(p))/d, d > 0, with its
+    two common refusals decided on the ints: a negative number has no square
+    root, nor has one whose norm x^2 - p*y^2 is not a square."""
+    if _sign(x, y, p) < 0:
+        return None
+    if y:
+        norm = x * x - y * y * p
+        if norm < 0 or isqrt(norm) ** 2 != norm:
+            return None
+    return quad_sqrt(_make(x, y, d, p))
 
 
 def _tail_slice(cands: tuple, P: QuadNumber, Q: QuadNumber, R: QuadNumber):
@@ -811,6 +853,15 @@ def generate_diagrams(config: SearchConfig) -> SearchOutcome:
     results = {}
     complete = True
 
+    def steps(diagram, v):
+        """(arrangement, fresh vertices, _check_arrangement verdict) at v."""
+        for nd, fresh in arrangements(diagram, v, config):
+            yield nd, fresh, _check_arrangement(nd, v)[0]
+
+    # every seed shares the seed diagram, so its steps at vertex 1 are built once
+    seed = DistributionDiagram.seed(config.k1, config.a1)
+    first = list(steps(seed, 1))
+
     def rec(diagram, cosines):
         nonlocal complete
         stats["nodes"] += 1
@@ -829,8 +880,7 @@ def generate_diagrams(config: SearchConfig) -> SearchOutcome:
                 stats["emitted"] += 1
                 results[key] = res
             return
-        for nd, fresh in arrangements(diagram, v, config):
-            ok, _reason = _check_arrangement(nd, v)
+        for nd, fresh, ok in first if v == 1 else steps(diagram, v):
             if not ok:
                 stats["pruned"]["diagram"] += 1
                 continue
@@ -854,10 +904,9 @@ def generate_diagrams(config: SearchConfig) -> SearchOutcome:
                     continue
                 rec(nd, ext)
 
-    diagram = DistributionDiagram.seed(config.k1, config.a1)
     try:
-        for seed in initial_state(config):
-            rec(diagram, seed)
+        for cosines in _seeds(config):
+            rec(seed, cosines)
     except _BudgetExhausted:
         complete = False
 

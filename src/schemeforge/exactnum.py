@@ -684,29 +684,38 @@ def bounded_algebraic_integers(k: RationalLike, radicand: int = 1) -> list[QuadN
     polynomial degree <= 2 whose conjugates all lie in [-k, k], sorted and
     distinct.
 
-    Rational case: the integers in [-k, k].  Quadratic case additionally the
-    roots of the quadratics of _bounded_quadratics whose discriminant has
-    square-free part p.
+    Rational case: the integers in [-k, k].  Quadratic case additionally
+    every lambda = (x + y*sqrt(p))/2 with y != 0 and x = y (mod 2), x and y
+    even unless p = 1 (mod 4); its conjugates (x +- y*sqrt(p))/2 lie in
+    [-k, k] exactly when |x| + |y|*sqrt(p) <= 2k.
+
+    They are sorted by the int floor(4k*lambda), which strictly increases:
+    two distinct candidates differ by a non-zero algebraic integer whose
+    conjugate is at most 2k, and so by at least 1/(2k).
     """
     k = Fraction(k)
     if k <= 0:
         raise ValueError("k must be positive")
     hi = _floor_fraction(k)
-    out = [QuadNumber(i) for i in range(-hi, hi + 1)]
     if radicand == 1:
-        return out
+        return [QuadNumber(i) for i in range(-hi, hi + 1)]
     _, p = squarefree_decompose(radicand)
     if p == 1:
         raise ValueError("radicand must not be a perfect square")
-    for b, disc in _bounded_quadratics(k):
-        if disc % p:
+    n, d = (2 * k).numerator, (2 * k).denominator  # 4k*lambda = n*(x + y*sqrt(p))/d
+    keyed = [(2 * n * i // d, QuadNumber(i)) for i in range(-hi, hi + 1)]
+    step = 1 if p % 4 == 1 else 2
+    for x in range(-(n // d), n // d + 1):
+        if x % step:
             continue
-        # the square-free part of disc is p iff disc/p is a square
-        m = isqrt(disc // p)
-        if m * m * p == disc:
-            out.extend([_make(-b, -m, 2, p), _make(-b, m, 2, p)])
-    out.sort()
-    return out
+        # |y|*sqrt(p) <= 2k - |x|, which no y meets with equality
+        top = n - abs(x) * d
+        for y in range(2 - x % 2, isqrt(top * top // (p * d * d)) + 1, 2):
+            r = isqrt(n * n * y * y * p)  # floor(n*y*sqrt(p)), never exact
+            keyed.append(((n * x + r) // d, _make(x, y, 2, p)))
+            keyed.append(((n * x - r - 1) // d, _make(x, -y, 2, p)))
+    keyed.sort(key=lambda pair: pair[0])
+    return [lam for _key, lam in keyed]
 
 
 def candidate_radicands(k1: int) -> list[int]:

@@ -449,6 +449,8 @@ def why_not_classified(s: SchemeResult) -> Optional[str]:
         return f"not distance-regular: {s.detail}"
     try:
         m1 = qpolynomial_spectra(s)[0].multiplicities[1]
+    except SplittingFieldError:
+        return "splitting field not quadratic"
     except NoQPolynomialOrderingError:
         return "no Q-polynomial ordering"
     if m1 != 4:

@@ -4,6 +4,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schemeforge import cli, diagsearch
 from schemeforge.catalogue import CATALOGUE, catalogue_scheme
@@ -128,6 +130,31 @@ class TestGoldenData:
         name = bundled_filename(sid)
         assert text.encode("utf-8") == (cli.DATA_DIR / name).read_bytes()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == cli._read_manifest()[name]
+
+
+class TestSha256:
+    # FIPS 180-4 examples (NIST CSRC): the empty message, one block, and the
+    # 448-bit message whose padding needs a second block
+    @pytest.mark.parametrize("message,digest", [
+        (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+        (b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+         "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"),
+    ])
+    def test_nist_vectors(self, message, digest):
+        assert cli._sha256_hex(message) == digest
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=4096))
+    @example(b"x" * 55)  # the last length that pads into one block
+    @example(b"x" * 56)
+    @example(b"x" * 64)
+    def test_matches_hashlib(self, data):
+        assert cli._sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+    def test_manifest_digests(self):
+        for name, digest in cli._read_manifest().items():
+            assert cli._sha256_hex((cli.DATA_DIR / name).read_bytes()) == digest
 
 
 class TestExitCodes:
@@ -475,6 +502,20 @@ def test_every_exported_name_resolves():
 def test_import_loads_neither_dataclasses_nor_hashlib():
     """Every command pays for what the package imports.  dataclasses brings
     inspect, dis and ast and builds its methods with exec; hashlib maps
-    OpenSSL, which only load_bundled needs and so imports itself."""
+    OpenSSL's libcrypto."""
     names = ["dataclasses", "hashlib"]
     assert _loaded_modules(names, "import schemeforge.cli") <= _loaded_modules(names, "")
+
+
+def test_classify_hash_checks_without_hashlib():
+    """classify hash-checks its golden files with _sha256_hex, so it maps
+    no OpenSSL: it holds no more of hashlib and _hashlib than a bare
+    interpreter does."""
+    names = ["hashlib", "_hashlib"]
+    run = (
+        "import contextlib, io\n"
+        "from schemeforge.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['classify', '--case', 'N3']) == 0"
+    )
+    assert _loaded_modules(names, run) <= _loaded_modules(names, "")

@@ -405,6 +405,23 @@ class TestBudget:
         keys = {res.canonical_key() for res in full.results}
         assert {res.canonical_key() for res in cut.results} <= keys
 
+    def test_budget_bounds_the_seed_walk(self, monkeypatch):
+        # the seeds are drawn one field at a time, so a search cut at its
+        # second node builds the seed candidates of Q alone, where it found
+        # its first seed, and of none of the other 91 fields
+        config = SearchConfig(k1=9, a1=0, radicand=None, budget=1)
+        built, candidates = [], diagsearch._cosine_candidates
+
+        def counted(k, radicand):
+            built.append(radicand)
+            return candidates(k, radicand)
+
+        monkeypatch.setattr(diagsearch, "_cosine_candidates", counted)
+        outcome = generate_diagrams(config)
+        assert outcome.stats["nodes"] == 2 and not outcome.complete
+        assert len(config.fields) == 92
+        assert set(built) == {1}
+
 
 class TestMatchKnown:
     def test_positive_and_negative(self, run_3_0):
@@ -887,6 +904,17 @@ class TestSolveCosines:
         assert QuadNumber(Fraction(1, 2)) not in _cosine_candidates(3, 1)
         assert planted in _solve_planted_surplus(1, (3, 2, 1, 1), planted)
 
+    @pytest.mark.parametrize("weights,planted", [
+        ((1, 1), ("-1/2", "-1/2")),
+        ((1, 2, 2), ("-1/2", "1/6", "1/6")),
+        ((2, 1, 1), ("1/3", "-1/4", "-1/4")),
+    ])
+    def test_a_tail_with_a_double_root_is_solved(self, weights, planted):
+        # equal weights and equal cosines for the last two fresh relations
+        # make the tail discriminant 0, whose square root is 0
+        planted = [QuadNumber(Fraction(x)) for x in planted]
+        assert planted in _solve_planted_surplus(6, weights, planted)
+
     def test_swaps_across_weight_classes_are_distinct(self):
         # Weights 3, 2, 1, 1 at a vertex of valency 6: both assignments of
         # {-1, -5/6, -1/2, -1/3} below give equal sums of w*a and w*a^2, so
@@ -1035,6 +1063,18 @@ class TestIncrementalChecks:
         # one verdict per arrangement the search checked
         pruned = sum(s["pruned"]["diagram"] for s in recorded_runs["stats"].values())
         assert sum(1 for got, _want in pairs if not got[0]) == pruned > 0
+
+    @pytest.mark.parametrize("k1,a1", [(3, 0), (4, 1)])
+    def test_diagram_prunes_count_per_seed(self, monkeypatch, k1, a1):
+        # the seeds share vertex 1's arrangements, which the search builds
+        # and checks once; each seed still counts each prune among them
+        config = SearchConfig(k1=k1, a1=a1, radicand=None)
+        seeds = initial_state(config)
+        first = list(arrangements(DistributionDiagram.seed(k1, a1), 1, config))
+        monkeypatch.setattr(diagsearch, "_check_arrangement", lambda nd, v: (False, "yamazaki"))
+        stats = generate_diagrams(config).stats
+        assert stats["nodes"] == len(seeds) > 1
+        assert stats["pruned"]["diagram"] == len(seeds) * len(first) > len(first)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

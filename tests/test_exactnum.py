@@ -25,6 +25,7 @@ from schemeforge.exactnum import (
     split_integer_polynomial,
     squarefree_decompose,
 )
+from schemeforge.exactnum import _floor_fraction, _make
 from schemeforge.graphs import enumerate_regular_graphs, named_graph
 from schemeforge.schemes import _GENERIC_COEFF_VECTORS, scheme_from_graph_distances
 
@@ -39,6 +40,40 @@ def quads(draw, p=None):
     a = draw(fractions)
     b = draw(fractions) if p > 1 else Fraction(0)
     return QuadNumber(a, b, p)
+
+
+def _reference_bounded_quadratics(k: Fraction):
+    """exactnum._bounded_quadratics, kept verbatim as the reference."""
+    bmax = _floor_fraction(2 * k)
+    for b in range(-bmax, bmax + 1):
+        cmin = max(-k * k + k * b, -k * k - k * b)
+        for c in range(-_floor_fraction(-cmin), (b * b - 1) // 4 + 1):
+            yield b, b * b - 4 * c
+
+
+def reference_bounded_algebraic_integers(k, radicand: int = 1) -> list:
+    """bounded_algebraic_integers as it was before its closed form, kept
+    verbatim as the reference: a scan of the monic integer quadratics with
+    both roots in [-k, k], filtered by discriminant."""
+    k = Fraction(k)
+    if k <= 0:
+        raise ValueError("k must be positive")
+    hi = _floor_fraction(k)
+    out = [QuadNumber(i) for i in range(-hi, hi + 1)]
+    if radicand == 1:
+        return out
+    _, p = squarefree_decompose(radicand)
+    if p == 1:
+        raise ValueError("radicand must not be a perfect square")
+    for b, disc in _reference_bounded_quadratics(k):
+        if disc % p:
+            continue
+        # the square-free part of disc is p iff disc/p is a square
+        m = isqrt(disc // p)
+        if m * m * p == disc:
+            out.extend([_make(-b, -m, 2, p), _make(-b, m, 2, p)])
+    out.sort()
+    return out
 
 
 class TestQuadNumber:
@@ -181,6 +216,15 @@ class TestNumberTheory:
                     if all(-k <= r <= k for r in roots):
                         want.update(roots)
         assert bounded_algebraic_integers(k, radicand=p) == sorted(want)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 13, 21])
+    def test_bounded_algebraic_integers_match_the_quadratic_scan(self, p):
+        # 1 to 16 in full, then a sparser ladder to 64, with a half-integer
+        # and a rational k that is not one
+        ks = [*range(1, 17), 20, 24, 32, 45, 64, Fraction(5, 2), Fraction(22, 3)]
+        for k in ks:
+            assert bounded_algebraic_integers(k, radicand=p) == \
+                reference_bounded_algebraic_integers(k, radicand=p), k
 
     def test_quad_sqrt(self):
         x = QuadNumber(3, 2, 2)  # (1 + sqrt(2))^2

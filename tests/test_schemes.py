@@ -396,6 +396,9 @@ class TestWhyNotClassified:
         ("K5", "partially_metric_level = 1"),
         ("J(5,2)", None),
         ("crown", None),
+        # the eigenvalues 2cos(2*pi*j/n) of C7 and C9 have degree 3 over Q
+        ("C7", "splitting field not quadratic"),
+        ("C9", "splitting field not quadratic"),
     ])
     def test_each_reason(self, name, reason):
         assert why_not_classified(scheme_from_graph_distances(named_graph(name))) == reason

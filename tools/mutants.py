@@ -79,7 +79,7 @@ MUTANTS = [
     Mutant(
         "a closed-form cosine column that misses a recurrence is kept",
         "diagsearch.py",
-        "if any(residuals(full)):",
+        "if residual(0, full) or residual(1, full):",
         "if False:",
         ("tests/test_diagsearch.py::TestSolveCosines::test_a_column_that_misses_a_recurrence_raises",),
     ),
@@ -139,6 +139,51 @@ MUTANTS = [
         "return 2 * u % d == 0",
         ("tests/test_exactnum.py::TestNumberTheory::test_is_algebraic_integer_examples",),
     ),
+    Mutant(
+        "a wrong rotation in SHA-256",
+        "cli.py",
+        "(e >> 6 | e << 26)",
+        "(e >> 6 | e << 25)",
+        ("tests/test_cli.py::TestSha256::test_nist_vectors",),
+    ),
+    Mutant(
+        "no odd coordinates for p = 1 (mod 4) in the bounded algebraic integers",
+        "exactnum.py",
+        "step = 1 if p % 4 == 1 else 2",
+        "step = 2",
+        ("tests/test_exactnum.py::TestNumberTheory"
+         "::test_bounded_algebraic_integers_match_the_quadratic_scan",),
+    ),
+    Mutant(
+        "the tail test refuses a zero discriminant",
+        "diagsearch.py",
+        "if _sign(x, y, p) < 0:",
+        "if _sign(x, y, p) <= 0:",
+        ("tests/test_diagsearch.py::TestSolveCosines::test_a_tail_with_a_double_root_is_solved",),
+    ),
+    Mutant(
+        "the integer tail discriminant scales R's sqrt(p) part by e, not e^2",
+        "diagsearch.py",
+        "m0 * y + m1 * x + r1 * ee,",
+        "m0 * y + m1 * x + r1 * e,",
+        ("tests/test_diagsearch.py::TestSolveCosines::test_matches_reference_on_every_search_call",),
+    ),
+    Mutant(
+        "diagram prunes at vertex 1 counted once instead of per seed",
+        "diagsearch.py",
+        "    first = list(steps(seed, 1))\n",
+        "    first = list(steps(seed, 1))\n"
+        "    stats['pruned']['diagram'] += sum(not ok for _nd, _fresh, ok in first)\n"
+        "    first = [step for step in first if step[2]]\n",
+        ("tests/test_diagsearch.py::TestIncrementalChecks::test_diagram_prunes_count_per_seed",),
+    ),
+    Mutant(
+        "every seed is built before the first node",
+        "diagsearch.py",
+        "for cosines in _seeds(config):",
+        "for cosines in initial_state(config):",
+        ("tests/test_diagsearch.py::TestBudget::test_budget_bounds_the_seed_walk",),
+    ),
 ]
 
 EQUIVALENT = [
@@ -151,6 +196,16 @@ EQUIVALENT = [
         ),
         "R is the power-of-two Cauchy bound, which overshoots the roots, so "
         "the factor 8 is margin that no input here exercises",
+    ),
+    (
+        Mutant(
+            "the sort key of a negative-y candidate rounds up",
+            "exactnum.py",
+            "(n * x - r - 1) // d",
+            "(n * x - r) // d",
+        ),
+        "4k*lambda of two distinct candidates differ by at least 2, so any "
+        "key between its floor and its ceiling sorts them alike",
     ),
 ]
 
