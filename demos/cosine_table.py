@@ -1,13 +1,14 @@
 """Print the exact cosine table of the bundled schemes.
 
 Every bundled scheme has first multiplicity four, so each one embeds on the
-unit sphere in R^4 through its first primitive idempotent.  The cosine
+unit sphere in R^4 through its first primitive idempotent.  Each scheme is
+read from its hash-checked golden file.  The cosine
 column lists the exact inner products realized by each relation.
 
 Run:  python demos/cosine_table.py
 """
 
-from schemeforge.catalogue import CATALOGUE, catalogue_scheme
+from schemeforge.catalogue import CATALOGUE, load_bundled
 from schemeforge.schemes import qpolynomial_spectra
 
 
@@ -16,7 +17,7 @@ def main():
     print(header)
     print("-" * len(header))
     for sid in sorted(CATALOGUE):
-        scheme = catalogue_scheme(sid)
+        scheme = load_bundled(sid)
         sp, orderings = qpolynomial_spectra(scheme)
         cosines = ", ".join(str(sp.cosines[i][1]) for i in range(scheme.d + 1))
         print(

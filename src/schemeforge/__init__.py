@@ -8,8 +8,9 @@ whose first multiplicity is four.  It is organized as a pipeline:
 - :mod:`schemeforge.schemes` — scheme axioms, spectra, cosines, Krein data
 - :mod:`schemeforge.localclass` — feasible nearest-neighbourhood graphs
 - :mod:`schemeforge.diagsearch` — relation-distribution diagram generation
-- :mod:`schemeforge.catalogue` — the bundled schemes and the classified pairs
-- :mod:`schemeforge.cli` — command-line surface and golden data files
+- :mod:`schemeforge.catalogue` — the hash-checked golden scheme files, their
+  format, and the classified pairs
+- :mod:`schemeforge.cli` — command-line surface
 
 Import each name from the module that defines it, for example
 ``from schemeforge.localclass import classify_local``.

@@ -36,6 +36,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import NamedTuple, Optional
 
+from .catalogue import CATALOGUE, load_bundled
 from .exactnum import (
     QuadNumber,
     _make,
@@ -55,7 +56,6 @@ __all__ = [
     "CosineColumns",
     "SearchResult",
     "SearchOutcome",
-    "initial_state",
     "arrangements",
     "check_diagram_valid",
     "solve_cosines",
@@ -279,9 +279,10 @@ def _cosine_candidates(k: int, radicand: int) -> tuple:
     )
 
 
-def initial_state(config: SearchConfig) -> list:
+def _seeds(config: SearchConfig):
     """The finitely many cosine seeds (w1, w2) of the seed diagram R0 -> R1
-    (DistributionDiagram.seed).
+    (DistributionDiagram.seed), drawn lazily one field at a time: the search
+    counts a node per seed, so a node budget also bounds this walk.
 
     w1 = omega_{1,1} ranges over bounded algebraic integers over k1 in each
     searched field, and the seed takes that field; w2 is forced by q111 = 0
@@ -289,12 +290,6 @@ def initial_state(config: SearchConfig) -> list:
     seed is kept only when the Krein value q111 = ((m1-1)*w2 - m1*w1^2 + 1)
     / (w2 - w1) satisfies 0 <= q111 < m1 - 1; q111 = m1 - 1 collapses
     column 1 onto two values, which is the complete-graph degeneracy."""
-    return list(_seeds(config))
-
-
-def _seeds(config: SearchConfig):
-    """initial_state's seeds, in its order, drawn one field at a time: the
-    search counts a node per seed, so a node budget also bounds this walk."""
     for field in config.fields:
         cands = _cosine_candidates(config.k1, field)
         for w1 in cands:
@@ -772,7 +767,7 @@ def _check_extension(cosines: CosineColumns, diagram: DistributionDiagram,
     fresh values, their faithfulness against every earlier value, their
     nearest-dominance, and the algebraic-integer tests of v and of the fresh
     vertices.  A seed passes every check but vertex 1's algebraic-integer
-    test by construction (initial_state), and its first arrangement is at
+    test by construction (_seeds), and its first arrangement is at
     v = 1, which runs that test."""
     values = cosines.values
     new = [values[f] for f in fresh]
@@ -818,15 +813,6 @@ def _emission_checks(diagram: DistributionDiagram, cosines: CosineColumns):
     return True, ""
 
 
-@functools.cache
-def _catalogue() -> dict:
-    """The bundled catalogue schemes by id, built once per process (so each
-    one's Q-polynomial spectra are computed once too); read-only."""
-    from .catalogue import CATALOGUE, catalogue_scheme
-
-    return {sid: catalogue_scheme(sid) for sid in CATALOGUE}
-
-
 def _kissing_prune(diagram: DistributionDiagram, cosines: CosineColumns) -> bool:
     """With w(1,1) <= 1/2, X is a spherical [-1,1/2]-code in R^4: True when the
     valencies known so far already sum past its bound."""
@@ -844,7 +830,8 @@ def generate_diagrams(config: SearchConfig) -> SearchOutcome:
     """Run the recursive generation for one configuration, over every field
     it names.
 
-    Emitted diagrams are matched against the bundled catalogue; unmatched
+    Emitted diagrams are matched against the catalogue's hash-checked golden
+    files (catalogue.load_bundled), in catalogue order; unmatched
     feasible diagrams are kept in the result list with matched=None.  The
     search stops at the first node past the budget, so it then counts
     budget + 1 nodes; the diagrams found before that are kept."""
@@ -912,8 +899,8 @@ def generate_diagrams(config: SearchConfig) -> SearchOutcome:
 
     ordered = [results[k] for k in sorted(results)]
     for i, res in enumerate(ordered):
-        for sid, scheme in _catalogue().items():
-            if match_known(res, scheme):
+        for sid in CATALOGUE:
+            if match_known(res, load_bundled(sid)):
                 ordered[i] = res._replace(matched=sid)
                 break
     return SearchOutcome(config, ordered, stats, complete)

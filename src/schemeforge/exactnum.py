@@ -1,8 +1,7 @@
 """Exact scalar and matrix arithmetic over Q and real quadratic fields Q[sqrt(p)].
 
 Every eigenvalue, cosine, Krein parameter and Gram entry in this package is a
-QuadNumber; no floating point enters any decision anywhere.  Floats appear only
-through ``float()`` conversions used by sanity tests.
+QuadNumber; no floating point enters any decision anywhere.
 
 A QuadNumber is stored as four plain ints, (x + y*sqrt(p))/d with d > 0,
 gcd(x, y, d) = 1, p square-free, and p = 1 exactly when y = 0; this form is
@@ -79,12 +78,6 @@ class QuadNumber:
         self._x, self._y, self._d = x // g, y // g, d // g
         self._p = p if y else 1
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def sqrt(cls, p: int) -> "QuadNumber":
-        return cls(0, 1, p)
-
     # -- views and predicates ----------------------------------------------
 
     @property
@@ -116,11 +109,6 @@ class QuadNumber:
 
     def conjugate(self) -> "QuadNumber":
         return _make(self._x, -self._y, self._d, self._p)
-
-    def conjugates(self) -> tuple["QuadNumber", ...]:
-        if not self._y:
-            return (self,)
-        return (self, self.conjugate())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -259,9 +247,6 @@ class QuadNumber:
 
     # -- conversions -------------------------------------------------------
 
-    def __float__(self):
-        return float(self.a) + float(self.b) * self._p ** 0.5
-
     def __repr__(self):
         return f"QuadNumber({self.a!r}, {self.b!r}, {self._p})"
 
@@ -376,10 +361,6 @@ class ExactMatrix:
         self.cols = len(grid[0]) if grid else 0
         self.entries = grid
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __eq__(self, other):
         return (
             isinstance(other, ExactMatrix)
@@ -391,25 +372,6 @@ class ExactMatrix:
                 for j in range(self.cols)
             )
         )
-
-    def scale(self, c) -> "ExactMatrix":
-        return ExactMatrix(
-            [[x * c for x in row] for row in self.entries]
-        )
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out.append(
-                [
-                    sum((x * y for x, y in zip(row, col)), QuadNumber(0))
-                    for col in ot
-                ]
-            )
-        return ExactMatrix(out)
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
@@ -665,20 +627,6 @@ def _floor_fraction(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
-def _bounded_quadratics(k: Fraction):
-    """(b, disc) for every monic integer quadratic t^2 + b t + c with positive
-    discriminant disc = b^2 - 4c and both roots in [-k, k].
-
-    The roots of such an f lie in [-k, k] exactly when f(-k) >= 0, f(k) >= 0
-    and the vertex -b/2 lies in [-k, k]; the first two bound c below, and
-    disc > 0 bounds it above."""
-    bmax = _floor_fraction(2 * k)
-    for b in range(-bmax, bmax + 1):
-        cmin = max(-k * k + k * b, -k * k - k * b)
-        for c in range(-_floor_fraction(-cmin), (b * b - 1) // 4 + 1):
-            yield b, b * b - 4 * c
-
-
 def bounded_algebraic_integers(k: RationalLike, radicand: int = 1) -> list[QuadNumber]:
     """All algebraic integers of Q (radicand 1) or Q[sqrt(p)] with minimal
     polynomial degree <= 2 whose conjugates all lie in [-k, k], sorted and
@@ -719,10 +667,20 @@ def bounded_algebraic_integers(k: RationalLike, radicand: int = 1) -> list[QuadN
 
 
 def candidate_radicands(k1: int) -> list[int]:
-    """Square-free parts of discriminants of monic integer quadratics whose
-    roots both lie in [-k1, k1]: the possible splitting fields."""
-    parts = {squarefree_decompose(disc)[1] for _b, disc in _bounded_quadratics(Fraction(k1))}
-    return sorted(parts - {1})
+    """Square-free parts p >= 2 of discriminants D of monic integer
+    quadratics t^2 + b t + c whose roots both lie in [-k1, k1]: the possible
+    splitting fields.
+
+    The roots (-b +- sqrt(D))/2 lie in [-k1, k1] iff |b| + sqrt(D) <= 2k1,
+    and D = b^2 (mod 4).  b = 0 gives every D = 4m with m <= k1^2, and an
+    even b != 0 no more; an odd b gives D = 1 (mod 4) with sqrt(D) <= 2k1 - 1,
+    whose square-free part is again 1 (mod 4), and b = 1 reaches each such
+    D.  So p qualifies iff p <= k1^2, or p = 1 (mod 4) and p <= (2k1 - 1)^2.
+    """
+    return [
+        p for p in range(2, (2 * k1 - 1) ** 2 + 1)
+        if (p <= k1 * k1 or p % 4 == 1) and squarefree_decompose(p)[0] == 1
+    ]
 
 
 def is_algebraic_integer(x: QuadNumber) -> bool:

@@ -1,13 +1,13 @@
 import pytest
 
-from schemeforge.catalogue import CATALOGUE, catalogue_scheme
+from schemeforge.catalogue import CATALOGUE, load_bundled
 from schemeforge.schemes import qpolynomial_spectra
 
 
 @pytest.fixture(scope="session")
 def catalogue():
-    """All bundled schemes, keyed by id."""
-    return {sid: catalogue_scheme(sid) for sid in CATALOGUE}
+    """All bundled schemes, keyed by id, as their golden files give them."""
+    return {sid: load_bundled(sid) for sid in CATALOGUE}
 
 
 @pytest.fixture(scope="session")

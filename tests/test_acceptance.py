@@ -8,8 +8,13 @@ import time
 
 import pytest
 
-from schemeforge.catalogue import CATALOGUE, CLASSIFIED, catalogue_scheme
-from schemeforge.cli import main, parse_scheme_file, SchemeFileError
+from schemeforge.catalogue import (
+    CATALOGUE,
+    SchemeFileError,
+    load_bundled,
+    parse_scheme_file,
+)
+from schemeforge.cli import main
 from schemeforge.diagsearch import SearchConfig, generate_diagrams
 from schemeforge.exactnum import QuadNumber, is_psd, rank
 from schemeforge.graphs import extend_locally, identify_graph, named_graph
@@ -21,6 +26,8 @@ from schemeforge.schemes import (
     qpolynomial_spectra,
     verify_scheme,
 )
+
+from matrices import matmul
 
 
 @contextlib.contextmanager
@@ -54,7 +61,7 @@ def test_1_cosine_table_reproduction():
     with criterion(1, "all eight bundled schemes: m1 = 4 and exact cosines, < 10 s"):
         start = time.monotonic()
         for sid, expected in COSINE_COLUMNS.items():
-            s = catalogue_scheme(sid)
+            s = load_bundled(sid)
             sp, _ = qpolynomial_spectra(s)
             assert sp.multiplicities[1] == 4, sid
             got = [str(sp.cosines[i][1]) for i in range(s.d + 1)]
@@ -128,7 +135,7 @@ def test_5_bound_checks():
 def test_6_light_tail_bound():
     with criterion(6, "light-tail equality for Q4 and crown (= 4 = m1); 36/11 for K3xK3"):
         for sid in ("AS16[30]", "AS10[6]", "AS09[3]"):
-            s = catalogue_scheme(sid)
+            s = load_bundled(sid)
             sp, _ = qpolynomial_spectra(s)
             bound = light_tail_bound(
                 s.valencies[1], sp.P[1][1], s.p[1][1][1], s.p[2][1][1]
@@ -160,7 +167,7 @@ def test_8_property_suites():
     with criterion(8, "handshake, both recurrences, Krein >= 0, initial Krein identities, "
                       "even-column rationality, degree bound, E_j^2 = E_j on every bundled scheme"):
         for sid in sorted(CATALOGUE):
-            s = catalogue_scheme(sid)
+            s = load_bundled(sid)
             sp, _ = qpolynomial_spectra(s)
             d = s.d
             zero, one = QuadNumber(0), QuadNumber(1)
@@ -208,7 +215,7 @@ def test_8_property_suites():
             # exact idempotency
             for c in range(d + 1):
                 e = sp.idempotent(c)
-                assert e @ e == e
+                assert matmul(e, e) == e
 
 
 def test_9_negative_paths():

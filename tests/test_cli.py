@@ -7,22 +7,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schemeforge import cli, diagsearch
-from schemeforge.catalogue import CATALOGUE, catalogue_scheme
-from schemeforge.cli import (
-    EXIT_BUDGET,
-    EXIT_NEGATIVE,
-    EXIT_OK,
-    EXIT_USAGE,
+from schemeforge import catalogue, cli, diagsearch
+from schemeforge.catalogue import (
+    CATALOGUE,
     SchemeFile,
     SchemeFileError,
+    _tokenize,
     bundled_filename,
     load_bundled,
-    main,
     parse_scheme_file,
 )
-from schemeforge.graphs import DEFAULT_BUDGET, named_graph
-from schemeforge.schemes import scheme_from_graph_distances
+from schemeforge.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
+from schemeforge.graphs import DEFAULT_BUDGET, cell24_vertices, named_graph
+from schemeforge.schemes import Scheme, scheme_from_graph_distances, verify_scheme
 
 VALID = """\
 # the K3,3 scheme: relation 1 across the parts, relation 2 within
@@ -48,6 +45,23 @@ def serialize_scheme_file(sf: SchemeFile) -> str:
     for row in sf.grid:
         lines.append(" ".join(str(e).rjust(width) for e in row))
     return "\n".join(lines) + "\n"
+
+
+def reference_tokenize(text: str):
+    """_tokenize as the character scan it was before it used re, kept as
+    the reference."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        col = 0
+        while col < len(line):
+            if line[col].isspace():
+                col += 1
+                continue
+            end = col
+            while end < len(line) and not line[end].isspace():
+                end += 1
+            yield line_no, col + 1, line[col:end]
+            col = end
 
 
 def run(capsys, *argv):
@@ -95,10 +109,56 @@ class TestParser:
         assert exc.value.column >= 1
         assert fragment in exc.value.message
 
+    # spaces and line breaks beyond ASCII, which str.isspace and re's \s
+    # both take as whitespace, and text of any kind
+    @given(st.text(alphabet="01x# \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000", max_size=60)
+           | st.text(max_size=60))
+    def test_tokenize_matches_the_character_scan(self, text):
+        assert list(_tokenize(text)) == list(reference_tokenize(text))
+
     def test_error_column_points_at_offender(self):
         with pytest.raises(SchemeFileError) as exc:
             parse_scheme_file("3\n0 1 2\n1 9 1\n2 1 0\n")
         assert (exc.value.line, exc.value.column) == (3, 3)
+
+
+def cell24_scheme() -> Scheme:
+    """Association scheme of the 24-cell: relations by inner product
+    2, 1, 0, -1, -2 between the 24 vertices (+-1, +-1, 0, 0).  The 24-cell
+    graph is not distance-regular (pairs at inner product -1 already occur at
+    graph distance 2), so this is the inner-product partition of the
+    polytope's spherical embedding, not a distance partition."""
+    verts = cell24_vertices()
+    rel_of_ip = {2: 0, 1: 1, 0: 2, -1: 3, -2: 4}
+    rel = [
+        [rel_of_ip[sum(x * y for x, y in zip(verts[a], verts[b]))] for b in range(24)]
+        for a in range(24)
+    ]
+    s = verify_scheme(rel)
+    assert isinstance(s, Scheme)
+    return s
+
+
+def catalogue_scheme(scheme_id: str) -> Scheme:
+    """The catalogue scheme built from its graph: the reference that each
+    golden file is pinned to, byte for byte."""
+    if scheme_id == "AS24[43]":
+        return cell24_scheme()
+    result = scheme_from_graph_distances(named_graph(CATALOGUE[scheme_id]))
+    assert isinstance(result, Scheme)
+    return result
+
+
+@pytest.fixture
+def data_copy(tmp_path, monkeypatch):
+    """A writable copy of the golden data that load_bundled reads, with its
+    cache cleared on the way in and out."""
+    for f in catalogue.DATA_DIR.iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    monkeypatch.setattr(catalogue, "DATA_DIR", tmp_path)
+    load_bundled.cache_clear()
+    yield tmp_path
+    load_bundled.cache_clear()
 
 
 class TestGoldenData:
@@ -107,18 +167,38 @@ class TestGoldenData:
             s = load_bundled(sid)
             assert s.n == int(sid[2:4])
 
-    def test_hash_tamper_detected(self, tmp_path, monkeypatch):
-        import schemeforge.cli as cli
-
-        src = cli.DATA_DIR
-        for f in src.iterdir():
-            (tmp_path / f.name).write_bytes(f.read_bytes())
+    def test_hash_tamper_detected(self, data_copy):
         name = bundled_filename("AS06[3]")
-        text = (tmp_path / name).read_text()
-        (tmp_path / name).write_text(text + "# tampered\n")
-        monkeypatch.setattr(cli, "DATA_DIR", tmp_path)
+        text = (data_copy / name).read_text()
+        (data_copy / name).write_text(text + "# tampered\n")
         with pytest.raises(RuntimeError, match="hash mismatch"):
             load_bundled("AS06[3]")
+
+    def test_the_golden_file_decides_the_match(self, data_copy, capsys):
+        # the crown file replaced by a valid scheme of J(5,2) that declares
+        # the crown's id, with its manifest line rewritten to match: the
+        # crown diagram of the (4, 0) search no longer matches AS10[6]
+        argv = ["search", "--k1", "4", "--a1", "0", "--field", "quad:5"]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert payload_of(out)["matched"] == ["AS10[6]", "AS16[30]"]
+
+        load_bundled.cache_clear()
+        name = bundled_filename("AS10[6]")
+        impostor = (data_copy / bundled_filename("AS10[3]")).read_text()
+        impostor = impostor.replace("id AS10[3]", "id AS10[6]")
+        (data_copy / name).write_text(impostor)
+        manifest = data_copy / catalogue.MANIFEST_NAME
+        old_digest = catalogue._read_manifest()[name]
+        new_digest = hashlib.sha256(impostor.encode("utf-8")).hexdigest()
+        manifest.write_text(manifest.read_text().replace(old_digest, new_digest))
+        assert load_bundled("AS10[6]").relations == load_bundled("AS10[3]").relations
+
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        payload = payload_of(out)
+        assert payload["matched"] == ["AS16[30]"]
+        assert payload["unmatched_count"] == 1
 
     @pytest.mark.parametrize("sid", sorted(CATALOGUE))
     def test_golden_file_rebuilds_from_catalogue(self, sid):
@@ -128,8 +208,8 @@ class TestGoldenData:
             f"(n = {scheme.n}, d = {scheme.d})\n"
         ) + serialize_scheme_file(SchemeFile(scheme.n, scheme.relations, sid))
         name = bundled_filename(sid)
-        assert text.encode("utf-8") == (cli.DATA_DIR / name).read_bytes()
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == cli._read_manifest()[name]
+        assert text.encode("utf-8") == (catalogue.DATA_DIR / name).read_bytes()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == catalogue._read_manifest()[name]
 
 
 class TestSha256:
@@ -142,7 +222,7 @@ class TestSha256:
          "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"),
     ])
     def test_nist_vectors(self, message, digest):
-        assert cli._sha256_hex(message) == digest
+        assert catalogue._sha256_hex(message) == digest
 
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=4096))
@@ -150,11 +230,11 @@ class TestSha256:
     @example(b"x" * 56)
     @example(b"x" * 64)
     def test_matches_hashlib(self, data):
-        assert cli._sha256_hex(data) == hashlib.sha256(data).hexdigest()
+        assert catalogue._sha256_hex(data) == hashlib.sha256(data).hexdigest()
 
     def test_manifest_digests(self):
-        for name, digest in cli._read_manifest().items():
-            assert cli._sha256_hex((cli.DATA_DIR / name).read_bytes()) == digest
+        for name, digest in catalogue._read_manifest().items():
+            assert catalogue._sha256_hex((catalogue.DATA_DIR / name).read_bytes()) == digest
 
 
 class TestExitCodes:
@@ -437,7 +517,7 @@ class TestSubcommands:
             outcomes.append(diagsearch.generate_diagrams(config))
             return outcomes[-1]
 
-        monkeypatch.setattr(diagsearch, "_catalogue", dict)
+        monkeypatch.setattr(diagsearch, "CATALOGUE", {})
         monkeypatch.setattr(cli, "generate_diagrams", recording)
         outcome = cli._classify_search_case(case, DEFAULT_BUDGET)
         assert outcome["results"] == [] and outcome["complete"]
@@ -450,9 +530,7 @@ class TestSubcommands:
         ]
 
     def test_scheme_file_of_round_trip(self):
-        from schemeforge.catalogue import catalogue_scheme
-
-        s = catalogue_scheme("AS10[6]")
+        s = load_bundled("AS10[6]")
         sf = SchemeFile(s.n, s.relations, "AS10[6]")
         assert parse_scheme_file(serialize_scheme_file(sf)) == sf
 

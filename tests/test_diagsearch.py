@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemeforge import cli, diagsearch, schemes
-from schemeforge.catalogue import CATALOGUE, catalogue_scheme
+from schemeforge.catalogue import CATALOGUE, load_bundled
 from schemeforge.diagsearch import (
     KISSING_NUMBER_R4,
     CosineColumns,
@@ -21,13 +21,13 @@ from schemeforge.diagsearch import (
     _emission_checks,
     _in_field,
     _kissing_prune,
+    _seeds,
     _tail_slice,
     arrangements,
     candidate_radicands,
     check_diagram_valid,
     check_solution_valid,
     generate_diagrams,
-    initial_state,
     match_known,
     scheme_diagram,
     solve_cosines,
@@ -423,11 +423,17 @@ class TestBudget:
         assert set(built) == {1}
 
 
+def _uncached_scheme(sid: str):
+    """A new Scheme of sid's golden relations: load_bundled hands out one
+    object per id, whose spectra the first match already computed."""
+    return verify_scheme(load_bundled(sid).relations)
+
+
 class TestMatchKnown:
     def test_positive_and_negative(self, run_3_0):
         (res,) = run_3_0.results
-        assert match_known(res, catalogue_scheme("AS06[3]"))
-        assert not match_known(res, catalogue_scheme("AS09[3]"))
+        assert match_known(res, load_bundled("AS06[3]"))
+        assert not match_known(res, load_bundled("AS09[3]"))
 
     @pytest.mark.parametrize(
         "error", [SplittingFieldError, NoQPolynomialOrderingError]
@@ -438,7 +444,7 @@ class TestMatchKnown:
 
         monkeypatch.setattr(schemes, "spectra", fail)
         (res,) = run_3_0.results
-        assert not match_known(res, catalogue_scheme("AS06[3]"))
+        assert not match_known(res, _uncached_scheme("AS06[3]"))
 
     def test_other_spectra_failures_propagate(self, run_3_0, monkeypatch):
         def fail(_scheme):
@@ -447,7 +453,7 @@ class TestMatchKnown:
         monkeypatch.setattr(schemes, "spectra", fail)
         (res,) = run_3_0.results
         with pytest.raises(TypeError, match="bug in spectra"):
-            match_known(res, catalogue_scheme("AS06[3]"))
+            match_known(res, _uncached_scheme("AS06[3]"))
 
 
 # -- the diagrams of the known schemes: oracles of the prune rules, and the
@@ -508,7 +514,7 @@ class TestSchemeDiagram:
     @pytest.mark.parametrize("sid", SEARCHABLE + ["AS24[43]"])
     def test_its_seed_is_among_the_seeds(self, catalogue, sid):
         known = scheme_diagram(catalogue[sid])
-        seeds = initial_state(_own_config(known))
+        seeds = list(_seeds(_own_config(known)))
         assert (known.cosines.values[1], known.cosines.q111) in [
             (seed.values[1], seed.q111) for seed in seeds
         ]
@@ -931,7 +937,7 @@ class TestSolveCosines:
         # the column-1 recurrence gives and the column-2 recurrence checks;
         # a column-2 value off by one when the column is built must raise
         config = SearchConfig(k1=3, a1=0)
-        diagram, seeds = DistributionDiagram.seed(3, 0), initial_state(config)
+        diagram, seeds = DistributionDiagram.seed(3, 0), list(_seeds(config))
         nd, fresh, seed = next(
             (nd, fresh, seed)
             for seed in seeds
@@ -971,7 +977,7 @@ class TestSolveCosines:
         zero, one = QuadNumber(0), QuadNumber(1)
         cosines = CosineColumns(5, zero, [(one, one), (half, zero), (zero, -third)])
         config = SearchConfig(k1=4, a1=0, radicand=5)
-        r5 = QuadNumber.sqrt(5)
+        r5 = QuadNumber(0, 1, 5)
         found = {
             frozenset((ext.values[3][0], ext.values[4][0]))
             for ext in solve_cosines(diagram, cosines, 2, [3, 4], config)
@@ -1069,7 +1075,7 @@ class TestIncrementalChecks:
         # the seeds share vertex 1's arrangements, which the search builds
         # and checks once; each seed still counts each prune among them
         config = SearchConfig(k1=k1, a1=a1, radicand=None)
-        seeds = initial_state(config)
+        seeds = list(_seeds(config))
         first = list(arrangements(DistributionDiagram.seed(k1, a1), 1, config))
         monkeypatch.setattr(diagsearch, "_check_arrangement", lambda nd, v: (False, "yamazaki"))
         stats = generate_diagrams(config).stats
@@ -1116,7 +1122,7 @@ class TestIncrementalChecks:
         diagram = DistributionDiagram.seed(k1, a1)
         assert diagram.done == 1
         assert check_diagram_valid(diagram) == (True, "")
-        seeds = initial_state(SearchConfig(k1=k1, a1=a1, radicand=p))
+        seeds = list(_seeds(SearchConfig(k1=k1, a1=a1, radicand=p)))
         for seed in seeds:
             assert check_solution_valid(seed, diagram) == _check_extension(seed, diagram, 1, [])
 

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemeforge import exactnum
-from schemeforge.catalogue import CATALOGUE, catalogue_scheme
+from schemeforge.catalogue import CATALOGUE, load_bundled
 from schemeforge.exactnum import (
     ExactMatrix,
     ExactPolynomial,
     FieldMismatchError,
     QuadNumber,
     bounded_algebraic_integers,
+    candidate_radicands,
     char_poly,
     is_algebraic_integer,
     is_psd,
@@ -28,6 +29,8 @@ from schemeforge.exactnum import (
 from schemeforge.exactnum import _floor_fraction, _make
 from schemeforge.graphs import enumerate_regular_graphs, named_graph
 from schemeforge.schemes import _GENERIC_COEFF_VECTORS, scheme_from_graph_distances
+
+from matrices import matmul
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 radicands = st.sampled_from([1, 2, 3, 5, 6, 7, 10])
@@ -43,7 +46,13 @@ def quads(draw, p=None):
 
 
 def _reference_bounded_quadratics(k: Fraction):
-    """exactnum._bounded_quadratics, kept verbatim as the reference."""
+    """(b, disc) for every monic integer quadratic t^2 + b t + c with positive
+    discriminant disc = b^2 - 4c and both roots in [-k, k]: the scan that
+    candidate_radicands ran before its closed form, kept as the reference.
+
+    The roots of such an f lie in [-k, k] exactly when f(-k) >= 0, f(k) >= 0
+    and the vertex -b/2 lies in [-k, k]; the first two bound c below, and
+    disc > 0 bounds it above."""
     bmax = _floor_fraction(2 * k)
     for b in range(-bmax, bmax + 1):
         cmin = max(-k * k + k * b, -k * k - k * b)
@@ -87,10 +96,10 @@ class TestQuadNumber:
 
     def test_mixed_radicands_raise(self):
         with pytest.raises(FieldMismatchError):
-            QuadNumber.sqrt(2) + QuadNumber.sqrt(3)
+            QuadNumber(0, 1, 2) + QuadNumber(0, 1, 3)
 
     def test_sqrt5_arithmetic(self):
-        phi = (QuadNumber(1) + QuadNumber.sqrt(5)) / QuadNumber(2)
+        phi = (QuadNumber(1) + QuadNumber(0, 1, 5)) / QuadNumber(2)
         assert phi * phi == phi + QuadNumber(1)
 
     @given(quads(), quads(p=1))
@@ -160,9 +169,9 @@ class TestPolynomialsAndMatrices:
 
     def test_matmul_identity(self):
         m = ExactMatrix([[1, 2], [3, 4]])
-        assert m @ ExactMatrix.identity(2) == m
+        assert matmul(m, ExactMatrix([[1, 0], [0, 1]])) == m
 
-    @pytest.mark.parametrize("entry", [Fraction(1, 2), QuadNumber.sqrt(2)])
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), QuadNumber(0, 1, 2)])
     def test_char_poly_rejects_non_integer_matrices(self, entry):
         with pytest.raises(ValueError, match="integer matrix"):
             char_poly(ExactMatrix([[1, entry], [entry, 0]]))
@@ -200,7 +209,7 @@ class TestNumberTheory:
         assert phi in ints
         for x in ints:
             assert is_algebraic_integer(x)
-            assert all(abs(float(c)) <= 2 + 1e-9 for c in x.conjugates())
+            assert -2 <= x <= 2 and -2 <= x.conjugate() <= 2
 
     @pytest.mark.parametrize("k", [1, 2, Fraction(5, 2), 4])
     @pytest.mark.parametrize("p", [2, 5, 13])
@@ -225,6 +234,12 @@ class TestNumberTheory:
         for k in ks:
             assert bounded_algebraic_integers(k, radicand=p) == \
                 reference_bounded_algebraic_integers(k, radicand=p), k
+
+    @pytest.mark.parametrize("k1", range(1, 13))
+    def test_candidate_radicands_match_the_quadratic_scan(self, k1):
+        scan = {squarefree_decompose(disc)[1]
+                for _b, disc in _reference_bounded_quadratics(Fraction(k1))}
+        assert candidate_radicands(k1) == sorted(scan - {1})
 
     def test_quad_sqrt(self):
         x = QuadNumber(3, 2, 2)  # (1 + sqrt(2))^2
@@ -416,10 +431,10 @@ def reference_char_poly(m: ExactMatrix) -> list[QuadNumber]:
     mk, ck = m, QuadNumber(1)
     for k in range(1, n + 1):
         if k > 1:
-            mk = m @ ExactMatrix(
+            mk = matmul(m, ExactMatrix(
                 [[x + ck if i == j else x for j, x in enumerate(row)]
                  for i, row in enumerate(mk.entries)]
-            )
+            ))
         ck = sum((mk.entries[i][i] for i in range(n)), QuadNumber(0)) * Fraction(-1, k)
         coeffs[n - k] = ck
     return coeffs
@@ -478,7 +493,7 @@ def _adjacency_coeffs(g):
 def _scheme_combo_coeffs():
     """Char polys of the six generic intersection-matrix combinations that
     ``spectra`` tries, for each catalogue scheme and four distance schemes."""
-    schemes = [catalogue_scheme(sid) for sid in sorted(CATALOGUE)] + [
+    schemes = [load_bundled(sid) for sid in sorted(CATALOGUE)] + [
         scheme_from_graph_distances(named_graph(name))
         for name in ("C7", "petersen", "icosahedron", "cube")
     ]
@@ -547,7 +562,7 @@ class TestSplitIntegerPolynomial:
         assert split_integer_polynomial(coeffs) == _sympy_split(coeffs)
 
     def test_examples(self):
-        r5 = QuadNumber.sqrt(5)
+        r5 = QuadNumber(0, 1, 5)
         # (t - 2)(t^2 + t - 1)^2: the adjacency char poly of C5
         c5 = _poly_mul([-2, 1], _poly_mul([-1, 1, 1], [-1, 1, 1]))
         assert split_integer_polynomial(c5) == (

@@ -141,7 +141,7 @@ class TestRankConstraints:
 
 class TestAdjacencyEigenvalues:
     def test_pentagon(self):
-        r5 = QuadNumber.sqrt(5)
+        r5 = QuadNumber(0, 1, 5)
         assert _adjacency_eigenvalues(named_graph("C5")) == [
             ((r5 - 1) / 2, 2), ((-r5 - 1) / 2, 2),
         ]

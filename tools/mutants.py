@@ -141,7 +141,7 @@ MUTANTS = [
     ),
     Mutant(
         "a wrong rotation in SHA-256",
-        "cli.py",
+        "catalogue.py",
         "(e >> 6 | e << 26)",
         "(e >> 6 | e << 25)",
         ("tests/test_cli.py::TestSha256::test_nist_vectors",),
@@ -181,8 +181,24 @@ MUTANTS = [
         "every seed is built before the first node",
         "diagsearch.py",
         "for cosines in _seeds(config):",
-        "for cosines in initial_state(config):",
+        "for cosines in list(_seeds(config)):",
         ("tests/test_diagsearch.py::TestBudget::test_budget_bounds_the_seed_walk",),
+    ),
+    Mutant(
+        "a golden file is loaded without its hash comparison",
+        "catalogue.py",
+        "if digest != expected:",
+        "if False:",
+        ("tests/test_cli.py::TestGoldenData::test_hash_tamper_detected",),
+    ),
+    Mutant(
+        "the match loop builds each scheme from its graph, not its golden file",
+        "diagsearch.py",
+        "            if match_known(res, load_bundled(sid)):\n",
+        "            from .graphs import named_graph\n"
+        "            from .schemes import scheme_from_graph_distances\n"
+        "            if match_known(res, scheme_from_graph_distances(named_graph(CATALOGUE[sid]))):\n",
+        ("tests/test_cli.py::TestGoldenData::test_the_golden_file_decides_the_match",),
     ),
 ]
 
