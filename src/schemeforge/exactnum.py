@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -386,32 +386,49 @@ class ExactMatrix:
 
 def char_poly(m: ExactMatrix) -> ExactPolynomial:
     """Monic characteristic polynomial det(tI - A) of a square integer matrix
-    A, by Faddeev-LeVerrier over Z: M_1 = A, M_k = A (M_(k-1) + c_(n-k+1) I)
-    and c_(n-k) = -tr(M_k)/k, which is an integer for an integer matrix A.
+    A, by ``integer_char_poly``.
 
     Raises ValueError if an entry is not a rational integer."""
     if m.rows != m.cols:
         raise ValueError("char_poly requires a square matrix")
     if not all(x.is_integer for row in m.entries for x in row):
         raise ValueError("char_poly requires an integer matrix")
-    a = [[x._x for x in row] for row in m.entries]
-    n = m.rows
+    return ExactPolynomial(integer_char_poly([[x._x for x in row] for row in m.entries]))
+
+
+def integer_char_poly(a: Sequence[Sequence[int]]) -> list[int]:
+    """Ascending coefficients of det(tI - A) for a square int matrix A, by
+    Faddeev-LeVerrier over Z: M_1 = A, M_k = A (M_(k-1) + c_(n-k+1) I) and
+    c_(n-k) = -tr(M_k)/k, which is an integer for an integer matrix A.
+
+    Row i of A M is the sum of the rows j of M with weight a_ij != 0, so a
+    sparse A (an adjacency matrix: weights 1 over the neighbours) costs one
+    row addition per non-zero entry."""
+    n = len(a)
+    support = [[(j, x) for j, x in enumerate(row) if x] for row in a]
     coeffs = [0] * n + [1]
-    mk, ck = a, 1
+    mk, ck = [list(row) for row in a], 1
     for k in range(1, n + 1):
         if k > 1:
-            shifted = [row[:] for row in mk]
             for i in range(n):
-                shifted[i][i] += ck
-            cols = list(zip(*shifted))
-            mk = [[sum(map(mul, row, col)) for col in cols] for row in a]
+                mk[i][i] += ck
+            mk = [_row_combination(mk, terms, n) for terms in support]
         ck, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
         if rem:
             raise ArithmeticError(
                 f"Faddeev-LeVerrier over Z: trace of M_{k} is not divisible by {k}"
             )
         coeffs[n - k] = ck
-    return ExactPolynomial(coeffs)
+    return coeffs
+
+
+def _row_combination(rows: list[list[int]], terms: list[tuple[int, int]], n: int) -> list[int]:
+    """The sum of x * rows[j] over the (j, x) of terms, as a new row."""
+    out = [0] * n
+    for j, x in terms:
+        row = rows[j]
+        out = list(map(add, out, row)) if x == 1 else [o + x * y for o, y in zip(out, row)]
+    return out
 
 
 def _rref(m: ExactMatrix) -> tuple[list[list[QuadNumber]], list[int]]:

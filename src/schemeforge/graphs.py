@@ -251,6 +251,11 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def dedupe_isomorphs(graphs: Iterable[Graph]) -> list[Graph]:
+    """The first graph of each isomorphism class, in canonical-form order; a
+    single graph needs no canonical form."""
+    graphs = list(graphs)
+    if len(graphs) <= 1:
+        return graphs
     seen = {}
     for g in graphs:
         key = g.canonical_form()
@@ -296,35 +301,55 @@ def _class_prefix_choices(cands: list[int], key, need: int) -> list:
 
 def enumerate_regular_graphs(n: int, k: int) -> list[Graph]:
     """One representative per isomorphism class of k-regular graphs on n
-    vertices (disconnected ones included).  Intended for n <= 9.
+    vertices (disconnected ones included), in canonical-form order.
+    Intended for n <= 9.
 
-    The search fixes N(0) = {1, ..., k} and keeps only completions in which
-    vertex 0 attains the maximum of ``_vertex_invariant`` over all vertices
-    (a tie is kept), the vertex-invariant rejection of McKay, "Isomorph-free
-    exhaustive generation" (J. Algorithms, 1998).  No class is lost:
-    - every class has a labelling with a max-invariant vertex at 0 and
-      N(0) = {1, ..., k}, and the unpruned search reaches it;
-    - the search skips a choice only for an interchangeable one, and swapping
-      interchangeable candidates is an automorphism of the partial graph that
-      fixes vertex 0, so it maps each completion of the skipped branch to one
-      of the kept branch in which vertex 0 has the same invariant."""
+    For 2k <= n - 1 the representatives are ``dedupe_isomorphs`` of
+    ``regular_labellings(n, k)``; a larger valency takes the complements of
+    the representatives of valency n - 1 - k."""
     if not 0 <= k < max(n, 1):
-        if n == 0 and k == 0:
-            return [Graph(0)]
         raise ValueError("need 0 <= k < n")
-    if n * k % 2 == 1:
-        return []
     if k == 0:
         return [Graph(n)]
     if 2 * k > n - 1:
         return [g.complement() for g in enumerate_regular_graphs(n, n - 1 - k)]
+    return dedupe_isomorphs(regular_labellings(n, k))
+
+
+def regular_labellings(n: int, k: int) -> list[Graph]:
+    """Labelled k-regular graphs on n vertices, 0 <= 2k <= n - 1, at least one
+    of each isomorphism class and possibly several.
+
+    The search fixes N(0) = {1, ..., k} and keeps only completions in which
+    vertex 0 attains the maximum of ``_vertex_invariant`` over all vertices,
+    and vertex 1 its maximum over N(0) (ties are kept): the vertex-invariant
+    rejection of McKay, "Isomorph-free exhaustive generation" (J. Algorithms,
+    1998).  No class is lost:
+    - every class has a labelling with a max-invariant vertex at 0, a
+      max-invariant vertex of N(0) at 1, and N(0) = {1, ..., k}, and the
+      unpruned search reaches it;
+    - the search skips a choice only for an interchangeable one, and swapping
+      interchangeable candidates is an automorphism of the partial graph.  It
+      happens at a row v >= 1, among candidates u > v with equal columns, so
+      it fixes vertices 0 and 1 and maps N(0) to itself.  So it maps each
+      completion of the skipped branch to one of the kept branch in which
+      vertex 0 has the same invariant and the invariants over N(0) are the
+      same, vertex 1's included."""
+    if not 0 <= 2 * k <= n - 1:
+        raise ValueError("need 0 <= 2k <= n - 1")
+    if n * k % 2 == 1:
+        return []
+    if k == 0:
+        return [Graph(n)]
     found: list[Graph] = []
 
     def rec(adj: list[int], rem: list[int]):
         v = next((i for i in range(n) if rem[i]), None)
         if v is None:
-            top = _vertex_invariant(adj, 0)
-            if all(_vertex_invariant(adj, u) <= top for u in range(1, n)):
+            inv = [_vertex_invariant(adj, u) for u in range(n)]
+            if all(inv[u] <= inv[0] for u in range(1, n)) and all(
+                inv[u] <= inv[1] for u in range(2, k + 1)
+            ):
                 found.append(Graph.from_adj(adj))
             return
         cands = [u for u in range(v + 1, n) if rem[u] > 0]
@@ -359,7 +384,7 @@ def enumerate_regular_graphs(n: int, k: int) -> list[Graph]:
         rem0[u] -= 1
     rem0[0] = 0
     rec(adj0, rem0)
-    return dedupe_isomorphs(found)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,12 @@ coefficients to zero; together with positive semidefiniteness and the
 nearest-relation inequalities beta2 < beta1 < 1/2 this cuts the candidate
 list of regular graphs on <= 9 vertices down to nine graphs forming six
 geometric objects.
+
+Rank <= 3 needs an adjacency eigenvalue of high multiplicity, so a spectral
+screen on the labelled output of ``regular_labellings`` (a repeated-factor
+test of the characteristic polynomial, modulo a prime) drops most graphs on
+6 to 9 vertices before any canonical form is computed; no graph above 6
+vertices survives the exact solver.
 """
 
 from __future__ import annotations
@@ -24,12 +30,12 @@ from typing import NamedTuple, Optional
 from .exactnum import (
     ExactMatrix,
     QuadNumber,
-    char_poly,
+    integer_char_poly,
     is_psd,
     rank,
     split_integer_polynomial,
 )
-from .graphs import Graph, enumerate_regular_graphs, identify_graph
+from .graphs import Graph, dedupe_isomorphs, identify_graph, regular_labellings
 
 __all__ = [
     "delsarte_bound",
@@ -130,6 +136,70 @@ _WITNESS_GRID = [
 _MAX_FAMILY_WITNESSES = 3
 
 
+def _adjacency_char_poly(graph: Graph) -> list[int]:
+    """Ascending coefficients of the characteristic polynomial of graph's
+    adjacency matrix."""
+    n = graph.n
+    return integer_char_poly([[graph.adj[i] >> j & 1 for j in range(n)] for i in range(n)])
+
+
+# any prime keeps the screen sound (see _repeated_part_degree); a large one
+# makes a common factor that exists only modulo the prime unlikely
+_SCREEN_PRIME = 2**61 - 1
+
+
+def _repeated_part_degree(coeffs: list[int], m: int) -> int:
+    """Degree of gcd(p, p^(m-1)) modulo _SCREEN_PRIME, for the monic integer
+    polynomial p of ascending coeffs and m >= 1 (p^(0) is p itself).
+
+    It is at least the degree of the product of the factors of multiplicity
+    >= m of p over Z.  Such a factor f^m has f monic (Gauss), so f keeps its
+    degree modulo the prime, and f^(m-j) divides the j-th derivative of f^m*g
+    over any commutative ring (Leibniz).  So f divides both polynomials of
+    the gcd modulo the prime.  The degree can exceed the one over Z, never
+    fall below it."""
+    q = _SCREEN_PRIME
+    f = [c % q for c in coeffs]
+    g = f[:]
+    for _ in range(m - 1):
+        g = [i * c % q for i, c in enumerate(g)][1:]
+    while g and not g[-1]:
+        g.pop()
+    while g:
+        inv = pow(g[-1], -1, q)
+        while len(f) >= len(g):
+            c = f[-1] * inv % q
+            shift = len(f) - len(g)
+            for j, x in enumerate(g):
+                f[shift + j] = (f[shift + j] - c * x) % q
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+def _may_have_solution(graph: Graph) -> bool:
+    """Spectral screen: False only for a graph _solve_problem rejects.
+
+    Take a two-class k-regular graph (1 <= k <= n - 2) with need = n - 3 >= 3.
+    _solve_problem returns a pair only through an eigenvalue lam != -1 of the
+    adjacency matrix whose multiplicity on the complement of the all-ones
+    vector is at least need - 1 (the need == 1 line and the one-class cases
+    do not arise).  Then lam is a root of multiplicity >= need - 1 of the
+    characteristic polynomial p, and its minimal polynomial f has f^(need-1)
+    dividing p, so _repeated_part_degree(p, need - 1) >= deg f > 0.  The
+    screen drops the graph when that degree is 0.  One-class graphs and
+    graphs on n <= 5 vertices pass unscreened.
+
+    The screen reads the spectrum alone, so it keeps or drops a whole
+    isomorphism class."""
+    n, k = graph.n, graph.degree(0)
+    need = n - 3
+    if need < 3 or k in (0, n - 1):
+        return True
+    return _repeated_part_degree(_adjacency_char_poly(graph), need - 1) > 0
+
+
 def _adjacency_eigenvalues(graph: Graph) -> list:
     """Eigenvalues in Q or a real quadratic field of the adjacency matrix,
     restricted to the complement of the all-ones vector, as
@@ -139,14 +209,7 @@ def _adjacency_eigenvalues(graph: Graph) -> list:
     eigenvalue because the cosines live in a field of degree at most 2.  The
     matrix is symmetric, so its spectrum is real.  Requires the graph regular
     (the all-ones vector is then an eigenvector for the valency)."""
-    n = graph.n
-    a = ExactMatrix(
-        [
-            [1 if graph.adj[i] >> j & 1 else 0 for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    roots, _ = split_integer_polynomial(char_poly(a).coeffs)
+    roots, _ = split_integer_polynomial(_adjacency_char_poly(graph))
     k = QuadNumber(graph.degree(0))
     out = []
     for lam, mult in roots:
@@ -174,9 +237,6 @@ def _solve_problem(graph: Graph) -> Optional[LocalSolution]:
     witnesses."""
     n, k = graph.n, graph.degree(0)
     has_class1, has_class2 = k >= 1, k <= n - 2
-    name = identify_graph(graph)
-    case = LOCAL_CASES.get(name)
-    label = case.label if case else None
     need = n - 3  # required multiplicity of the zero Gram eigenvalue
     one = QuadNumber(1)
     seen = set()
@@ -197,7 +257,9 @@ def _solve_problem(graph: Graph) -> Optional[LocalSolution]:
     def finish(pairs, family):
         if not pairs:
             return None
-        return LocalSolution(graph, name, label, pairs, family)
+        name = identify_graph(graph)
+        case = LOCAL_CASES.get(name)
+        return LocalSolution(graph, name, case.label if case else None, pairs, family)
 
     if not (has_class1 and has_class2):
         # One cosine class: G = I + b*(J - I), spectrum 1 + (n-1)*b once and
@@ -249,10 +311,28 @@ def _solve_problem(graph: Graph) -> Optional[LocalSolution]:
     return finish(pairs, family)
 
 
+def _screened_graphs(n: int, k: int, labelled: list) -> list[Graph]:
+    """[g for g in enumerate_regular_graphs(n, k) if _may_have_solution(g)],
+    from labelled[j] = regular_labellings(n, j) for 2j <= n - 1.
+
+    One search per valency min(k, n - 1 - k) serves both complementary
+    valencies.  The screen keeps or drops whole isomorphism classes, so
+    screening the labelled graphs before ``dedupe_isomorphs`` keeps every
+    representative and their order, and only survivors get canonical forms.
+    Above n - 1 - k the kept sources are deduped, then complemented, as
+    ``enumerate_regular_graphs`` does."""
+    if 2 * k <= n - 1:
+        return dedupe_isomorphs(filter(_may_have_solution, labelled[k]))
+    kept = [g for g in labelled[n - 1 - k] if _may_have_solution(g.complement())]
+    return [g.complement() for g in dedupe_isomorphs(kept)]
+
+
 def classify_local(k_max: int = 9) -> list[LocalSolution]:
     """Feasible neighbourhood graphs among all regular graphs on <= k_max
     vertices.  The size cap is the two-distance bound on S^2, and the
-    smallest neighbourhood searched has 3 vertices."""
+    smallest neighbourhood searched has 3 vertices.  The graphs of each
+    (n, k) are solved in the order of ``enumerate_regular_graphs``, less
+    those the spectral screen drops."""
     if k_max < 3:
         raise ValueError(f"k_max must be at least 3, got {k_max}")
     if k_max > delsarte_bound(3, 2):
@@ -262,8 +342,9 @@ def classify_local(k_max: int = 9) -> list[LocalSolution]:
         )
     solutions = []
     for n in range(3, k_max + 1):
+        labelled = [regular_labellings(n, k) for k in range((n + 1) // 2)]
         for k in range(0, n):
-            for g in enumerate_regular_graphs(n, k):
+            for g in _screened_graphs(n, k, labelled):
                 sol = _solve_problem(g)
                 if sol is not None:
                     solutions.append(sol)

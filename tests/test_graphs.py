@@ -15,7 +15,9 @@ from schemeforge.graphs import (
     is_isomorphic,
     is_locally,
     named_graph,
+    regular_labellings,
     to_graph6,
+    _vertex_invariant,
 )
 
 
@@ -156,6 +158,33 @@ class TestEnumeration:
     def test_handshake(self):
         for g in enumerate_regular_graphs(8, 3):
             assert sum(g.degrees()) == 8 * 3
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n, k, _ in COUNT_TABLE if 2 * k <= n - 1])
+    def test_labellings_keep_the_invariant_maxima(self, n, k):
+        # vertex 0 is a max-invariant vertex, N(0) = {1, ..., k}, and vertex 1
+        # is a max-invariant vertex of N(0)
+        for g in regular_labellings(n, k):
+            assert g.degrees() == [k] * n
+            assert g.adj[0] == sum(1 << u for u in range(1, k + 1))
+            inv = [_vertex_invariant(g.adj, u) for u in range(n)]
+            assert inv[0] == max(inv)
+            assert k == 0 or inv[1] == max(inv[1 : k + 1])
+
+    def test_labelling_count(self):
+        # the vertex-1 rejection keeps 58 labelled graphs over 1 <= 2k <= n - 1,
+        # n <= 9, where vertex 0 alone keeps 94
+        assert sum(
+            len(regular_labellings(n, k)) for n in range(2, 10) for k in range(1, (n + 1) // 2)
+        ) == 58
+
+    def test_labellings_need_the_lower_valency(self):
+        with pytest.raises(ValueError):
+            regular_labellings(6, 3)
+
+    def test_one_graph_is_deduped_without_a_canonical_form(self):
+        g = named_graph("C5")
+        assert dedupe_isomorphs(iter([g])) == [g]
+        assert g._canon is None
 
     def test_pairwise_non_isomorphic(self):
         graphs = enumerate_regular_graphs(8, 4)

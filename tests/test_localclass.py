@@ -6,14 +6,27 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schemeforge import cli
+from schemeforge import cli, graphs
+from schemeforge.graphs import (
+    Graph,
+    enumerate_regular_graphs,
+    named_graph,
+    regular_labellings,
+    to_graph6,
+)
 from schemeforge.exactnum import QuadNumber, is_psd, rank
-from schemeforge.graphs import Graph, named_graph
 from schemeforge.localclass import (
     LOCAL_CASES,
     classify_local,
+    _adjacency_char_poly,
     _adjacency_eigenvalues,
+    _may_have_solution,
+    _repeated_part_degree,
+    _screened_graphs,
+    _solve_problem,
     delsarte_bound,
     gram_matrix,
 )
@@ -150,6 +163,125 @@ class TestAdjacencyEigenvalues:
         # 2K2 has eigenvalue 1 twice; the all-ones vector takes one of them
         one, minus_one = QuadNumber(1), QuadNumber(-1)
         assert _adjacency_eigenvalues(named_graph("2K2")) == [(one, 1), (minus_one, 2)]
+
+
+def _reference_classify_local(k_max: int) -> list:
+    """classify_local without the screen: _solve_problem on every class of
+    enumerate_regular_graphs.  Test-only reference."""
+    out = []
+    for n in range(3, k_max + 1):
+        for k in range(n):
+            for g in enumerate_regular_graphs(n, k):
+                sol = _solve_problem(g)
+                if sol is not None:
+                    out.append(sol)
+    return out
+
+
+def _as_strings(sol) -> tuple:
+    return (
+        sol.name,
+        to_graph6(sol.graph),
+        sol.geometric_label,
+        sol.family,
+        [tuple(str(x) for x in pair) for pair in sol.solutions],
+    )
+
+
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def _product(factors) -> list:
+    """Ascending coefficients of the product of (factor, multiplicity)."""
+    out = [1]
+    for f, m in factors:
+        for _ in range(m):
+            out = _poly_mul(out, f)
+    return out
+
+
+class TestSpectralScreen:
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_never_drops_a_graph_with_a_solution(self, n):
+        # every labelled graph of the search, on both valency branches
+        for k in range((n + 1) // 2):
+            for g in regular_labellings(n, k):
+                for h in (g, g.complement()):
+                    if _solve_problem(h) is not None:
+                        assert _may_have_solution(h), to_graph6(h)
+
+    def test_the_prism_passes_the_screen(self):
+        # K3xK2's isolated point comes from eigenvalue 0 of multiplicity
+        # need - 1 = 2, one short of a whole family
+        g = named_graph("K3xK2")
+        assert _adjacency_char_poly(g) == _product([([0, 1], 2), ([-3, 1], 1), ([-1, 1], 1),
+                                                    ([2, 1], 2)])
+        assert _may_have_solution(g)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_candidates_are_the_screened_classes(self, n):
+        labelled = [regular_labellings(n, k) for k in range((n + 1) // 2)]
+        for k in range(n):
+            got = [to_graph6(g) for g in _screened_graphs(n, k, labelled)]
+            want = [to_graph6(g) for g in enumerate_regular_graphs(n, k) if _may_have_solution(g)]
+            assert got == want, (n, k)
+
+    def test_classify_local_matches_the_unscreened_loop(self):
+        reference = _reference_classify_local(9)
+        for k_max in range(3, 10):
+            want = [_as_strings(sol) for sol in reference if sol.graph.n <= k_max]
+            assert [_as_strings(sol) for sol in classify_local(k_max)] == want, k_max
+
+    def test_at_most_thirty_canonical_forms(self, monkeypatch):
+        # the unscreened loop computes 144, most for graphs on 7 to 9
+        # vertices that the screen drops
+        graphs._identifiable_graphs.cache_clear()
+        calls, canonical_form = [], graphs._canonical_form
+
+        def counted(g):
+            calls.append(g.n)
+            return canonical_form(g)
+
+        monkeypatch.setattr(graphs, "_canonical_form", counted)
+        assert len(classify_local(9)) == 9
+        assert len(calls) <= 30
+
+
+class TestRepeatedPartDegree:
+    @pytest.mark.parametrize("factors", [
+        [([-2, 1], 2), ([1, 1], 1)],
+        [([-1, -1, 1], 2), ([0, 1], 1)],
+    ])
+    def test_keeps_a_double_factor(self, factors):
+        assert _repeated_part_degree(_product(factors), 2) > 0
+
+    def test_drops_a_square_free_product(self):
+        p = _product([([-2, 1], 1), ([1, 1], 1), ([-1, -1, 1], 1), ([0, 1], 1)])
+        assert _repeated_part_degree(p, 2) == 0
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(-5, 5), min_size=1, max_size=2).map(lambda c: c + [1]),
+                st.integers(1, 4),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_never_below_the_gcd_over_q(self, factors, m):
+        p = _product(factors)
+        t = sp.Symbol("t")
+        poly = sp.Poly(list(reversed(p)), t, domain=sp.QQ)
+        exact = sp.gcd(poly, poly.diff((t, m - 1)) if m > 1 else poly).degree()
+        assert _repeated_part_degree(p, m) >= exact
 
 
 def test_runtime_under_a_minute():

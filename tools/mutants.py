@@ -200,6 +200,20 @@ MUTANTS = [
         "            if match_known(res, scheme_from_graph_distances(named_graph(CATALOGUE[sid]))):\n",
         ("tests/test_cli.py::TestGoldenData::test_the_golden_file_decides_the_match",),
     ),
+    Mutant(
+        "the spectral screen asks for a root of multiplicity need, not need - 1",
+        "localclass.py",
+        "_repeated_part_degree(_adjacency_char_poly(graph), need - 1) > 0",
+        "_repeated_part_degree(_adjacency_char_poly(graph), need) > 0",
+        ("tests/test_localclass.py::TestSpectralScreen::test_the_prism_passes_the_screen",),
+    ),
+    Mutant(
+        "vertex 1 must beat the rest of N(0) strictly",
+        "graphs.py",
+        "inv[u] <= inv[1] for u in range(2, k + 1)",
+        "inv[u] < inv[1] for u in range(2, k + 1)",
+        ("tests/test_graphs.py::TestEnumeration::test_counts[5-2-1]",),
+    ),
 ]
 
 EQUIVALENT = [
