@@ -49,6 +49,7 @@ from .exactnum import (
 )
 from .graphs import DEFAULT_BUDGET
 from .localclass import delsarte_bound
+from .schemes import NoQPolynomialOrderingError, SplittingFieldError, relation_layers
 
 __all__ = [
     "SearchConfig",
@@ -531,13 +532,15 @@ def solve_cosines(
     The column-1 recurrence k1*w(1,1)*w(v,1) = sum_h p_{h1}^v * w(h,1) is one
     linear equation; column 2 is the image of column 1 under the dual
     recurrence, and the column-2 recurrence then closes the system: zero
-    fresh vertices make both recurrences checks, one fresh vertex is linear,
-    two reduce to a quadratic solved inside the field, and beyond that the
-    surplus cosines are exhausted over the bounded-algebraic-integer
-    candidates, the last of them through the closed-form discriminant of the
-    remaining quadratic.  The fresh vertices are the last of the diagram, as
-    arrangements appends them.  Returns a list of CosineColumns (empty =
-    prune)."""
+    fresh vertices make both recurrences checks, and one fresh vertex is
+    linear.  For two or more, the recurrences ask only the first two moments
+    of the fresh cosines x, sum w*x and sum w*x^2: two fresh cosines then
+    solve a quadratic inside the field, and beyond that the surplus cosines
+    are exhausted over the bounded-algebraic-integer candidates, each
+    lowering both moments, the last of them through the square r^2 of the
+    tail's root, a concave quadratic in that cosine.  The fresh vertices are
+    the last of the diagram, as arrangements appends them.  Returns a list of
+    CosineColumns (empty = prune)."""
     k1 = diagram.k1
     values = cosines.values
     outs = diagram.out[v]
@@ -558,7 +561,7 @@ def solve_cosines(
 
     # arrangements appends the fresh vertices after the known ones
     target1, target2 = residual(0, values), residual(1, values)
-    weights = [QuadNumber(outs[f]) for f in fresh]
+    weights = [outs[f] for f in fresh]
     phi = cosines.second_from_first
 
     def extend(first_column):
@@ -575,89 +578,78 @@ def solve_cosines(
         a = target1 / weights[0]
         columns = [[a]] if weights[0] * phi(a) == target2 else []
     else:
-        # The last two fresh cosines (a, b) with weights (wa, wb) solve
-        #   wa*a + wb*b = t1,  wa*phi(a) + wb*phi(b) = t2.
-        # Multiplying the second by (3 - q), phi(x) = (4x^2 - 1 - q*x)/(3 - q),
-        # and substituting b = (t1 - wa*a)/wb gives A*a^2 + B*a + C = 0 with
-        #   A = 4*wa*(wa + wb)/wb > 0,  B = -8*t1*wa/wb,
-        #   C = 4*t1^2/wb - wa - wb - q*t1 - (3 - q)*t2,
-        # whose discriminant is
-        #   B^2 - 4AC = c*t1^2 + 4Aq*t1 + 4A(3 - q)*t2 + 4A(wa + wb),
-        # where c = -64*wa/wb is what is left of the t1^2 terms of B^2 - 4AC.
+        # With m1 = 4 the dual recurrence gives (3 - q)*phi(x) = 4x^2 - 1 - q*x,
+        # so the two targets ask of the fresh cosines x (weights w) only their
+        # first two moments:  sum w*x = t1  and  sum w*x^2 = s, where
+        #   s = ((3 - q)*t2 + q*t1 + sum w)/4.
+        # The last two cosines (a, b), of weights (wa, wb) with W = wa + wb,
+        # are then a = (wa*t1 +- r)/(wa*W) and b = (t1 - wa*a)/wb, where
+        #   r^2 = wa*wb*(W*s - t1^2).
         q = cosines.q111
         wa, wb = weights[-2:]
-        A = _FOUR * wa * (wa + wb) / wb
-        two_a = A + A
-        four_a = two_a + two_a
-        four_aq = four_a * q
-        four_a_rest = four_a * (_THREE - q)
-        four_a_w = four_a * (wa + wb)
-        c = QuadNumber(-64) * wa / wb
+        W, wab = wa + wb, wa * wb
+        s = ((_THREE - q) * target2 + q * target1 + sum(weights)) / _FOUR
 
         def tail_roots(prefix, t1, root, radicand):
-            """The completions prefix + [a, b] in Q[sqrt(radicand)] for a tail
-            with target t1 whose discriminant has the square root root, or
-            none when root is None."""
+            """The completions prefix + [a, b] in Q[sqrt(radicand)] of a tail
+            with first moment t1 and r = root, the larger a first; none when
+            root is None."""
             if root is None:
                 return []
-            B = QuadNumber(-8) * t1 * wa / wb
-            roots = [(-B + root) / two_a]
-            if root:
-                roots.append((-B - root) / two_a)
+            mid = wa * t1
+            roots = [mid + root, mid - root] if root else [mid]
             return [
                 prefix + [a, (t1 - wa * a) / wb]
-                for a in roots
+                for a in (x / (wa * W) for x in roots)
                 if _in_field(a, radicand)
             ]
 
         surplus = len(fresh) - 2
         if surplus == 0:
-            t1, t2 = target1, target2
-            disc = c * t1 * t1 + four_aq * t1 + four_a_rest * t2 + four_a_w
-            columns = tail_roots([], t1, quad_sqrt(disc), cosines.radicand)
+            r2 = wab * (W * s - target1 * target1)
+            root = _tail_root(r2._x, r2._y, r2._d, cosines.radicand)
+            columns = tail_roots([], target1, root, cosines.radicand)
         else:
-            # The last surplus cosine a, of weight w0, leaves t1 = T1 - w0*a
-            # and t2 = T2 - w0*phi(a); the discriminant is then P*a^2 + Q*a + R
-            # (the q*a terms cancel) with P = w0*(c*w0 - 16A) < 0, as c < 0 < A,
-            # and only the candidates in its non-negative slice (_tail_slice)
-            # are solved, on ints as far as _tail_root can refuse them.  Each
-            # surplus cosine of a fresh f is drawn from the
-            # candidates for k_v*w(v->f), per field, as values of two fields
-            # do not mix; a rational tuple recurs under every field, and the
-            # dedup below keeps its first copy.
+            # The outer surplus cosines leave the moments (T1, S); the last
+            # surplus cosine a, of weight w0, leaves t1 = T1 - w0*a and
+            # s = S - w0*a^2, so r^2 is P*a^2 + Q*a + R with the int
+            # P = -wa*wb*w0*(W + w0) < 0, Q = 2*wa*wb*w0*T1 and
+            # R = wa*wb*(W*S - T1^2).  Only the candidates in its non-negative
+            # slice (_tail_slice) are solved, on ints as far as _tail_root
+            # can refuse them.  Each surplus cosine of a fresh f is drawn from
+            # the candidates for k_v*w(v->f), per field, as values of two
+            # fields do not mix; a rational tuple recurs under every field,
+            # and the dedup below keeps its first copy.
             columns = []
             kv = diagram.valencies[v]
             fields = config.fields if cosines.radicand == 1 else (cosines.radicand,)
             w0 = weights[surplus - 1]
-            P = w0 * (c * w0 - QuadNumber(16) * A)
-            minus_2c_w0 = QuadNumber(-2) * c * w0
-            four_a_w0 = four_a * w0 + four_a_w
+            P = -wab * w0 * (W + w0)
             for field in fields:
                 *outer_cands, cands = (
                     _cosine_candidates(kv * outs[f], field) for f in fresh[:surplus]
                 )
                 for outer in itertools.product(*outer_cands):
-                    T1, T2 = target1, target2
+                    T1, S = target1, s
                     for wq, a in zip(weights, outer):
                         T1 = T1 - wq * a
-                        T2 = T2 - wq * phi(a)
-                    Q = minus_2c_w0 * T1
-                    R = c * T1 * T1 + four_aq * T1 + four_a_rest * T2 + four_a_w0
+                        S = S - wq * a * a
+                    Q = 2 * wab * w0 * T1
+                    R = wab * (W * S - T1 * T1)
                     lo, hi = _tail_slice(cands, P, Q, R)
                     if lo == hi:
                         continue
                     prefix = list(outer)
-                    # with P, Q, R over one denominator den and a written
-                    # (x + y*sqrt(field))/e, den*e^2 times the discriminant
-                    # (P*a + Q)*a + R is, by Horner, X + Y*sqrt(field)
-                    den = lcm(P._d, Q._d, R._d)
-                    p0, p1, q0, q1, r0, r1 = (
-                        n * (den // z._d) for z in (P, Q, R) for n in (z._x, z._y)
-                    )
+                    # with Q and R over one denominator den and a written
+                    # (x + y*sqrt(field))/e, den*e^2 times r^2 = (P*a + Q)*a + R
+                    # is, by Horner, X + Y*sqrt(field)
+                    den = lcm(Q._d, R._d)
+                    p0 = P * den
+                    q0, q1, r0, r1 = (n * (den // z._d) for z in (Q, R) for n in (z._x, z._y))
                     for a in cands[lo:hi]:
                         x, y, e = a._x, a._y, a._d
-                        m0 = p0 * x + p1 * y * field + q0 * e
-                        m1 = p0 * y + p1 * x + q1 * e
+                        m0 = p0 * x + q0 * e
+                        m1 = p0 * y + q1 * e
                         ee = e * e
                         root = _tail_root(
                             m0 * x + m1 * y * field + r0 * ee,
@@ -683,8 +675,8 @@ def solve_cosines(
 
 
 def _tail_root(x: int, y: int, d: int, p: int) -> Optional[QuadNumber]:
-    """quad_sqrt of the tail discriminant (x + y*sqrt(p))/d, d > 0, with its
-    two common refusals decided on the ints: a negative number has no square
+    """quad_sqrt of a tail's r^2 = (x + y*sqrt(p))/d, d > 0, with its two
+    common refusals decided on the ints: a negative number has no square
     root, nor has one whose norm x^2 - p*y^2 is not a square."""
     if _sign(x, y, p) < 0:
         return None
@@ -912,8 +904,6 @@ def scheme_diagram(scheme) -> Optional[SearchResult]:
     columns 1 and 2 in the first Q-polynomial ordering.  None, as the search
     emits none of these, when d < 2, the splitting field is not quadratic, no
     ordering is Q-polynomial, or the graph of R1 is disconnected."""
-    from .schemes import NoQPolynomialOrderingError, SplittingFieldError, relation_layers
-
     if scheme.d < 2:
         return None
     try:

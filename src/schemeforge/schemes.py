@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .exactnum import (
     ExactMatrix,
     QuadNumber,
-    char_poly,
+    integer_char_poly,
     nullspace,
     split_integer_polynomial,
 )
@@ -186,17 +186,6 @@ class Spectra(NamedTuple):
         cos = tuple(tuple(row[c] for c in perm) for row in self.cosines)
         return Spectra(self.scheme, P, Q, m, kr, cos, self.radicand)
 
-    def idempotent(self, c: int) -> ExactMatrix:
-        """E_c = (1/|X|) sum_j Q[j][c] A_j as an exact matrix."""
-        s = self.scheme
-        inv = Fraction(1, s.n)
-        return ExactMatrix(
-            [
-                [self.Q[s.relations[x][y]][c] * inv for y in range(s.n)]
-                for x in range(s.n)
-            ]
-        )
-
 
 def _factor_eigenvalues(coeffs: Sequence[int]) -> tuple[list[QuadNumber], int]:
     """Distinct roots of a monic integer polynomial that splits over Q or one
@@ -245,7 +234,7 @@ def spectra(s: Scheme) -> Spectra:
             ]
             for h in range(d + 1)
         ]
-        roots, radicand = _factor_eigenvalues(char_poly(ExactMatrix(combo)).coeffs)
+        roots, radicand = _factor_eigenvalues(integer_char_poly(combo))
         if len(roots) != d + 1:
             last_err = ValueError("eigenvalue collision in generic combination")
             continue

@@ -27,7 +27,7 @@ from schemeforge.schemes import (
     verify_scheme,
 )
 
-from matrices import matmul
+from matrices import idempotent, matmul
 
 
 @contextlib.contextmanager
@@ -214,7 +214,7 @@ def test_8_property_suites():
                 assert d <= 2 * s.valencies[1] + 1
             # exact idempotency
             for c in range(d + 1):
-                e = sp.idempotent(c)
+                e = idempotent(sp, c)
                 assert matmul(e, e) == e
 
 

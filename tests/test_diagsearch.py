@@ -984,6 +984,32 @@ class TestSolveCosines:
         }
         assert frozenset(((r5 - one) / QuadNumber(4), (-r5 - one) / QuadNumber(4))) in found
 
+    def test_the_two_fresh_tail_takes_its_root_from_tail_root(self, monkeypatch):
+        # the call of test_tail_root_outside_q_is_dropped: both tails take
+        # their root from _tail_root, with the subtree's radicand, so a fix
+        # of that hole has one place
+        diagram = DistributionDiagram(
+            k1=4,
+            layers=[0, 1, 2, 3, 3],
+            arcs={(0, 1): 4, (1, 0): 1, (1, 2): 3, (2, 1): 1, (2, 2): 1,
+                  (2, 3): 1, (2, 4): 1},
+            valencies=[1, 4, 12, None, None],
+            done=3,
+        )
+        half, third = QuadNumber(Fraction(1, 2)), QuadNumber(Fraction(1, 3))
+        zero, one = QuadNumber(0), QuadNumber(1)
+        cosines = CosineColumns(5, zero, [(one, one), (half, zero), (zero, -third)])
+        config = SearchConfig(k1=4, a1=0, radicand=5)
+        tail_root, calls = diagsearch._tail_root, []
+
+        def counted(x, y, d, p):
+            calls.append(p)
+            return tail_root(x, y, d, p)
+
+        monkeypatch.setattr(diagsearch, "_tail_root", counted)
+        solve_cosines(diagram, cosines, 2, [3, 4], config)
+        assert calls == [5]
+
 
 # -- the incremental checks and the bisected tail slice against the full ones
 

@@ -25,7 +25,7 @@ from schemeforge.schemes import (
     why_not_classified,
 )
 
-from matrices import matmul
+from matrices import idempotent, matmul
 
 IDS = sorted(CATALOGUE)
 
@@ -119,7 +119,7 @@ class TestSpectra:
     def test_idempotents_are_idempotent(self, catalogue_spectra, sid):
         sp, _ = catalogue_spectra[sid]
         for c in range(sp.d + 1):
-            e = sp.idempotent(c)
+            e = idempotent(sp, c)
             assert matmul(e, e) == e
 
     @pytest.mark.parametrize("sid", IDS)
@@ -247,7 +247,7 @@ class TestSpectra:
         g = embedding_gram(sp, 1)
         m1 = sp.multiplicities[1]
         c = QuadNumber(Fraction(m1, s.n))
-        assert ExactMatrix([[x * c for x in row] for row in g.entries]) == sp.idempotent(1)
+        assert ExactMatrix([[x * c for x in row] for row in g.entries]) == idempotent(sp, 1)
 
 
 # -- partial metricity from graphs: the reference of relation_layers

@@ -155,18 +155,53 @@ MUTANTS = [
          "::test_bounded_algebraic_integers_match_the_quadratic_scan",),
     ),
     Mutant(
-        "the tail test refuses a zero discriminant",
+        "the tail test refuses a zero r^2",
         "diagsearch.py",
         "if _sign(x, y, p) < 0:",
         "if _sign(x, y, p) <= 0:",
         ("tests/test_diagsearch.py::TestSolveCosines::test_a_tail_with_a_double_root_is_solved",),
     ),
     Mutant(
-        "the integer tail discriminant scales R's sqrt(p) part by e, not e^2",
+        "the integer tail r^2 scales R's sqrt(p) part by e, not e^2",
         "diagsearch.py",
         "m0 * y + m1 * x + r1 * ee,",
         "m0 * y + m1 * x + r1 * e,",
         ("tests/test_diagsearch.py::TestSolveCosines::test_matches_reference_on_every_search_call",),
+    ),
+    Mutant(
+        "the second moment of the fresh cosines without the sum of their weights",
+        "diagsearch.py",
+        "q * target1 + sum(weights)) / _FOUR",
+        "q * target1) / _FOUR",
+        ("tests/test_diagsearch.py::TestSolveCosines::test_each_surplus_cosine_takes_its_own_candidates",),
+    ),
+    Mutant(
+        "the leading coefficient of the surplus tail's r^2 takes W, not W + w0",
+        "diagsearch.py",
+        "P = -wab * w0 * (W + w0)",
+        "P = -wab * w0 * W",
+        ("tests/test_diagsearch.py::TestSolveCosines::test_each_surplus_cosine_takes_its_own_candidates",),
+    ),
+    Mutant(
+        "an outer surplus cosine lowers the second moment by w*a, not w*a^2",
+        "diagsearch.py",
+        "S = S - wq * a * a",
+        "S = S - wq * a",
+        ("tests/test_diagsearch.py::TestSolveCosines::test_each_surplus_cosine_takes_its_own_candidates",),
+    ),
+    Mutant(
+        "the tail's r^2 without its factor wb",
+        "diagsearch.py",
+        "W, wab = wa + wb, wa * wb",
+        "W, wab = wa + wb, wa",
+        ("tests/test_diagsearch.py::TestSolveCosines::test_matches_reference_on_planted_tails",),
+    ),
+    Mutant(
+        "the smaller tail root comes first",
+        "diagsearch.py",
+        "roots = [mid + root, mid - root] if root else [mid]",
+        "roots = [mid - root, mid + root] if root else [mid]",
+        ("tests/test_diagsearch.py::TestSolveCosines::test_each_surplus_cosine_takes_its_own_candidates",),
     ),
     Mutant(
         "diagram prunes at vertex 1 counted once instead of per seed",
