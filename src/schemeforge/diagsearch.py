@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import NamedTuple, Optional
@@ -532,15 +531,19 @@ def solve_cosines(
     The column-1 recurrence k1*w(1,1)*w(v,1) = sum_h p_{h1}^v * w(h,1) is one
     linear equation; column 2 is the image of column 1 under the dual
     recurrence, and the column-2 recurrence then closes the system: zero
-    fresh vertices make both recurrences checks, and one fresh vertex is
-    linear.  For two or more, the recurrences ask only the first two moments
-    of the fresh cosines x, sum w*x and sum w*x^2: two fresh cosines then
-    solve a quadratic inside the field, and beyond that the surplus cosines
-    are exhausted over the bounded-algebraic-integer candidates, each
-    lowering both moments, the last of them through the square r^2 of the
-    tail's root, a concave quadratic in that cosine.  The fresh vertices are
-    the last of the diagram, as arrangements appends them.  Returns a list of
-    CosineColumns (empty = prune)."""
+    fresh vertices make both recurrences checks.  Otherwise they ask only
+    the first two moments of the fresh cosines x (weights w), sum w*x = t1
+    and sum w*x^2 = s, and real cosines of total weight W meet them exactly
+    when W*s >= t1^2 (Cauchy-Schwarz), with equality for a single cosine.
+    One recursion over the fresh vertices, in index order, carries the
+    moments left to the remaining cosines: one cosine left is t1/W when
+    W*s = t1^2; two left solve a quadratic inside the field; and beyond
+    that each cosine is drawn from the bounded-algebraic-integer
+    candidates, only those that leave moments the rest can meet (the
+    concave quadratic of _tail_slice), the last draw through the square r^2
+    of the tail's root.  The fresh vertices are the last of the diagram, as
+    arrangements appends them.  Returns a list of CosineColumns (empty =
+    prune)."""
     k1 = diagram.k1
     values = cosines.values
     outs = diagram.out[v]
@@ -574,93 +577,84 @@ def solve_cosines(
             radicand = max(a.p for a in first_column)
         return CosineColumns(radicand, cosines.q111, full)
 
-    if len(fresh) == 1:
-        a = target1 / weights[0]
-        columns = [[a]] if weights[0] * phi(a) == target2 else []
-    else:
-        # With m1 = 4 the dual recurrence gives (3 - q)*phi(x) = 4x^2 - 1 - q*x,
-        # so the two targets ask of the fresh cosines x (weights w) only their
-        # first two moments:  sum w*x = t1  and  sum w*x^2 = s, where
-        #   s = ((3 - q)*t2 + q*t1 + sum w)/4.
-        # The last two cosines (a, b), of weights (wa, wb) with W = wa + wb,
-        # are then a = (wa*t1 +- r)/(wa*W) and b = (t1 - wa*a)/wb, where
-        #   r^2 = wa*wb*(W*s - t1^2).
-        q = cosines.q111
+    # With m1 = 4 the dual recurrence gives (3 - q)*phi(x) = 4x^2 - 1 - q*x,
+    # so the two targets ask of the fresh cosines only their two moments,
+    # with s = ((3 - q)*t2 + q*t1 + sum w)/4.
+    q = cosines.q111
+    s = ((_THREE - q) * target2 + q * target1 + sum(weights)) / _FOUR
+    kv = diagram.valencies[v]
+    last = len(fresh) - 1
+    columns = []
+
+    def pair(prefix, t1, root):
+        """Append prefix + [a, b] for the last two cosines, of weights
+        (wa, wb) and first moment t1: a = (wa*t1 +- r)/(wa*(wa + wb)), the
+        larger first, and b = (t1 - wa*a)/wb, where r = root is the root of
+        r^2 = wa*wb*((wa + wb)*s - t1^2); none when root is None."""
+        if root is None:
+            return
         wa, wb = weights[-2:]
-        W, wab = wa + wb, wa * wb
-        s = ((_THREE - q) * target2 + q * target1 + sum(weights)) / _FOUR
+        mid = wa * t1
+        for x in [mid + root, mid - root] if root else [mid]:
+            a = x / (wa * (wa + wb))
+            columns.append(prefix + [a, (t1 - wa * a) / wb])
 
-        def tail_roots(prefix, t1, root, radicand):
-            """The completions prefix + [a, b] in Q[sqrt(radicand)] of a tail
-            with first moment t1 and r = root, the larger a first; none when
-            root is None."""
-            if root is None:
-                return []
-            mid = wa * t1
-            roots = [mid + root, mid - root] if root else [mid]
-            return [
-                prefix + [a, (t1 - wa * a) / wb]
-                for a in (x / (wa * W) for x in roots)
-                if _in_field(a, radicand)
-            ]
+    def complete(prefix, t1, s, W, field):
+        """Append prefix + rest for every rest in Q[sqrt(field)] of the
+        fresh cosines from index i = len(prefix) on, of total weight W, that
+        has the moments t1 and s."""
+        i = len(prefix)
+        w = weights[i]
+        if i == last:
+            if W * s == t1 * t1:
+                columns.append(prefix + [t1 / W])
+            return
+        if i == last - 1:
+            r2 = w * weights[last] * (W * s - t1 * t1)
+            pair(prefix, t1, _tail_root(r2._x, r2._y, r2._d, field))
+            return
+        # A draw a leaves (t1 - w*a, s - w*a^2) to the rest, of weight W - w,
+        # which real cosines meet iff (W - w)*(s - w*a^2) >= (t1 - w*a)^2,
+        # that is P*a^2 + Q*a + R >= 0 with the int P = -w*W < 0,
+        # Q = 2*w*t1 and R = (W - w)*s - t1^2.
+        P, Q, R = -w * W, 2 * w * t1, (W - w) * s - t1 * t1
+        cands = _cosine_candidates(kv * outs[fresh[i]], field)
+        lo, hi = _tail_slice(cands, P, Q, R)
+        if i < last - 2:
+            for a in cands[lo:hi]:
+                complete(prefix + [a], t1 - w * a, s - w * a * a, W - w, field)
+            return
+        if lo == hi:
+            return
+        # The draw leaves two cosines, whose r^2 is wa*wb*(P*a^2 + Q*a + R).
+        # With Q and R over one denominator den and a written
+        # (x + y*sqrt(field))/e, den*e^2 times r^2 is, by Horner,
+        # X + Y*sqrt(field): on ints as far as _tail_root can refuse it.
+        wab = weights[-2] * weights[-1]
+        den = lcm(Q._d, R._d)
+        p0 = wab * P * den
+        q0, q1, r0, r1 = (wab * n * (den // z._d) for z in (Q, R) for n in (z._x, z._y))
+        for a in cands[lo:hi]:
+            x, y, e = a._x, a._y, a._d
+            m0 = p0 * x + q0 * e
+            m1 = p0 * y + q1 * e
+            ee = e * e
+            root = _tail_root(
+                m0 * x + m1 * y * field + r0 * ee,
+                m0 * y + m1 * x + r1 * ee,
+                den * ee,
+                field,
+            )
+            if root is not None:
+                pair(prefix + [a], t1 - w * a, root)
 
-        surplus = len(fresh) - 2
-        if surplus == 0:
-            r2 = wab * (W * s - target1 * target1)
-            root = _tail_root(r2._x, r2._y, r2._d, cosines.radicand)
-            columns = tail_roots([], target1, root, cosines.radicand)
-        else:
-            # The outer surplus cosines leave the moments (T1, S); the last
-            # surplus cosine a, of weight w0, leaves t1 = T1 - w0*a and
-            # s = S - w0*a^2, so r^2 is P*a^2 + Q*a + R with the int
-            # P = -wa*wb*w0*(W + w0) < 0, Q = 2*wa*wb*w0*T1 and
-            # R = wa*wb*(W*S - T1^2).  Only the candidates in its non-negative
-            # slice (_tail_slice) are solved, on ints as far as _tail_root
-            # can refuse them.  Each surplus cosine of a fresh f is drawn from
-            # the candidates for k_v*w(v->f), per field, as values of two
-            # fields do not mix; a rational tuple recurs under every field,
-            # and the dedup below keeps its first copy.
-            columns = []
-            kv = diagram.valencies[v]
-            fields = config.fields if cosines.radicand == 1 else (cosines.radicand,)
-            w0 = weights[surplus - 1]
-            P = -wab * w0 * (W + w0)
-            for field in fields:
-                *outer_cands, cands = (
-                    _cosine_candidates(kv * outs[f], field) for f in fresh[:surplus]
-                )
-                for outer in itertools.product(*outer_cands):
-                    T1, S = target1, s
-                    for wq, a in zip(weights, outer):
-                        T1 = T1 - wq * a
-                        S = S - wq * a * a
-                    Q = 2 * wab * w0 * T1
-                    R = wab * (W * S - T1 * T1)
-                    lo, hi = _tail_slice(cands, P, Q, R)
-                    if lo == hi:
-                        continue
-                    prefix = list(outer)
-                    # with Q and R over one denominator den and a written
-                    # (x + y*sqrt(field))/e, den*e^2 times r^2 = (P*a + Q)*a + R
-                    # is, by Horner, X + Y*sqrt(field)
-                    den = lcm(Q._d, R._d)
-                    p0 = P * den
-                    q0, q1, r0, r1 = (n * (den // z._d) for z in (Q, R) for n in (z._x, z._y))
-                    for a in cands[lo:hi]:
-                        x, y, e = a._x, a._y, a._d
-                        m0 = p0 * x + q0 * e
-                        m1 = p0 * y + q1 * e
-                        ee = e * e
-                        root = _tail_root(
-                            m0 * x + m1 * y * field + r0 * ee,
-                            m0 * y + m1 * x + r1 * ee,
-                            den * ee,
-                            field,
-                        )
-                        if root is not None:
-                            columns.extend(
-                                tail_roots(prefix + [a], T1 - w0 * a, root, field)
-                            )
+    # Each drawn cosine of a fresh f comes from the candidates for
+    # k_v*w(v->f), per field, as values of two fields do not mix; a rational
+    # column recurs under every field, and the dedup below keeps its first
+    # copy.
+    fields = config.fields if cosines.radicand == 1 and last > 1 else (cosines.radicand,)
+    for field in fields:
+        complete([], target1, s, sum(weights), field)
     results = []
     seen = set()
     for col in columns:

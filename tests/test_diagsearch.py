@@ -298,19 +298,38 @@ class TestExtensionCasesAgree:
         assert matched == {r["scheme_id"] for r in ext["results"]}
 
 
+# (k1, a1) -> the stats of the open search, laid out as in PINNED_STATS, at
+# every (5, a1) and at the three k1 = 6 rows of TestLocalStageBySearch
+WIDE_OPEN_STATS = {
+    (5, 0): (4128, 0, 0, 20649, 5, 0, 0, 0),
+    (5, 1): (4127, 0, 0, 4126, 1, 0, 0, 0),
+    (5, 2): (4128, 0, 0, 4145, 1, 0, 0, 0),
+    (5, 3): (4127, 0, 0, 4124, 3, 0, 0, 0),
+    (5, 4): (4127, 0, 0, 4127, 0, 0, 0, 0),
+    (6, 1): (9496, 0, 0, 9492, 4, 0, 0, 0),
+    (6, 4): (9500, 1, 0, 9589, 20, 0, 0, 0),
+    (6, 5): (9496, 0, 0, 9496, 0, 0, 0, 0),
+}
+
+# (6, 0), (6, 2) and (6, 3) are left out: none of them finishes in 150 s, as
+# their surplus draws still walk every ordering of equal-weight cosines, on
+# QuadNumbers, with no budget on the draws
+LOCAL_STAGE_ROWS = [(k1, a1) for k1 in (3, 4, 5) for a1 in range(k1)] + [(6, 1), (6, 4), (6, 5)]
+
+
 class TestLocalStageBySearch:
     """The open search at (k1, a1) covers every local graph H with |H| = k1
     and valency a1, so it checks the local stage by a second route: at each
-    (k1, a1) with 3 <= k1 <= 5 it must emit exactly the schemes that classify
-    reports for the local cases with those parameters, and nothing where the
-    local stage leaves none."""
+    (k1, a1) of LOCAL_STAGE_ROWS it must emit exactly the schemes that
+    classify reports for the local cases with those parameters, and nothing
+    where the local stage leaves none."""
 
     @pytest.fixture(scope="class")
     def classified(self):
-        """(k1, a1) -> the scheme ids of the local cases of classify_local(5)
+        """(k1, a1) -> the scheme ids of the local cases of classify_local(6)
         there, each resolved by its route in LOCAL_CASES."""
         out = {}
-        for sol in classify_local(5):
+        for sol in classify_local(6):
             n_max = LOCAL_CASES[sol.name].n_max
             if n_max is None:
                 outcome = cli._classify_search_case(sol.name, DEFAULT_BUDGET)
@@ -321,13 +340,28 @@ class TestLocalStageBySearch:
             ids.update(r["scheme_id"] for r in outcome["results"])
         return out
 
-    @pytest.mark.parametrize("k1,a1", [(k1, a1) for k1 in (3, 4, 5) for a1 in range(k1)])
+    @pytest.mark.parametrize("k1,a1", LOCAL_STAGE_ROWS)
     def test_open_search_emits_the_local_cases_schemes(self, open_search, classified, k1, a1):
         outcome = open_search(k1, a1)
         assert outcome.complete
         matched = [res.matched for res in outcome.results]
         assert None not in matched, "unmatched feasible diagram"
         assert sorted(matched) == sorted(classified.get((k1, a1), set()))
+
+    def test_the_k1_6_rows_expect_the_octahedron_case_alone(self, classified):
+        rows = [row for row in LOCAL_STAGE_ROWS if row[0] == 6]
+        assert {row: classified.get(row, set()) for row in rows} == {
+            (6, 1): set(), (6, 4): {"AS08[2]"}, (6, 5): set(),
+        }
+
+    @pytest.mark.parametrize("k1,a1", list(WIDE_OPEN_STATS))
+    def test_open_search_stats_are_pinned(self, open_search, k1, a1):
+        nodes, emitted, *pruned = WIDE_OPEN_STATS[k1, a1]
+        assert open_search(k1, a1).stats == {
+            "nodes": nodes,
+            "emitted": emitted,
+            "pruned": dict(zip(REASONS, pruned)),
+        }
 
 
 class TestDepthCap:
@@ -830,14 +864,15 @@ def planted_tails(draw):
 
 
 def _tail_root_visible(weights, planted) -> bool:
-    """Does quad_sqrt find the root of the planted tail's discriminant?
-    It is (2A*a + B)^2 for the planted last two cosines (a, b)."""
+    """Does quad_sqrt find the root r of the planted tail's
+    r^2 = wa*wb*(W*s - t1^2)?  For the planted last two cosines (a, b), of
+    weights (wa, wb) with W = wa + wb, r = wa*W*a - wa*t1 up to sign."""
     if len(planted) == 1:
         return True
-    wa, wb = (QuadNumber(w) for w in weights[-2:])
+    wa, wb = weights[-2:]
     a, b = planted[-2:]
     t1 = wa * a + wb * b
-    root = QuadNumber(8) * wa * (wa + wb) / wb * a - QuadNumber(8) * t1 * wa / wb
+    root = wa * (wa + wb) * a - wa * t1
     return quad_sqrt(root * root) is not None
 
 
@@ -932,10 +967,27 @@ class TestSolveCosines:
         assert any(col in found for col in (first, first[:2] + first[:1:-1]))
         assert any(col in found for col in (second, second[:2] + second[:1:-1]))
 
+    def test_the_surplus_draws_take_only_their_slices(self, monkeypatch):
+        # The open (6, 4) search makes up to five fresh relations at a vertex,
+        # so up to three surplus draws.  Each draw takes only the candidates
+        # that leave moments the rest can meet, so the search slices 622
+        # prefixes, where the full product of the candidate sets slices 38,138.
+        calls, tail_slice = [], diagsearch._tail_slice
+
+        def counted(*args):
+            calls.append(args)
+            return tail_slice(*args)
+
+        monkeypatch.setattr(diagsearch, "_tail_slice", counted)
+        outcome = generate_diagrams(SearchConfig(k1=6, a1=4, radicand=None))
+        assert outcome.complete and outcome.stats["emitted"] == 1
+        assert len(calls) <= 622
+
     def test_a_column_that_misses_a_recurrence_raises(self, monkeypatch):
         # vertex 1 of the (3, 0) search makes one fresh relation, whose cosine
-        # the column-1 recurrence gives and the column-2 recurrence checks;
-        # a column-2 value off by one when the column is built must raise
+        # the column-1 recurrence gives and the moment check accepts; phi is
+        # first called when the column is built, and a column-2 value off by
+        # one there must raise
         config = SearchConfig(k1=3, a1=0)
         diagram, seeds = DistributionDiagram.seed(3, 0), list(_seeds(config))
         nd, fresh, seed = next(
@@ -947,14 +999,14 @@ class TestSolveCosines:
         assert len(fresh) == 1
         phi, calls = CosineColumns.second_from_first, []
 
-        def second_call_off_by_one(self, w1):
+        def first_call_off_by_one(self, w1):
             calls.append(w1)
-            return phi(self, w1) + (QuadNumber(1) if len(calls) == 2 else QuadNumber(0))
+            return phi(self, w1) + (QuadNumber(1) if len(calls) == 1 else QuadNumber(0))
 
-        monkeypatch.setattr(CosineColumns, "second_from_first", second_call_off_by_one)
+        monkeypatch.setattr(CosineColumns, "second_from_first", first_call_off_by_one)
         with pytest.raises(ArithmeticError, match="misses a recurrence"):
             solve_cosines(nd, seed, 1, fresh, config)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     @pytest.mark.xfail(
         strict=True,

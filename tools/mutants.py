@@ -114,8 +114,8 @@ MUTANTS = [
     Mutant(
         "each surplus cosine takes the candidates of the first fresh vertex",
         "diagsearch.py",
-        "_cosine_candidates(kv * outs[f], field) for f in fresh[:surplus]",
-        "_cosine_candidates(kv * outs[fresh[0]], field) for f in fresh[:surplus]",
+        "_cosine_candidates(kv * outs[fresh[i]], field)",
+        "_cosine_candidates(kv * outs[fresh[0]], field)",
         ("tests/test_diagsearch.py::TestSolveCosines::test_each_surplus_cosine_takes_its_own_candidates",),
     ),
     Mutant(
@@ -176,32 +176,64 @@ MUTANTS = [
         ("tests/test_diagsearch.py::TestSolveCosines::test_each_surplus_cosine_takes_its_own_candidates",),
     ),
     Mutant(
-        "the leading coefficient of the surplus tail's r^2 takes W, not W + w0",
+        "the leading coefficient of a draw's bound takes W - w, not W",
         "diagsearch.py",
-        "P = -wab * w0 * (W + w0)",
-        "P = -wab * w0 * W",
+        "P, Q, R = -w * W,",
+        "P, Q, R = -w * (W - w),",
         ("tests/test_diagsearch.py::TestSolveCosines::test_each_surplus_cosine_takes_its_own_candidates",),
     ),
     Mutant(
-        "an outer surplus cosine lowers the second moment by w*a, not w*a^2",
+        "an outer surplus draw lowers the second moment by w*a, not w*a^2",
         "diagsearch.py",
-        "S = S - wq * a * a",
-        "S = S - wq * a",
+        "s - w * a * a",
+        "s - w * a",
         ("tests/test_diagsearch.py::TestSolveCosines::test_each_surplus_cosine_takes_its_own_candidates",),
     ),
     Mutant(
         "the tail's r^2 without its factor wb",
         "diagsearch.py",
-        "W, wab = wa + wb, wa * wb",
-        "W, wab = wa + wb, wa",
+        "r2 = w * weights[last] * (W * s - t1 * t1)",
+        "r2 = w * (W * s - t1 * t1)",
         ("tests/test_diagsearch.py::TestSolveCosines::test_matches_reference_on_planted_tails",),
     ),
     Mutant(
         "the smaller tail root comes first",
         "diagsearch.py",
-        "roots = [mid + root, mid - root] if root else [mid]",
-        "roots = [mid - root, mid + root] if root else [mid]",
+        "[mid + root, mid - root] if root else [mid]",
+        "[mid - root, mid + root] if root else [mid]",
         ("tests/test_diagsearch.py::TestSolveCosines::test_each_surplus_cosine_takes_its_own_candidates",),
+    ),
+    Mutant(
+        "the surplus tail's r^2 after a draw without its factor wb",
+        "diagsearch.py",
+        "wab = weights[-2] * weights[-1]",
+        "wab = weights[-2]",
+        ("tests/test_diagsearch.py::TestSolveCosines::test_matches_reference_on_planted_tails",),
+    ),
+    Mutant(
+        "the outer surplus draws skip their slice",
+        "diagsearch.py",
+        "            for a in cands[lo:hi]:\n                complete(",
+        "            for a in cands:\n                complete(",
+        ("tests/test_diagsearch.py::TestSolveCosines::test_the_surplus_draws_take_only_their_slices",),
+    ),
+    Mutant(
+        "a draw's bound gives the rest the weight W, not W - w",
+        "diagsearch.py",
+        "(W - w) * s - t1 * t1",
+        "W * s - t1 * t1",
+        # R is also the constant term of the tail's r^2 after the last draw,
+        # so the roots go wrong; the looser cut alone leaves the slice count
+        # of the open (6, 4) search at 622
+        ("tests/test_diagsearch.py::TestSolveCosines::test_each_surplus_cosine_takes_its_own_candidates",),
+    ),
+    Mutant(
+        "one cosine left is accepted when W*s > t1^2",
+        "diagsearch.py",
+        "if W * s == t1 * t1:",
+        "if W * s >= t1 * t1:",
+        # the column then misses the column-2 recurrence, and extend raises
+        ("tests/test_diagsearch.py::TestKnownConfigs::test_3_0_matches_exactly_k33",),
     ),
     Mutant(
         "diagram prunes at vertex 1 counted once instead of per seed",
