@@ -8,8 +8,8 @@ whose first multiplicity is four.  It is organized as a pipeline:
 - :mod:`schemeforge.schemes` — scheme axioms, spectra, cosines, Krein data
 - :mod:`schemeforge.localclass` — feasible nearest-neighbourhood graphs
 - :mod:`schemeforge.diagsearch` — relation-distribution diagram generation
-- :mod:`schemeforge.catalogue` — the hash-checked golden scheme files, their
-  format, and the classified pairs
+- :mod:`schemeforge.catalogue` — the hash-checked golden scheme files and
+  their format
 - :mod:`schemeforge.cli` — command-line surface
 
 Import each name from the module that defines it, for example

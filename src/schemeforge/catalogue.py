@@ -1,11 +1,11 @@
-"""The catalogue of bundled schemes: the golden scheme files, their format,
-the hash-checked loader, and the ids of the classified pairs.
+"""The catalogue of bundled schemes: the golden scheme files, their format
+and the hash-checked loader.
 
 Each catalogue entry pairs a scheme id (position in the standard small-scheme
 tables) with the graph carrying its first relation.  The scheme itself is
 its golden file under data/, checked against MANIFEST.sha256 before it is
-parsed and verified; that loaded scheme is the one every match of the
-diagram search compares with, and the one classify reports.
+parsed and verified; that loaded scheme is the one every match compares
+with, in the diagram search and in classify's extension cases alike.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from .schemes import Scheme, verify_scheme
 DATA_DIR = Path(__file__).parent / "data"
 MANIFEST_NAME = "MANIFEST.sha256"
 
-# scheme id -> graph name of R_1
+# scheme id ASnn[i] (Hanaki-Miyamoto: the i-th scheme of order nn) -> graph
+# name of R_1
 CATALOGUE: dict[str, str] = {
     "AS05[1]": "K5",
     "AS06[3]": "K3,3",
@@ -30,16 +31,6 @@ CATALOGUE: dict[str, str] = {
     "AS10[6]": "crown",
     "AS16[30]": "Q4",
     "AS24[43]": "24-cell",
-}
-
-# the six (graph, scheme) pairs of the main classification
-CLASSIFIED: dict[str, str] = {
-    "K3,3": "AS06[3]",
-    "K2,2,2,2": "AS08[2]",
-    "K3xK3": "AS09[3]",
-    "J(5,2)": "AS10[3]",
-    "crown": "AS10[6]",
-    "Q4": "AS16[30]",
 }
 
 
@@ -146,6 +137,12 @@ def bundled_filename(scheme_id: str) -> str:
     return scheme_id.replace("[", "-").replace("]", "") + ".scheme"
 
 
+def scheme_order(scheme_id: str) -> int:
+    """The order nn of the scheme ASnn[i]; load_bundled checks it against
+    the file."""
+    return int(scheme_id[2:scheme_id.index("[")])
+
+
 def _read_manifest() -> dict:
     out = {}
     for raw in (DATA_DIR / MANIFEST_NAME).read_text().splitlines():
@@ -224,6 +221,8 @@ def load_bundled(scheme_id: str) -> Scheme:
     sf = parse_scheme_file(blob.decode("utf-8"))
     if sf.scheme_id != scheme_id:
         raise RuntimeError(f"golden file {name} declares id {sf.scheme_id!r}")
+    if sf.n != scheme_order(scheme_id):
+        raise RuntimeError(f"golden file {name} has order {sf.n}, not that of its id")
     result = verify_scheme(sf.grid)
     if not isinstance(result, Scheme):
         raise RuntimeError(f"golden file {name} fails verification: {result}")

@@ -52,10 +52,11 @@ from .diagsearch import (
     KISSING_NUMBER_R4,
     SearchConfig,
     generate_diagrams,
+    match_catalogue,
+    scheme_diagram,
 )
 from .catalogue import (
     CATALOGUE,
-    CLASSIFIED,
     SchemeFile,
     SchemeFileError,
     bundled_filename,
@@ -375,19 +376,21 @@ CASE_NAMES = sorted(LOCAL_CASES, key=lambda c: (LOCAL_CASES[c].n_max is None, c)
 
 
 def _classify_extension_case(name: str, n_max: int, budget: int) -> dict:
-    """Resolve a local case by bounded extension plus spectral screening."""
+    """Resolve a local case by bounded extension plus spectral screening; a
+    classified graph takes the id of the golden file its diagram matches."""
     ext = extend_locally(named_graph(name), n_max, budget=budget)
     results, exclusions = [], []
     for g in ext.graphs:
         gname = identify_graph(g) or to_graph6(g)
-        reason = why_not_classified(scheme_from_graph_distances(g))
+        scheme = scheme_from_graph_distances(g)
+        reason = why_not_classified(scheme)
         if reason is not None:
             exclusions.append({"case": name, "graph": gname, "reason": reason})
             continue
         results.append(
             {
                 "graph": gname,
-                "scheme_id": CLASSIFIED.get(gname),
+                "scheme_id": match_catalogue(scheme_diagram(scheme)),
                 "case": name,
                 "via": "extension",
                 "n_max": n_max,

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import NamedTuple, Optional
 
-from .catalogue import CATALOGUE, load_bundled
+from .catalogue import CATALOGUE, load_bundled, scheme_order
 from .exactnum import (
     QuadNumber,
     _make,
@@ -62,6 +62,7 @@ __all__ = [
     "check_solution_valid",
     "generate_diagrams",
     "match_known",
+    "match_catalogue",
     "scheme_diagram",
     "candidate_radicands",
     "KISSING_NUMBER_R4",
@@ -817,10 +818,10 @@ def generate_diagrams(config: SearchConfig) -> SearchOutcome:
     it names.
 
     Emitted diagrams are matched against the catalogue's hash-checked golden
-    files (catalogue.load_bundled), in catalogue order; unmatched
-    feasible diagrams are kept in the result list with matched=None.  The
-    search stops at the first node past the budget, so it then counts
-    budget + 1 nodes; the diagrams found before that are kept."""
+    files by match_catalogue; unmatched feasible diagrams are kept in the
+    result list with matched=None.  The search stops at the first node past
+    the budget, so it then counts budget + 1 nodes; the diagrams found
+    before that are kept."""
     reasons = ("diagram", "cosines", "solution", "kissing", "emission", "budget")
     stats = {"nodes": 0, "emitted": 0, "pruned": dict.fromkeys(reasons, 0)}
     results = {}
@@ -884,11 +885,7 @@ def generate_diagrams(config: SearchConfig) -> SearchOutcome:
         complete = False
 
     ordered = [results[k] for k in sorted(results)]
-    for i, res in enumerate(ordered):
-        for sid in CATALOGUE:
-            if match_known(res, load_bundled(sid)):
-                ordered[i] = res._replace(matched=sid)
-                break
+    ordered = [res._replace(matched=match_catalogue(res)) for res in ordered]
     return SearchOutcome(config, ordered, stats, complete)
 
 
@@ -921,3 +918,14 @@ def match_known(result: SearchResult, scheme) -> bool:
         return False
     known = scheme_diagram(scheme)
     return known is not None and known.canonical_key() == result.canonical_key()
+
+
+def match_catalogue(result: SearchResult) -> Optional[str]:
+    """The id of the first golden file, in catalogue order, that the result
+    matches, or None.  Only the files of the result's order are loaded: a
+    match has the same valencies, so the same order."""
+    size = result.diagram.size()
+    for sid in CATALOGUE:
+        if scheme_order(sid) == size and match_known(result, load_bundled(sid)):
+            return sid
+    return None

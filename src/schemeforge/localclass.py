@@ -13,11 +13,12 @@ nearest-relation inequalities beta2 < beta1 < 1/2 this cuts the candidate
 list of regular graphs on <= 9 vertices down to nine graphs forming six
 geometric objects.
 
-Rank <= 3 needs an adjacency eigenvalue of high multiplicity, so a spectral
-screen on the labelled output of ``regular_labellings`` (a repeated-factor
-test of the characteristic polynomial, modulo a prime) drops most graphs on
-6 to 9 vertices before any canonical form is computed; no graph above 6
-vertices survives the exact solver.
+The stage makes one pass over the labelled output of ``regular_labellings``
+and computes canonical forms only for the graphs it solves.  Rank <= 3 needs
+an adjacency eigenvalue of high multiplicity, so the solver starts with a
+spectral screen (a repeated-factor test of the characteristic polynomial,
+modulo a prime) that drops most graphs on 6 to 9 vertices before the
+polynomial is split; no graph above 6 vertices survives the exact solver.
 """
 
 from __future__ import annotations
@@ -178,42 +179,21 @@ def _repeated_part_degree(coeffs: list[int], m: int) -> int:
     return len(f) - 1
 
 
-def _may_have_solution(graph: Graph) -> bool:
-    """Spectral screen: False only for a graph _solve_problem rejects.
-
-    Take a two-class k-regular graph (1 <= k <= n - 2) with need = n - 3 >= 3.
-    _solve_problem returns a pair only through an eigenvalue lam != -1 of the
-    adjacency matrix whose multiplicity on the complement of the all-ones
-    vector is at least need - 1 (the need == 1 line and the one-class cases
-    do not arise).  Then lam is a root of multiplicity >= need - 1 of the
-    characteristic polynomial p, and its minimal polynomial f has f^(need-1)
-    dividing p, so _repeated_part_degree(p, need - 1) >= deg f > 0.  The
-    screen drops the graph when that degree is 0.  One-class graphs and
-    graphs on n <= 5 vertices pass unscreened.
-
-    The screen reads the spectrum alone, so it keeps or drops a whole
-    isomorphism class."""
-    n, k = graph.n, graph.degree(0)
-    need = n - 3
-    if need < 3 or k in (0, n - 1):
-        return True
-    return _repeated_part_degree(_adjacency_char_poly(graph), need - 1) > 0
-
-
-def _adjacency_eigenvalues(graph: Graph) -> list:
-    """Eigenvalues in Q or a real quadratic field of the adjacency matrix,
+def _adjacency_eigenvalues(coeffs: list[int], k: int) -> list:
+    """Eigenvalues in Q or a real quadratic field of the adjacency matrix of
+    a k-regular graph, from its characteristic polynomial coeffs (ascending),
     restricted to the complement of the all-ones vector, as
     (QuadNumber, multiplicity) pairs.
 
     Eigenvalues of higher degree are left out: they cannot force a zero Gram
     eigenvalue because the cosines live in a field of degree at most 2.  The
-    matrix is symmetric, so its spectrum is real.  Requires the graph regular
-    (the all-ones vector is then an eigenvector for the valency)."""
-    roots, _ = split_integer_polynomial(_adjacency_char_poly(graph))
-    k = QuadNumber(graph.degree(0))
+    matrix is symmetric, so its spectrum is real.  The all-ones vector is an
+    eigenvector for the valency k, so one multiplicity of k is dropped."""
+    roots, _ = split_integer_polynomial(coeffs)
+    valency = QuadNumber(k)
     out = []
     for lam, mult in roots:
-        if lam == k:
+        if lam == valency:
             mult -= 1
         if mult:
             out.append((lam, mult))
@@ -234,7 +214,17 @@ def _solve_problem(graph: Graph) -> Optional[LocalSolution]:
     mu0 = 0.  Two distinct blocks cannot vanish at once without b1 = b2.
     Depending on the multiplicity of lam* the feasible set is a point or a
     one-parameter family; families are reported through rational-grid
-    witnesses."""
+    witnesses.
+
+    A two-class graph with need = n - 3 >= 3 first passes a spectral screen.
+    A pair comes only through an eigenvalue lam != -1 whose multiplicity on
+    the complement of the all-ones vector is at least need - 1 (the need == 1
+    line and the one-class cases do not arise).  Then lam is a root of
+    multiplicity >= need - 1 of the characteristic polynomial p, and its
+    minimal polynomial f has f^(need-1) dividing p, so
+    _repeated_part_degree(p, need - 1) >= deg f > 0.  The graph is dropped,
+    before p is split, when that degree is 0.  The screen reads the spectrum
+    alone, so it keeps or drops a whole isomorphism class."""
     n, k = graph.n, graph.degree(0)
     has_class1, has_class2 = k >= 1, k <= n - 2
     need = n - 3  # required multiplicity of the zero Gram eigenvalue
@@ -273,7 +263,10 @@ def _solve_problem(graph: Graph) -> Optional[LocalSolution]:
 
     # Both classes need n >= 4, so need >= 1: on 3 vertices the valency would
     # be 1, and a 1-regular graph has an even number of vertices.
-    eigs = _adjacency_eigenvalues(graph)
+    coeffs = _adjacency_char_poly(graph)
+    if need >= 3 and not _repeated_part_degree(coeffs, need - 1):
+        return None
+    eigs = _adjacency_eigenvalues(coeffs, k)
 
     def on_line(lam, b1):
         """b2 making the lam block vanish: (1+lam)*b2 = 1 + lam*b1."""
@@ -311,28 +304,18 @@ def _solve_problem(graph: Graph) -> Optional[LocalSolution]:
     return finish(pairs, family)
 
 
-def _screened_graphs(n: int, k: int, labelled: list) -> list[Graph]:
-    """[g for g in enumerate_regular_graphs(n, k) if _may_have_solution(g)],
-    from labelled[j] = regular_labellings(n, j) for 2j <= n - 1.
-
-    One search per valency min(k, n - 1 - k) serves both complementary
-    valencies.  The screen keeps or drops whole isomorphism classes, so
-    screening the labelled graphs before ``dedupe_isomorphs`` keeps every
-    representative and their order, and only survivors get canonical forms.
-    Above n - 1 - k the kept sources are deduped, then complemented, as
-    ``enumerate_regular_graphs`` does."""
-    if 2 * k <= n - 1:
-        return dedupe_isomorphs(filter(_may_have_solution, labelled[k]))
-    kept = [g for g in labelled[n - 1 - k] if _may_have_solution(g.complement())]
-    return [g.complement() for g in dedupe_isomorphs(kept)]
-
-
 def classify_local(k_max: int = 9) -> list[LocalSolution]:
     """Feasible neighbourhood graphs among all regular graphs on <= k_max
     vertices.  The size cap is the two-distance bound on S^2, and the
-    smallest neighbourhood searched has 3 vertices.  The graphs of each
-    (n, k) are solved in the order of ``enumerate_regular_graphs``, less
-    those the spectral screen drops."""
+    smallest neighbourhood searched has 3 vertices.
+
+    One pass per (n, k) over the labelled graphs of ``regular_labellings``
+    solves each graph, or above valency (n - 1)/2 its complement, and keeps
+    the first solution of each isomorphism class.  The solver's verdict and
+    cosines do not depend on the labelling, so it solves all of a class or
+    none of it, and the solutions come out for the representatives of
+    ``enumerate_regular_graphs``, in its order: for a complement, the
+    canonical order of its source."""
     if k_max < 3:
         raise ValueError(f"k_max must be at least 3, got {k_max}")
     if k_max > delsarte_bound(3, 2):
@@ -343,9 +326,12 @@ def classify_local(k_max: int = 9) -> list[LocalSolution]:
     solutions = []
     for n in range(3, k_max + 1):
         labelled = [regular_labellings(n, k) for k in range((n + 1) // 2)]
-        for k in range(0, n):
-            for g in _screened_graphs(n, k, labelled):
-                sol = _solve_problem(g)
+        for k in range(n):
+            flip = 2 * k > n - 1
+            solved = {}  # source graph -> solution, so that dedupe orders by sources
+            for g in labelled[n - 1 - k if flip else k]:
+                sol = _solve_problem(g.complement() if flip else g)
                 if sol is not None:
-                    solutions.append(sol)
+                    solved[g] = sol
+            solutions += [solved[g] for g in dedupe_isomorphs(solved)]
     return solutions

@@ -437,7 +437,7 @@ def why_not_classified(s: SchemeResult) -> Optional[str]:
     if isinstance(s, SchemeRefutation):
         return f"not distance-regular: {s.detail}"
     try:
-        m1 = qpolynomial_spectra(s)[0].multiplicities[1]
+        m1 = s.qpolynomial[0].multiplicities[1]
     except SplittingFieldError:
         return "splitting field not quadratic"
     except NoQPolynomialOrderingError:

@@ -161,6 +161,19 @@ def data_copy(tmp_path, monkeypatch):
     load_bundled.cache_clear()
 
 
+def _forge_golden(data_dir, sid: str, donor: str):
+    """Replace sid's golden file in data_dir by donor's relations declaring
+    sid's id, with its manifest line rewritten to match."""
+    name = bundled_filename(sid)
+    text = (data_dir / bundled_filename(donor)).read_text()
+    text = text.replace(f"id {donor}", f"id {sid}")
+    (data_dir / name).write_text(text)
+    manifest = data_dir / catalogue.MANIFEST_NAME
+    old_digest = catalogue._read_manifest()[name]
+    new_digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    manifest.write_text(manifest.read_text().replace(old_digest, new_digest))
+
+
 class TestGoldenData:
     def test_all_bundled_schemes_load(self):
         for sid in CATALOGUE:
@@ -184,14 +197,7 @@ class TestGoldenData:
         assert payload_of(out)["matched"] == ["AS10[6]", "AS16[30]"]
 
         load_bundled.cache_clear()
-        name = bundled_filename("AS10[6]")
-        impostor = (data_copy / bundled_filename("AS10[3]")).read_text()
-        impostor = impostor.replace("id AS10[3]", "id AS10[6]")
-        (data_copy / name).write_text(impostor)
-        manifest = data_copy / catalogue.MANIFEST_NAME
-        old_digest = catalogue._read_manifest()[name]
-        new_digest = hashlib.sha256(impostor.encode("utf-8")).hexdigest()
-        manifest.write_text(manifest.read_text().replace(old_digest, new_digest))
+        _forge_golden(data_copy, "AS10[6]", "AS10[3]")
         assert load_bundled("AS10[6]").relations == load_bundled("AS10[3]").relations
 
         code, out, _ = run(capsys, *argv)
@@ -199,6 +205,35 @@ class TestGoldenData:
         payload = payload_of(out)
         assert payload["matched"] == ["AS16[30]"]
         assert payload["unmatched_count"] == 1
+
+    def test_the_golden_file_names_the_extension_result(self, data_copy, capsys):
+        # J(5,2), the one graph the K3xK2 extension classifies, takes its id
+        # from the golden file its diagram matches: once AS10[3]'s file holds
+        # the crown's scheme, no file names it
+        def k3xk2_results():
+            code, out, _ = run(capsys, "classify", "--case", "K3xK2")
+            assert code == EXIT_OK
+            return [(e["graph"], e["scheme_id"]) for e in payload_of(out)["results"]]
+
+        assert k3xk2_results() == [("J(5,2)", "AS10[3]")]
+        load_bundled.cache_clear()
+        _forge_golden(data_copy, "AS10[3]", "AS10[6]")
+        assert load_bundled("AS10[3]").relations == load_bundled("AS10[6]").relations
+        assert k3xk2_results() == [("J(5,2)", None)]
+
+    def test_a_golden_file_of_another_order_is_refused(self, data_copy):
+        # the order nn of the id ASnn[i] is checked against the file's n
+        _forge_golden(data_copy, "AS10[3]", "AS09[3]")
+        with pytest.raises(RuntimeError, match="has order 9"):
+            load_bundled("AS10[3]")
+
+    def test_a_search_loads_only_the_golden_files_of_its_orders(self, data_copy, capsys):
+        # the (4, 0) search over Q(sqrt 5) emits the diagrams of the crown
+        # (order 10) and Q4 (order 16): of the eight golden files only
+        # AS10[3], AS10[6] and AS16[30] have those orders
+        code, out, _ = run(capsys, "search", "--k1", "4", "--a1", "0", "--field", "quad:5")
+        assert code == EXIT_OK
+        assert load_bundled.cache_info().currsize == 3
 
     @pytest.mark.parametrize("sid", sorted(CATALOGUE))
     def test_golden_file_rebuilds_from_catalogue(self, sid):

@@ -9,7 +9,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schemeforge import cli, graphs
+from schemeforge import cli, graphs, localclass
 from schemeforge.graphs import (
     Graph,
     enumerate_regular_graphs,
@@ -23,9 +23,7 @@ from schemeforge.localclass import (
     classify_local,
     _adjacency_char_poly,
     _adjacency_eigenvalues,
-    _may_have_solution,
     _repeated_part_degree,
-    _screened_graphs,
     _solve_problem,
     delsarte_bound,
     gram_matrix,
@@ -155,26 +153,35 @@ class TestRankConstraints:
 class TestAdjacencyEigenvalues:
     def test_pentagon(self):
         r5 = QuadNumber(0, 1, 5)
-        assert _adjacency_eigenvalues(named_graph("C5")) == [
+        assert _adjacency_eigenvalues(_adjacency_char_poly(named_graph("C5")), 2) == [
             ((r5 - 1) / 2, 2), ((-r5 - 1) / 2, 2),
         ]
 
     def test_valency_counted_once_less(self):
         # 2K2 has eigenvalue 1 twice; the all-ones vector takes one of them
         one, minus_one = QuadNumber(1), QuadNumber(-1)
-        assert _adjacency_eigenvalues(named_graph("2K2")) == [(one, 1), (minus_one, 2)]
+        p = _adjacency_char_poly(named_graph("2K2"))
+        assert _adjacency_eigenvalues(p, 1) == [(one, 1), (minus_one, 2)]
 
 
-def _reference_classify_local(k_max: int) -> list:
+def _screen_off(monkeypatch):
+    """Switch the solver's spectral screen off: every polynomial then has a
+    repeated part."""
+    monkeypatch.setattr(localclass, "_repeated_part_degree", lambda coeffs, m: len(coeffs) - 1)
+
+
+def _reference_classify_local(k_max: int, monkeypatch) -> list:
     """classify_local without the screen: _solve_problem on every class of
     enumerate_regular_graphs.  Test-only reference."""
     out = []
-    for n in range(3, k_max + 1):
-        for k in range(n):
-            for g in enumerate_regular_graphs(n, k):
-                sol = _solve_problem(g)
-                if sol is not None:
-                    out.append(sol)
+    with monkeypatch.context() as m:
+        _screen_off(m)
+        for n in range(3, k_max + 1):
+            for k in range(n):
+                for g in enumerate_regular_graphs(n, k):
+                    sol = _solve_problem(g)
+                    if sol is not None:
+                        out.append(sol)
     return out
 
 
@@ -207,13 +214,19 @@ def _product(factors) -> list:
 
 class TestSpectralScreen:
     @pytest.mark.parametrize("n", range(3, 10))
-    def test_never_drops_a_graph_with_a_solution(self, n):
-        # every labelled graph of the search, on both valency branches
-        for k in range((n + 1) // 2):
-            for g in regular_labellings(n, k):
-                for h in (g, g.complement()):
-                    if _solve_problem(h) is not None:
-                        assert _may_have_solution(h), to_graph6(h)
+    def test_never_drops_a_graph_with_a_solution(self, n, monkeypatch):
+        # every labelled graph of the search, on both valency branches: the
+        # screened solver gives what the solver without its screen gives
+        labelled = [h for k in range((n + 1) // 2) for g in regular_labellings(n, k)
+                   for h in (g, g.complement())]
+
+        def solve_all():
+            return [None if sol is None else _as_strings(sol)
+                    for sol in map(_solve_problem, labelled)]
+
+        screened = solve_all()
+        _screen_off(monkeypatch)
+        assert solve_all() == screened
 
     def test_the_prism_passes_the_screen(self):
         # K3xK2's isolated point comes from eigenvalue 0 of multiplicity
@@ -221,35 +234,38 @@ class TestSpectralScreen:
         g = named_graph("K3xK2")
         assert _adjacency_char_poly(g) == _product([([0, 1], 2), ([-3, 1], 1), ([-1, 1], 1),
                                                     ([2, 1], 2)])
-        assert _may_have_solution(g)
+        assert _repeated_part_degree(_adjacency_char_poly(g), g.n - 4) > 0
+        assert _solve_problem(g) is not None
 
-    @pytest.mark.parametrize("n", range(3, 10))
-    def test_candidates_are_the_screened_classes(self, n):
-        labelled = [regular_labellings(n, k) for k in range((n + 1) // 2)]
-        for k in range(n):
-            got = [to_graph6(g) for g in _screened_graphs(n, k, labelled)]
-            want = [to_graph6(g) for g in enumerate_regular_graphs(n, k) if _may_have_solution(g)]
-            assert got == want, (n, k)
-
-    def test_classify_local_matches_the_unscreened_loop(self):
-        reference = _reference_classify_local(9)
+    def test_classify_local_matches_the_unscreened_loop(self, monkeypatch):
+        reference = _reference_classify_local(9, monkeypatch)
         for k_max in range(3, 10):
             want = [_as_strings(sol) for sol in reference if sol.graph.n <= k_max]
             assert [_as_strings(sol) for sol in classify_local(k_max)] == want, k_max
 
     def test_at_most_thirty_canonical_forms(self, monkeypatch):
-        # the unscreened loop computes 144, most for graphs on 7 to 9
-        # vertices that the screen drops
+        # the loop over enumerate_regular_graphs computes 144, most for
+        # graphs on 7 to 9 vertices that the solver drops; deduplicating
+        # only the solved graphs leaves 18, with the names identify_graph
+        # knows.  Each two-class graph's characteristic polynomial is
+        # computed once, for the screen and the split together.
         graphs._identifiable_graphs.cache_clear()
-        calls, canonical_form = [], graphs._canonical_form
-
-        def counted(g):
-            calls.append(g.n)
-            return canonical_form(g)
-
-        monkeypatch.setattr(graphs, "_canonical_form", counted)
+        forms, polys = [], []
+        canonical_form, char_poly = graphs._canonical_form, localclass.integer_char_poly
+        monkeypatch.setattr(graphs, "_canonical_form", lambda g: forms.append(g) or canonical_form(g))
+        monkeypatch.setattr(localclass, "integer_char_poly",
+                            lambda rows: polys.append(rows) or char_poly(rows))
         assert len(classify_local(9)) == 9
-        assert len(calls) <= 30
+        assert len(forms) <= 20
+        assert len(polys) <= 81
+
+    def test_the_screen_comes_before_the_split(self, monkeypatch):
+        # without the screen every two-class graph's polynomial is split
+        splits, split = [], localclass.split_integer_polynomial
+        monkeypatch.setattr(localclass, "split_integer_polynomial",
+                            lambda coeffs: splits.append(coeffs) or split(coeffs))
+        assert len(classify_local(9)) == 9
+        assert len(splits) <= 23
 
 
 class TestRepeatedPartDegree:

@@ -261,18 +261,47 @@ MUTANTS = [
     Mutant(
         "the match loop builds each scheme from its graph, not its golden file",
         "diagsearch.py",
-        "            if match_known(res, load_bundled(sid)):\n",
-        "            from .graphs import named_graph\n"
-        "            from .schemes import scheme_from_graph_distances\n"
-        "            if match_known(res, scheme_from_graph_distances(named_graph(CATALOGUE[sid]))):\n",
+        "        if scheme_order(sid) == size and match_known(result, load_bundled(sid)):\n",
+        "        from .graphs import named_graph\n"
+        "        from .schemes import scheme_from_graph_distances\n"
+        "        scheme = scheme_from_graph_distances(named_graph(CATALOGUE[sid]))\n"
+        "        if scheme_order(sid) == size and match_known(result, scheme):\n",
         ("tests/test_cli.py::TestGoldenData::test_the_golden_file_decides_the_match",),
+    ),
+    Mutant(
+        "the matcher loads the golden files of every order",
+        "diagsearch.py",
+        "if scheme_order(sid) == size and",
+        "if True and",
+        ("tests/test_cli.py::TestGoldenData::test_a_search_loads_only_the_golden_files_of_its_orders",),
+    ),
+    Mutant(
+        "a golden file whose order is not its id's is loaded",
+        "catalogue.py",
+        "if sf.n != scheme_order(scheme_id):",
+        "if False:",
+        ("tests/test_cli.py::TestGoldenData::test_a_golden_file_of_another_order_is_refused",),
     ),
     Mutant(
         "the spectral screen asks for a root of multiplicity need, not need - 1",
         "localclass.py",
-        "_repeated_part_degree(_adjacency_char_poly(graph), need - 1) > 0",
-        "_repeated_part_degree(_adjacency_char_poly(graph), need) > 0",
+        "_repeated_part_degree(coeffs, need - 1)",
+        "_repeated_part_degree(coeffs, need)",
         ("tests/test_localclass.py::TestSpectralScreen::test_the_prism_passes_the_screen",),
+    ),
+    Mutant(
+        "the solver splits every polynomial, unscreened",
+        "localclass.py",
+        "if need >= 3 and not _repeated_part_degree(coeffs, need - 1):",
+        "if False:",
+        ("tests/test_localclass.py::TestSpectralScreen::test_the_screen_comes_before_the_split",),
+    ),
+    Mutant(
+        "a valency above (n - 1)/2 solves its source, not the complement",
+        "localclass.py",
+        "_solve_problem(g.complement() if flip else g)",
+        "_solve_problem(g)",
+        ("tests/test_localclass.py::TestClassifyLocal::test_exact_graph_list",),
     ),
     Mutant(
         "vertex 1 must beat the rest of N(0) strictly",
@@ -303,6 +332,17 @@ EQUIVALENT = [
         ),
         "4k*lambda of two distinct candidates differ by at least 2, so any "
         "key between its floor and its ceiling sorts them alike",
+    ),
+    (
+        Mutant(
+            "the complements of a valency above (n - 1)/2 come in their own "
+            "canonical order, not their sources'",
+            "localclass.py",
+            "solved[g] = sol",
+            "solved[sol.graph] = sol",
+        ),
+        "the order shows only where one (n, k) has two solved classes, and "
+        "no (n, k) with n <= 9 has",
     ),
 ]
 
