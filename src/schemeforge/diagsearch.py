@@ -46,7 +46,7 @@ from .exactnum import (
     quad_sqrt,
     squarefree_decompose,
 )
-from .graphs import DEFAULT_BUDGET
+from .graphs import DEFAULT_BUDGET, BudgetExhausted
 from .localclass import delsarte_bound
 from .schemes import NoQPolynomialOrderingError, SplittingFieldError, relation_layers
 
@@ -809,10 +809,6 @@ def _kissing_prune(diagram: DistributionDiagram, cosines: CosineColumns) -> bool
     return known_size > KISSING_NUMBER_R4
 
 
-class _BudgetExhausted(Exception):
-    """Unwinds the search from the first node past the budget."""
-
-
 def generate_diagrams(config: SearchConfig) -> SearchOutcome:
     """Run the recursive generation for one configuration, over every field
     it names.
@@ -841,7 +837,7 @@ def generate_diagrams(config: SearchConfig) -> SearchOutcome:
         stats["nodes"] += 1
         if stats["nodes"] > config.budget:
             stats["pruned"]["budget"] += 1
-            raise _BudgetExhausted
+            raise BudgetExhausted
         v = diagram.done
         if v == diagram.n:
             ok, _reason = _emission_checks(diagram, cosines)
@@ -881,7 +877,7 @@ def generate_diagrams(config: SearchConfig) -> SearchOutcome:
     try:
         for cosines in _seeds(config):
             rec(seed, cosines)
-    except _BudgetExhausted:
+    except BudgetExhausted:
         complete = False
 
     ordered = [results[k] for k in sorted(results)]

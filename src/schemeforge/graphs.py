@@ -16,6 +16,10 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 DEFAULT_BUDGET = 2_000_000
 
 
+class BudgetExhausted(Exception):
+    """Unwinds a bounded search from its first node past the budget."""
+
+
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
@@ -334,7 +338,13 @@ def regular_labellings(n: int, k: int) -> list[Graph]:
       it fixes vertices 0 and 1 and maps N(0) to itself.  So it maps each
       completion of the skipped branch to one of the kept branch in which
       vertex 0 has the same invariant and the invariants over N(0) are the
-      same, vertex 1's included."""
+      same, vertex 1's included.
+
+    A row never lacks partners.  sum(rem) stays even, as n·k is and each
+    row takes 2·rem[v] from it.  Each positive remainder stays below the
+    number of positive ones, which all belong to later vertices but v's
+    own: 2k <= n - 1 and an even n·k give this at the start, and the
+    feasibility test keeps it after each row."""
     if not 0 <= 2 * k <= n - 1:
         raise ValueError("need 0 <= 2k <= n - 1")
     if n * k % 2 == 1:
@@ -354,10 +364,6 @@ def regular_labellings(n: int, k: int) -> list[Graph]:
             return
         cands = [u for u in range(v + 1, n) if rem[u] > 0]
         need = rem[v]
-        if len(cands) < need:
-            return
-        if sum(rem) % 2:
-            return
         # candidates with identical partial adjacency columns are
         # interchangeable
         for picked, left in _class_prefix_choices(cands, lambda u: (adj[u], rem[u]), need):
@@ -565,7 +571,8 @@ def identify_graph(g: Graph) -> Optional[str]:
 
 
 def is_locally(g: Graph, h: Graph) -> bool:
-    """True iff every vertex neighbourhood of g induces a graph isomorphic to h."""
+    """True iff every vertex neighbourhood of g induces a graph isomorphic to
+    h: the reference check for extend_locally's incremental one."""
     if g.n == 0:
         raise ValueError("empty graph has no local structure")
     for v in range(g.n):
@@ -587,9 +594,16 @@ def extend_locally(h: Graph, n_max: int, budget: int = DEFAULT_BUDGET) -> Extens
     """All connected graphs on <= n_max vertices that are locally h, up to
     isomorphism.
 
-    Seeds a base vertex whose neighbourhood is the literal graph h and
-    backtracks over completions; exceeding the node budget is reported
-    explicitly, never silently."""
+    Seeds a base vertex 0 whose neighbourhood is the literal graph h, then
+    saturates vertices 1, 2, ... in turn to degree k = |h|.  A pair is
+    decided once its smaller end is saturated, so the step at v re-checks
+    only the neighbourhoods that gain a decided pair: v's own and those of
+    its earlier neighbours.  A finished graph needs no check.  It is
+    connected, as every vertex enters as a neighbour of a saturated one.
+    It is locally h: only vertices below degree k are candidates, and each
+    neighbourhood of k vertices embeds into h at the step that decides its
+    last pair, which makes the embedding an isomorphism.  The search stops
+    at the first node past the budget and keeps the graphs found before."""
     if n_max < 1 + h.n:
         raise ValueError("n_max must allow at least the closed neighbourhood")
     k = h.n
@@ -597,7 +611,6 @@ def extend_locally(h: Graph, n_max: int, budget: int = DEFAULT_BUDGET) -> Extens
     lam = hdegs[0] if h.is_regular() and h.n else None
     results: list[Graph] = []
     nodes = 0
-    exhausted = False
 
     # adjacency grows as a list of bitmasks; vertex 0 saturated with h copy
     adj0 = [0] * (1 + k)
@@ -609,22 +622,15 @@ def extend_locally(h: Graph, n_max: int, budget: int = DEFAULT_BUDGET) -> Extens
         adj0[1 + v] |= 1 << (1 + u)
 
     def rec(adj: list[int], v: int):
-        nonlocal nodes, exhausted
-        if exhausted:
-            return
+        nonlocal nodes
         nodes += 1
         if nodes > budget:
-            exhausted = True
-            return
+            raise BudgetExhausted
         n = len(adj)
         if v == n:
-            g = Graph.from_adj(adj)
-            if g.is_connected() and is_locally(g, h):
-                results.append(g)
+            results.append(Graph.from_adj(adj))
             return
         need = k - adj[v].bit_count()
-        if need < 0:
-            return
         # candidates: later unsaturated vertices, plus new vertices
         cands = [u for u in range(v + 1, n) if adj[u].bit_count() < k]
         max_new = n_max - n
@@ -653,16 +659,18 @@ def extend_locally(h: Graph, n_max: int, budget: int = DEFAULT_BUDGET) -> Extens
                     if new_adj[u].bit_count() == k and common != lam:
                         ok = False
                         break
-            if ok:
-                for u in range(v + 1):
-                    if not _embeds_induced(_bits(new_adj[u]), new_adj, h, v):
-                        ok = False
-                        break
-            if ok:
+            if ok and all(
+                _embeds_induced(_bits(new_adj[u]), new_adj, h, v)
+                for u in [v, *_bits(new_adj[v] & ((1 << v) - 1))]
+            ):
                 rec(new_adj, v + 1)
 
-    rec(adj0, 1)
-    return ExtensionResult(dedupe_isomorphs(results), not exhausted, nodes)
+    complete = True
+    try:
+        rec(adj0, 1)
+    except BudgetExhausted:
+        complete = False
+    return ExtensionResult(dedupe_isomorphs(results), complete, nodes)
 
 
 def _embeds_induced(nb: list[int], adj: list[int], h: Graph, saturated_upto: int) -> bool:

@@ -238,13 +238,12 @@ def spectra(s: Scheme) -> Spectra:
         if len(roots) != d + 1:
             last_err = ValueError("eigenvalue collision in generic combination")
             continue
-        return _spectra_from_eigenvalues(s, bmats, combo, roots, radicand)
+        return _spectra_from_eigenvalues(s, combo, roots, radicand)
     raise last_err  # type: ignore[misc]
 
 
 def _spectra_from_eigenvalues(
     s: Scheme,
-    bmats: list[list[list[int]]],
     combo: list[list[int]],
     roots: list[QuadNumber],
     radicand: int,
@@ -252,10 +251,12 @@ def _spectra_from_eigenvalues(
     d = s.d
     rows: list[tuple[QuadNumber, ...]] = []
     for theta in roots:
+        # P[c] spans the left nullspace: it is a left eigenvector of every
+        # B_i, as P_i(c) P_j(c) = sum_h p_ij^h P_h(c), and P[c][0] = 1
         shifted = ExactMatrix(
             [
                 [
-                    QuadNumber(combo[h][j]) - (theta if h == j else QuadNumber(0))
+                    QuadNumber(combo[j][h]) - (theta if h == j else QuadNumber(0))
                     for j in range(d + 1)
                 ]
                 for h in range(d + 1)
@@ -264,16 +265,7 @@ def _spectra_from_eigenvalues(
         basis = nullspace(shifted)
         if len(basis) != 1:
             raise ValueError("generic combination has a degenerate eigenspace")
-        vec = basis[0]
-        pivot = next(i for i, x in enumerate(vec) if x)
-        prow = []
-        for i in range(d + 1):
-            img = sum(
-                (QuadNumber(bmats[i][pivot][j]) * vec[j] for j in range(d + 1)),
-                QuadNumber(0),
-            )
-            prow.append(img / vec[pivot])
-        rows.append(tuple(prow))
+        rows.append(tuple(x / basis[0][0] for x in basis[0]))
     # E_0 corresponds to the valency character P[0][i] = k_i
     kvec = tuple(QuadNumber(k) for k in s.valencies)
     try:

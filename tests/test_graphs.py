@@ -1,10 +1,13 @@
 """Small graphs: named constructors, enumeration, extension, graph6, and the
 canonical form against the exhaustive reference search."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schemeforge import graphs
 from schemeforge.graphs import (
     Graph,
     _canonical_form,
@@ -19,6 +22,7 @@ from schemeforge.graphs import (
     to_graph6,
     _vertex_invariant,
 )
+from schemeforge.localclass import LOCAL_CASES
 
 
 NAMED_ORDERS = {
@@ -193,6 +197,25 @@ class TestEnumeration:
                 assert not is_isomorphic(g, h)
 
 
+# (h, n_max, nodes, _embeds_induced calls, sorted graph6 of the results) of
+# extend_locally: the six extension cases of LOCAL_CASES, then three local
+# graphs of search cases.  Re-checking every saturated neighbourhood at each
+# step made 4,471 calls over the six extension cases; these make 2,043.
+EXTENSIONS = [
+    ("K3", 6, 4, 9, ["C~"]),
+    ("K4", 7, 5, 14, ["D~{"]),
+    ("C4", 12, 9, 28, ["E|tw"]),
+    ("C5", 24, 102, 891, ["K|fJAKqEGY_^"]),
+    ("K3xK2", 15, 148, 1000, ["I}nTZpfFw"]),
+    ("octahedron", 24, 27, 101, ["Gvz~r{"]),
+    ("N3", 10, 637, 1901, ["Es\\o", "GsXPGs", "GsXP_[", "IsP@PGXD_", "IsX@?oU@o",
+                           "IsXP?_J@o", "IsXP?cH@g", "IsXP?cI@W", "IsX___J@o"]),
+    ("2K2", 12, 574, 1937, ["H{dQXgj", "K{dQHO`DGU?V", "K{dQHObD?Q_V"]),
+    ("K3,3", 14, 123, 351, ["Hs~vb|}"]),
+]
+NAMES = [row[0] for row in EXTENSIONS]
+
+
 class TestLocalStructure:
     def test_is_locally(self):
         assert is_locally(named_graph("icosahedron"), named_graph("C5"))
@@ -208,10 +231,60 @@ class TestLocalStructure:
         ext = extend_locally(named_graph("C5"), 24, budget=5)
         assert not ext.complete
 
+    def test_the_pins_cover_the_extension_cases(self):
+        cases = {name: case.n_max for name, case in LOCAL_CASES.items() if case.n_max}
+        assert cases.items() <= {(name, n_max) for name, n_max, *_ in EXTENSIONS}
+
+    @pytest.mark.parametrize("name,n_max,nodes,calls,graph6", EXTENSIONS, ids=NAMES)
+    def test_nodes_and_results_are_pinned(self, name, n_max, nodes, calls, graph6):
+        ext = extend_locally(named_graph(name), n_max)
+        assert ext.complete
+        assert (ext.nodes, sorted(to_graph6(g) for g in ext.graphs)) == (nodes, graph6)
+
     def test_every_result_is_locally_h(self):
-        h = named_graph("C4")
-        for g in extend_locally(h, 12).graphs:
-            assert is_locally(g, h)
+        # the search checks no finished graph: is_locally is its reference
+        for name, n_max, *_ in EXTENSIONS:
+            h = named_graph(name)
+            for g in extend_locally(h, n_max).graphs:
+                assert g.is_connected() and is_locally(g, h)
+
+    @pytest.mark.parametrize(
+        "name,n_max,calls", [(h, n, calls) for h, n, _, calls, _ in EXTENSIONS], ids=NAMES
+    )
+    def test_each_step_embeds_only_the_neighbourhoods_it_changed(
+        self, name, n_max, calls, monkeypatch
+    ):
+        made = 0
+        embeds = graphs._embeds_induced
+
+        def counted(*args):
+            nonlocal made
+            made += 1
+            return embeds(*args)
+
+        monkeypatch.setattr(graphs, "_embeds_induced", counted)
+        extend_locally(named_graph(name), n_max)
+        assert made <= calls
+
+    @pytest.mark.parametrize("name", ["C5", "K3xK2"])
+    def test_search_stops_at_the_first_node_past_the_budget(self, name, monkeypatch):
+        # the node count at each embedding test, read from the frame of the
+        # search's recursion, which holds the counter
+        seen = []
+        embeds = graphs._embeds_induced
+
+        def counted(*args):
+            frame = sys._getframe(1)
+            while "nodes" not in frame.f_locals:
+                frame = frame.f_back
+            seen.append(frame.f_locals["nodes"])
+            return embeds(*args)
+
+        monkeypatch.setattr(graphs, "_embeds_induced", counted)
+        budget = 10
+        ext = extend_locally(named_graph(name), LOCAL_CASES[name].n_max, budget=budget)
+        assert ext.nodes == budget + 1 and not ext.complete
+        assert seen and max(seen) <= budget
 
 
 def from_graph6(text: str) -> Graph:

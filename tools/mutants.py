@@ -121,9 +121,47 @@ MUTANTS = [
     Mutant(
         "the search goes on past the node budget",
         "diagsearch.py",
-        "raise _BudgetExhausted",
+        "raise BudgetExhausted",
         "return",
         ("tests/test_diagsearch.py::TestBudget::test_search_stops_at_the_first_node_past_the_budget",),
+    ),
+    Mutant(
+        "extend_locally returns at the node past the budget instead of raising",
+        "graphs.py",
+        "raise BudgetExhausted",
+        "return",
+        ("tests/test_graphs.py::TestLocalStructure"
+         "::test_search_stops_at_the_first_node_past_the_budget[C5]",),
+    ),
+    Mutant(
+        "a step of extend_locally does not re-check v's earlier neighbours",
+        "graphs.py",
+        "for u in [v, *_bits(new_adj[v] & ((1 << v) - 1))]",
+        "for u in [v]",
+        ("tests/test_graphs.py::TestLocalStructure::test_nodes_and_results_are_pinned[C5]",),
+    ),
+    Mutant(
+        "a step of extend_locally does not check v's own neighbourhood",
+        "graphs.py",
+        "for u in [v, *_bits(new_adj[v] & ((1 << v) - 1))]",
+        "for u in [*_bits(new_adj[v] & ((1 << v) - 1))]",
+        ("tests/test_graphs.py::TestLocalStructure::test_nodes_and_results_are_pinned[C4]",),
+    ),
+    Mutant(
+        "extend_locally allows one common neighbour too many",
+        "graphs.py",
+        "if common > lam:",
+        "if common > lam + 1:",
+        # the embedding test of N(v) refuses the same steps, one call later
+        ("tests/test_graphs.py::TestLocalStructure"
+         "::test_each_step_embeds_only_the_neighbourhoods_it_changed[2K2]",),
+    ),
+    Mutant(
+        "extend_locally allows one new vertex past n_max",
+        "graphs.py",
+        "if fresh > max_new:",
+        "if fresh > max_new + 1:",
+        ("tests/test_graphs.py::TestLocalStructure::test_nodes_and_results_are_pinned[N3]",),
     ),
     Mutant(
         "arithmetic results are not reduced by their gcd",
