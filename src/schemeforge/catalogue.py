@@ -97,7 +97,6 @@ def parse_scheme_file(text: str) -> SchemeFile:
         ln, col, tok = cells[n * n]
         raise SchemeFileError(ln, col, f"unexpected trailing token {tok!r}")
     grid = [[0] * n for _ in range(n)]
-    where = [[(0, 0)] * n for _ in range(n)]
     for idx, (ln, col, tok) in enumerate(cells):
         i, j = divmod(idx, n)
         try:
@@ -107,25 +106,20 @@ def parse_scheme_file(text: str) -> SchemeFile:
         if not 0 <= e < n:
             raise SchemeFileError(ln, col, f"relation index {e} out of range 0..{n - 1}")
         grid[i][j] = e
-        where[i][j] = (ln, col)
     for i in range(n):
         if grid[i][i] != 0:
-            ln, col = where[i][i]
-            raise SchemeFileError(ln, col, f"nonzero diagonal entry {grid[i][i]}")
+            raise SchemeFileError(*cells[i * n + i][:2], f"nonzero diagonal entry {grid[i][i]}")
         for j in range(n):
             if i != j and grid[i][j] == 0:
-                ln, col = where[i][j]
-                raise SchemeFileError(ln, col, "off-diagonal zero relation")
+                raise SchemeFileError(*cells[i * n + j][:2], "off-diagonal zero relation")
             if j < i and grid[i][j] != grid[j][i]:
-                ln, col = where[i][j]
                 raise SchemeFileError(
-                    ln, col, f"asymmetric entry: [{i}][{j}] != [{j}][{i}]"
+                    *cells[i * n + j][:2], f"asymmetric entry: [{i}][{j}] != [{j}][{i}]"
                 )
     used = {e for row in grid for e in row}
     if used != set(range(max(used) + 1)):
         missing = min(set(range(max(used) + 1)) - used)
-        ln, col = where[0][0]
-        raise SchemeFileError(ln, col, f"relation indices skip {missing}")
+        raise SchemeFileError(*cells[0][:2], f"relation indices skip {missing}")
     return SchemeFile(n, tuple(tuple(row) for row in grid), scheme_id)
 
 

@@ -10,6 +10,9 @@ One subcommand per step of the classification pipeline:
     bound           Delsarte / kissing-number / light-tail bounds
     classify        the full pipeline producing the six classified pairs
 
+Each subcommand returns its payload and exit code, and main prints the one
+JSON report of the run: the parsed arguments as its config, the payload,
+and the elapsed time.  A usage error prints its message and no report.
 Exit codes: 0 success, 1 refutation or negative finding, 2 usage or parse
 error, 3 node budget exhausted.  All exact numbers serialize as strings,
 never floats.
@@ -86,37 +89,20 @@ def exactify(obj):
     return obj
 
 
-def emit_report(command: str, config: dict, payload: dict, started: float):
-    """Print the reproducible JSON record of one command invocation."""
-    report = {
-        "tool": "schemeforge",
-        "version": __version__,
-        "command": command,
-        "config": exactify(config),
-        "payload": exactify(payload),
-        "elapsed_seconds": round(time.monotonic() - started, 3),
-    }
-    print(json.dumps(report, indent=2))
-
-
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+class UsageError(Exception):
+    """A bad argument value, or a scheme file that cannot be read or is not
+    UTF-8 text: the run exits 2 with its message and no report."""
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-class UnreadableFileError(Exception):
-    """A scheme file that cannot be read, or is not UTF-8 text."""
-
-
 def _read_scheme_file(path: str) -> SchemeFile:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
-        raise UnreadableFileError(f"cannot read {path}: {e}") from None
+        raise UsageError(f"cannot read {path}: {e}") from None
     return parse_scheme_file(text)
 
 
@@ -130,38 +116,28 @@ def _scheme_summary(sf: SchemeFile, scheme: Scheme) -> dict:
     }
 
 
-def cmd_verify(args) -> int:
-    started = time.monotonic()
+def cmd_verify(args) -> tuple[dict, int]:
     sf = _read_scheme_file(args.file)
     result = verify_scheme(sf.grid)
     if isinstance(result, SchemeRefutation):
-        payload = {
+        return {
             "valid": False,
             "axiom": result.axiom,
             "detail": result.detail,
             "witness": list(result.witness),
-        }
-        emit_report("verify", {"file": args.file}, payload, started)
-        return EXIT_NEGATIVE
-    payload = {"valid": True, **_scheme_summary(sf, result)}
-    emit_report("verify", {"file": args.file}, payload, started)
-    return EXIT_OK
+        }, EXIT_NEGATIVE
+    return {"valid": True, **_scheme_summary(sf, result)}, EXIT_OK
 
 
-def cmd_spectra(args) -> int:
-    started = time.monotonic()
+def cmd_spectra(args) -> tuple[dict, int]:
     sf = _read_scheme_file(args.file)
     result = verify_scheme(sf.grid)
     if isinstance(result, SchemeRefutation):
-        payload = {"valid": False, "axiom": result.axiom, "detail": result.detail}
-        emit_report("spectra", {"file": args.file}, payload, started)
-        return EXIT_NEGATIVE
+        return {"valid": False, "axiom": result.axiom, "detail": result.detail}, EXIT_NEGATIVE
     try:
         sp = spectra(result)
     except SplittingFieldError as e:
-        payload = {"valid": True, **_scheme_summary(sf, result), "reason": str(e)}
-        emit_report("spectra", {"file": args.file}, payload, started)
-        return EXIT_NEGATIVE
+        return {"valid": True, **_scheme_summary(sf, result), "reason": str(e)}, EXIT_NEGATIVE
     orderings = sorted(q_poly_orderings(sp))
     krein_ok, krein_witness = krein_check(sp)
     payload = {
@@ -180,16 +156,14 @@ def cmd_spectra(args) -> int:
         payload["cosines"] = [list(row) for row in qsp.cosines]
         if None not in relation_layers(result):
             payload["partially_metric_level"] = partially_metric_level(result, 1)
-    emit_report("spectra", {"file": args.file}, payload, started)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_classify_local(args) -> int:
-    started = time.monotonic()
+def cmd_classify_local(args) -> tuple[dict, int]:
     try:
         result = classify_local(args.k_max)
     except ValueError as e:
-        return _fail_usage(str(e))
+        raise UsageError(str(e)) from None
     solutions = []
     for sol in result:
         solutions.append(
@@ -205,14 +179,12 @@ def cmd_classify_local(args) -> int:
                 ],
             }
         )
-    payload = {
+    return {
         "graphs": solutions,
         "graph_count": len(solutions),
         "geometric_cases": sorted({s["geometric_label"] for s in solutions}),
         "unresolved": [],
-    }
-    emit_report("classify-local", {"k_max": args.k_max}, payload, started)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def _parse_field(spec: str) -> Optional[int]:
@@ -257,65 +229,35 @@ def _search_run(config: SearchConfig) -> dict:
     }
 
 
-def cmd_search(args) -> int:
-    started = time.monotonic()
-    try:
-        radicand = _parse_field(args.field)
-    except ValueError as e:
-        return _fail_usage(str(e))
+def cmd_search(args) -> tuple[dict, int]:
     try:
         config = SearchConfig(
             k1=args.k1,
             a1=args.a1,
-            radicand=radicand,
+            radicand=_parse_field(args.field),
             max_depth=args.max_depth,
             budget=args.budget,
         )
     except ValueError as e:
-        return _fail_usage(str(e))
+        raise UsageError(str(e)) from None
     run = _search_run(config)
-    matched = sorted({r["matched"] for r in run["results"] if r["matched"]})
-    unmatched = sum(1 for r in run["results"] if not r["matched"])
-    complete = run["complete"]
-    payload = {
+    return {
         "runs": [run],
-        "matched": matched,
-        "unmatched_count": unmatched,
-        "complete": complete,
-    }
-    config_echo = {
-        "k1": args.k1,
-        "a1": args.a1,
-        "field": args.field,
-        "max_depth": args.max_depth,
-        "budget": args.budget,
-    }
-    if args.emit == "text":
-        print(f"-- radicand {run['radicand'] or 'auto'}"
-              f"{' (light tail)' if run['light_tail'] else ''}"
-              f" nodes={run['stats']['nodes']} complete={run['complete']}")
-        for r in run["results"]:
-            cos = ", ".join(f"({w1}, {w2})" for w1, w2 in r["cosines"])
-            print(f"   size={r['size']} valencies={r['valencies']} "
-                  f"q111={r['q111']} matched={r['matched'] or '-'}")
-            print(f"   cosines: {cos}")
-        print(f"matched: {', '.join(matched) if matched else '-'}; "
-              f"unmatched: {unmatched}")
-    else:
-        emit_report("search", config_echo, payload, started)
-    return EXIT_OK if complete else EXIT_BUDGET
+        "matched": sorted({r["matched"] for r in run["results"] if r["matched"]}),
+        "unmatched_count": sum(1 for r in run["results"] if not r["matched"]),
+        "complete": run["complete"],
+    }, EXIT_OK if run["complete"] else EXIT_BUDGET
 
 
-def cmd_recognize(args) -> int:
-    started = time.monotonic()
+def cmd_recognize(args) -> tuple[dict, int]:
     try:
         h = named_graph(args.local)
     except (KeyError, ValueError):
-        return _fail_usage(f"unknown graph name {args.local!r}")
+        raise UsageError(f"unknown graph name {args.local!r}") from None
     try:
         ext = extend_locally(h, args.n_max, budget=args.budget)
     except ValueError as e:
-        return _fail_usage(str(e))
+        raise UsageError(str(e)) from None
     found = [
         {"name": identify_graph(g), "graph6": to_graph6(g), "n": g.n}
         for g in ext.graphs
@@ -326,46 +268,35 @@ def cmd_recognize(args) -> int:
         "complete": ext.complete,
         "nodes": ext.nodes,
     }
-    emit_report(
-        "recognize",
-        {"local": args.local, "n_max": args.n_max, "budget": args.budget},
-        payload,
-        started,
-    )
     if not ext.complete:
-        return EXIT_BUDGET
-    return EXIT_OK if found else EXIT_NEGATIVE
+        return payload, EXIT_BUDGET
+    return payload, EXIT_OK if found else EXIT_NEGATIVE
 
 
-def cmd_bound(args) -> int:
-    started = time.monotonic()
+def cmd_bound(args) -> tuple[dict, int]:
     if args.kind == "delsarte":
         if len(args.params) != 2:
-            return _fail_usage("bound delsarte takes two integers: dimension, inner products")
+            raise UsageError("bound delsarte takes two integers: dimension, inner products")
         try:
             d, s = (int(x) for x in args.params)
-            payload = {"bound": delsarte_bound(d, s)}
+            return {"bound": delsarte_bound(d, s)}, EXIT_OK
         except ValueError as e:
-            return _fail_usage(f"bound delsarte: {e}")
-    elif args.kind == "kissing":
+            raise UsageError(f"bound delsarte: {e}") from None
+    if args.kind == "kissing":
         if args.params:
-            return _fail_usage("bound kissing takes no parameters")
-        payload = {"bound": KISSING_NUMBER_R4, "dimension": 4}
-    elif args.kind == "light-tail":
-        if len(args.params) != 4:
-            return _fail_usage("bound light-tail takes four exact numbers: k, theta, a1, b1")
-        try:
-            k, theta, a1, b1 = (QuadNumber.parse(x) for x in args.params)
-        except (ValueError, ZeroDivisionError):
-            return _fail_usage("light-tail parameters must parse as exact numbers")
-        try:
-            payload = {"bound": light_tail_bound(k, theta, a1, b1)}
-        except ValueError as e:
-            return _fail_usage(f"bound light-tail: {e}")
-    else:  # pragma: no cover - argparse restricts choices
-        return _fail_usage(f"unknown bound kind {args.kind!r}")
-    emit_report("bound", {"kind": args.kind, "params": args.params}, payload, started)
-    return EXIT_OK
+            raise UsageError("bound kissing takes no parameters")
+        return {"bound": KISSING_NUMBER_R4, "dimension": 4}, EXIT_OK
+    # light-tail, the last kind that argparse's choices let through
+    if len(args.params) != 4:
+        raise UsageError("bound light-tail takes four exact numbers: k, theta, a1, b1")
+    try:
+        k, theta, a1, b1 = (QuadNumber.parse(x) for x in args.params)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError("light-tail parameters must parse as exact numbers") from None
+    try:
+        return {"bound": light_tail_bound(k, theta, a1, b1)}, EXIT_OK
+    except ValueError as e:
+        raise UsageError(f"bound light-tail: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +362,9 @@ def _classify_search_case(name: str, budget: int) -> dict:
     return {"results": results, "exclusions": exclusions, "complete": outcome.complete}
 
 
-def cmd_classify(args) -> int:
-    started = time.monotonic()
+def cmd_classify(args) -> tuple[dict, int]:
     if args.case is not None and args.case not in CASE_NAMES:
-        return _fail_usage(f"unknown case {args.case!r}; choose from {CASE_NAMES}")
+        raise UsageError(f"unknown case {args.case!r}; choose from {CASE_NAMES}")
     local = classify_local(9)
     cases = []
     for sol in local:
@@ -460,16 +390,12 @@ def cmd_classify(args) -> int:
             load_bundled(sid)
             entry["golden_file"] = bundled_filename(sid)
     results.sort(key=lambda e: (e["scheme_id"] or "", e["graph"]))
-    payload = {
+    return {
         "local_cases": [s.name for s in local],
         "results": results,
         "exclusions": exclusions,
         "complete": complete,
-    }
-    emit_report(
-        "classify", {"case": args.case, "budget": args.budget}, payload, started
-    )
-    return EXIT_OK if complete else EXIT_BUDGET
+    }, EXIT_OK if complete else EXIT_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default="rational", help="rational, quad:<p>, or auto")
     p.add_argument("--max-depth", type=non_negative_int, default=None)
     p.add_argument("--budget", type=non_negative_int, default=DEFAULT_BUDGET)
-    p.add_argument("--emit", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("recognize", help="connected graphs that are locally H")
@@ -538,10 +463,23 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
+    started = time.monotonic()
     try:
-        return args.func(args)
-    except (SchemeFileError, UnreadableFileError) as e:
-        return _fail_usage(str(e))
+        payload, code = args.func(args)
+    except (UsageError, SchemeFileError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    report = {
+        "tool": "schemeforge",
+        "version": __version__,
+        "command": args.subcommand,
+        # the parsed arguments, in the order argparse sets them
+        "config": {k: v for k, v in vars(args).items() if k not in ("subcommand", "func")},
+        "payload": exactify(payload),
+        "elapsed_seconds": round(time.monotonic() - started, 3),
+    }
+    print(json.dumps(report, indent=2))
+    return code
 
 
 if __name__ == "__main__":

@@ -378,6 +378,72 @@ class TestExitCodes:
         assert payload_of(out)["found"] == []
 
 
+# one run of each subcommand: its argv, exit code and config echo, key for
+# key and in order; {tmp} stands for the test's directory, which holds the
+# P3 distance partition (not a scheme) as p3.scheme
+REPORTED = {
+    "verify": ("verify {tmp}/p3.scheme", EXIT_NEGATIVE, {"file": "{tmp}/p3.scheme"}),
+    "spectra": ("spectra {tmp}/p3.scheme", EXIT_NEGATIVE, {"file": "{tmp}/p3.scheme"}),
+    "classify-local": ("classify-local --k-max 5", EXIT_OK, {"k_max": 5}),
+    "search": (
+        "search --k1 3 --a1 0",
+        EXIT_OK,
+        {"k1": 3, "a1": 0, "field": "rational", "max_depth": None, "budget": DEFAULT_BUDGET},
+    ),
+    "recognize": (
+        "recognize --local C5 --n-max 12 --budget 1",
+        EXIT_BUDGET,
+        {"local": "C5", "n_max": 12, "budget": 1},
+    ),
+    "bound": ("bound delsarte 3 2", EXIT_OK, {"kind": "delsarte", "params": ["3", "2"]}),
+    "classify": ("classify --case N3", EXIT_OK, {"case": "N3", "budget": DEFAULT_BUDGET}),
+}
+
+# one usage error of each kind: its argv and its whole stderr line
+USAGE_ERRORS = {
+    "field": (
+        "search --k1 3 --a1 0 --field septic",
+        "bad field spec 'septic' (rational, quad:<p>, or auto)",
+    ),
+    "bound": ("bound delsarte 3", "bound delsarte takes two integers: dimension, inner products"),
+    "case": (
+        "classify --case X",
+        "unknown case 'X'; choose from "
+        "['C4', 'C5', 'K3', 'K3xK2', 'K4', 'octahedron', '2K2', 'N3', 'N4']",
+    ),
+    "unreadable": (
+        "verify {tmp}/missing.scheme",
+        "cannot read {tmp}/missing.scheme: [Errno 2] No such file or directory: "
+        "'{tmp}/missing.scheme'",
+    ),
+    "scheme-file": ("verify {tmp}/short.scheme", "line 2, column 3: expected 2x2 entries, got 2"),
+}
+
+
+class TestReportContract:
+    @pytest.fixture
+    def tmp(self, tmp_path):
+        (tmp_path / "p3.scheme").write_text("3\n0 1 2\n1 0 1\n2 1 0\n")
+        (tmp_path / "short.scheme").write_text("2\n0 1\n")
+        return tmp_path
+
+    @pytest.mark.parametrize("subcommand", list(REPORTED))
+    def test_exit_code_and_config_echo(self, capsys, tmp, subcommand):
+        argv, exit_code, config = REPORTED[subcommand]
+        code, out, err = run(capsys, *argv.format(tmp=tmp).split())
+        assert (code, err) == (exit_code, "")
+        report = json.loads(out)
+        assert report["command"] == subcommand
+        expected = {k: v.format(tmp=tmp) if isinstance(v, str) else v for k, v in config.items()}
+        assert list(report["config"].items()) == list(expected.items())
+
+    @pytest.mark.parametrize("kind", list(USAGE_ERRORS))
+    def test_usage_error_prints_no_report(self, capsys, tmp, kind):
+        argv, message = USAGE_ERRORS[kind]
+        code, out, err = run(capsys, *argv.format(tmp=tmp).split())
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message.format(tmp=tmp)}\n")
+
+
 class TestSubcommands:
     def test_spectra_exact_strings(self, capsys, tmp_path):
         f = tmp_path / "k33.scheme"
@@ -443,13 +509,6 @@ class TestSubcommands:
         _, out2, _ = run(capsys, "search", "--k1", "3", "--a1", "0")
         assert payload_of(out1) == payload_of(out2)
 
-    def test_search_text_emitter(self, capsys):
-        code, out, _ = run(
-            capsys, "search", "--k1", "3", "--a1", "0", "--emit", "text"
-        )
-        assert code == EXIT_OK
-        assert "AS06[3]" in out
-
     def test_search_auto_is_one_run(self, capsys):
         code, out, _ = run(capsys, "search", "--k1", "3", "--a1", "0", "--field", "auto")
         assert code == EXIT_OK
@@ -458,10 +517,6 @@ class TestSubcommands:
         assert only["radicand"] is None
         assert payload["matched"] == ["AS06[3]"]
         assert payload["unmatched_count"] == 0
-        code, out, _ = run(
-            capsys, "search", "--k1", "3", "--a1", "0", "--field", "auto", "--emit", "text"
-        )
-        assert out.splitlines()[0].startswith("-- radicand auto nodes=")
 
     def test_bad_field_spec(self, capsys):
         code, _, err = run(

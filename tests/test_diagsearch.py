@@ -1062,6 +1062,61 @@ class TestSolveCosines:
         solve_cosines(diagram, cosines, 2, [3, 4], config)
         assert calls == [5]
 
+    # from the open (4, 0) search: vertex 2 (valency 12) of a rational subtree
+    # makes two fresh relations of weight 1, whose cosines x3, x4 must meet
+    # x3 + x4 = -1/4 and x3^2 + x4^2 = 17/16, so r^2 = 33/16
+    OPEN_TAIL = (
+        DistributionDiagram(
+            k1=4,
+            layers=[0, 1, 2, 3, 3],
+            arcs={(0, 1): 4, (1, 0): 1, (1, 2): 3, (2, 1): 1, (2, 2): 1,
+                  (2, 3): 1, (2, 4): 1},
+            valencies=[1, 4, 12, None, None],
+            done=3,
+        ),
+        CosineColumns(1, QuadNumber(0), [
+            (QuadNumber(1), QuadNumber(1)),
+            (QuadNumber(Fraction(1, 4)), QuadNumber(Fraction(-1, 4))),
+            (QuadNumber(Fraction(-1, 4)), QuadNumber(Fraction(-1, 4))),
+        ]),
+    )
+
+    def test_the_open_two_fresh_tail_asks_only_for_a_rational_root(self, monkeypatch):
+        # the pair (-1 +- sqrt(33))/8 meets both recurrences, and 33 is a
+        # searched field; but with two fresh cosines the rational subtree
+        # asks _tail_root for its root over Q only
+        diagram, cosines = self.OPEN_TAIL
+        config = SearchConfig(k1=4, a1=0, radicand=None)
+        assert 33 in config.fields
+        r33, eight = QuadNumber(0, 1, 33), QuadNumber(8)
+        pair = [(-QuadNumber(1) + r33) / eight, (-QuadNumber(1) - r33) / eight]
+        extended = cosines._replace(radicand=33, values=cosines.values + [
+            (x, cosines.second_from_first(x)) for x in pair])
+        for c in (1, 2):
+            column = extended.column(c)
+            assert QuadNumber(4) * column[1] * column[2] == sum(column[1:], QuadNumber(0))
+        tail_root, calls = diagsearch._tail_root, []
+
+        def counted(x, y, d, p):
+            calls.append(p)
+            return tail_root(x, y, d, p)
+
+        monkeypatch.setattr(diagsearch, "_tail_root", counted)
+        assert solve_cosines(diagram, cosines, 2, [3, 4], config) == []
+        assert calls == [1]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="an open search solves two fresh cosines of a rational subtree "
+        "over Q only (solve_cosines loops over config.fields only for three "
+        "or more), so the rational r^2 = 33/16 yields no pair in Q(sqrt 33)",
+    )
+    def test_an_open_search_keeps_a_tail_root_of_a_searched_field(self):
+        diagram, cosines = self.OPEN_TAIL
+        config = SearchConfig(k1=4, a1=0, radicand=None)
+        found = solve_cosines(diagram, cosines, 2, [3, 4], config)
+        assert any(ext.radicand == 33 for ext in found)
+
 
 # -- the incremental checks and the bisected tail slice against the full ones
 

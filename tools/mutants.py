@@ -348,6 +348,41 @@ MUTANTS = [
         "inv[u] < inv[1] for u in range(2, k + 1)",
         ("tests/test_graphs.py::TestEnumeration::test_counts[5-2-1]",),
     ),
+    Mutant(
+        "the config echo leaves out --budget",
+        "cli.py",
+        'if k not in ("subcommand", "func")}',
+        'if k not in ("subcommand", "func", "budget")}',
+        ("tests/test_cli.py::TestReportContract::test_exit_code_and_config_echo[search]",),
+    ),
+    Mutant(
+        "main prints a report after a usage error",
+        "cli.py",
+        'print(f"error: {e}", file=sys.stderr)\n        return EXIT_USAGE',
+        'print(f"error: {e}", file=sys.stderr)\n        payload, code = {}, EXIT_USAGE',
+        ("tests/test_cli.py::TestReportContract::test_usage_error_prints_no_report[case]",),
+    ),
+    Mutant(
+        "main exits 0 whatever the subcommand returns",
+        "cli.py",
+        "    print(json.dumps(report, indent=2))\n    return code",
+        "    print(json.dumps(report, indent=2))\n    return EXIT_OK",
+        ("tests/test_cli.py::TestReportContract::test_exit_code_and_config_echo[verify]",),
+    ),
+    Mutant(
+        "an unreadable scheme file is not a usage error",
+        "cli.py",
+        'raise UsageError(f"cannot read {path}: {e}")',
+        'raise OSError(f"cannot read {path}: {e}")',
+        ("tests/test_cli.py::TestReportContract::test_usage_error_prints_no_report[unreadable]",),
+    ),
+    Mutant(
+        "an off-diagonal zero is reported at the position of its transpose",
+        "catalogue.py",
+        '*cells[i * n + j][:2], "off-diagonal zero relation"',
+        '*cells[j * n + i][:2], "off-diagonal zero relation"',
+        ("tests/test_cli.py::TestParser::test_positioned_errors",),
+    ),
 ]
 
 EQUIVALENT = [
