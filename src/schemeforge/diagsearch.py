@@ -38,6 +38,7 @@ from typing import NamedTuple, Optional
 from .catalogue import CATALOGUE, load_bundled, scheme_order
 from .exactnum import (
     QuadNumber,
+    _common_radicand,
     _make,
     _sign,
     bounded_algebraic_integers,
@@ -520,6 +521,26 @@ def _in_field(x: QuadNumber, radicand: int) -> bool:
     return x.p == 1 or x.p == radicand
 
 
+def _residual(k1: int, outs: dict, v: int, c: int, full: list) -> QuadNumber:
+    """k1*w(1,c)*w(v,c) - sum_h p_{h1}^v * w(h,c), for v's out-arcs outs, over
+    the vertices h that full gives a pair: the residual of the column-c
+    recurrence at v when full covers every vertex, and over the known vertices
+    the target that the fresh vertices' terms must meet.  The terms are summed
+    on ints over one denominator, and one _make builds the result."""
+    w1, wv = full[1][c], full[v][c]
+    p = _common_radicand(w1._p, wv._p)
+    x = k1 * (w1._x * wv._x + w1._y * wv._y * p)
+    y = k1 * (w1._x * wv._y + w1._y * wv._x)
+    d = w1._d * wv._d
+    for h, w in outs.items():
+        if h < len(full):
+            z = full[h][c]
+            p = _common_radicand(p, z._p)
+            e = z._d
+            x, y, d = x * e - w * z._x * d, y * e - w * z._y * d, d * e
+    return _make(x, y, d, p)
+
+
 def solve_cosines(
     diagram: DistributionDiagram,
     cosines: CosineColumns,
@@ -542,23 +563,18 @@ def solve_cosines(
     that each cosine is drawn from the bounded-algebraic-integer
     candidates, only those that leave moments the rest can meet (the
     concave quadratic of _tail_slice), the last draw through the square r^2
-    of the tail's root.  The fresh vertices are the last of the diagram, as
-    arrangements appends them.  Returns a list of CosineColumns (empty =
-    prune)."""
-    k1 = diagram.k1
-    values = cosines.values
+    of the tail's root.  The residuals and targets (_residual) and the
+    second moment s are summed on ints, one _make building each, and the
+    test W*s = t1^2 and each r^2 run on ints; the draws' moment updates and
+    _tail_slice run on QuadNumbers.  Fresh vertices of equal weight are interchangeable, so the
+    columns are deduplicated by their multiset of (weight, cosine) before
+    column 2 is built and both recurrences are checked: each class is built
+    once, from its first column.  The fresh vertices are the last of the
+    diagram, as arrangements appends them.  Returns a list of CosineColumns
+    (empty = prune)."""
     outs = diagram.out[v]
-
-    def residual(c, full):
-        """k1*w(1,c)*w(v,c) - sum_h p_{h1}^v * w(h,c) over the vertices h
-        that full gives a pair: the residual of the column-c recurrence at v
-        when full covers every vertex, and over the known vertices the target
-        that the fresh vertices' terms must meet."""
-        res = full[1][c] * full[v][c] * k1
-        for h, w in outs.items():
-            if h < len(full):
-                res = res - full[h][c] * w
-        return res
+    residual = functools.partial(_residual, diagram.k1, outs, v)
+    values = cosines.values
 
     if not fresh:
         return [cosines] if not residual(0, values) and not residual(1, values) else []
@@ -580,12 +596,27 @@ def solve_cosines(
 
     # With m1 = 4 the dual recurrence gives (3 - q)*phi(x) = 4x^2 - 1 - q*x,
     # so the two targets ask of the fresh cosines only their two moments,
-    # with s = ((3 - q)*t2 + q*t1 + sum w)/4.
+    # with s = (3*t2 + q*(t1 - t2) + sum w)/4, summed on ints over the
+    # denominator 4*dq*d1*d2 (q, t1, t2 written (x + y*sqrt(p))/d).
     q = cosines.q111
-    s = ((_THREE - q) * target2 + q * target1 + sum(weights)) / _FOUR
+    p = _common_radicand(_common_radicand(q._p, target1._p), target2._p)
+    (qx, qy, qd), (ax, ay, ad), (bx, by, bd) = (
+        (z._x, z._y, z._d) for z in (q, target1, target2))
+    ux, uy = ax * bd - bx * ad, ay * bd - by * ad  # ad*bd*(t1 - t2)
+    s = _make(3 * bx * ad * qd + qx * ux + qy * uy * p + sum(weights) * qd * ad * bd,
+              3 * by * ad * qd + qx * uy + qy * ux, 4 * qd * ad * bd, p)
     kv = diagram.valencies[v]
     last = len(fresh) - 1
     columns = []
+
+    def gap(t1, s, W):
+        """W*s - t1^2 on ints, as (x, y, d) for (x + y*sqrt(p))/d with d > 0.
+        s and t1 lie in one field, and t1's radicand matters only when t1 is
+        irrational."""
+        x, y, e = t1._x, t1._y, t1._d
+        ee = e * e
+        return (W * s._x * ee - (x * x + y * y * t1._p) * s._d,
+                W * s._y * ee - 2 * x * y * s._d, s._d * ee)
 
     def pair(prefix, t1, root):
         """Append prefix + [a, b] for the last two cosines, of weights
@@ -607,12 +638,14 @@ def solve_cosines(
         i = len(prefix)
         w = weights[i]
         if i == last:
-            if W * s == t1 * t1:
+            x, y, _d = gap(t1, s, W)
+            if not x and not y:
                 columns.append(prefix + [t1 / W])
             return
         if i == last - 1:
-            r2 = w * weights[last] * (W * s - t1 * t1)
-            pair(prefix, t1, _tail_root(r2._x, r2._y, r2._d, field))
+            x, y, d = gap(t1, s, W)
+            wab = w * weights[last]
+            pair(prefix, t1, _tail_root(wab * x, wab * y, d, field))
             return
         # A draw a leaves (t1 - w*a, s - w*a^2) to the rest, of weight W - w,
         # which real cosines meet iff (W - w)*(s - w*a^2) >= (t1 - w*a)^2,
@@ -656,16 +689,13 @@ def solve_cosines(
     fields = config.fields if cosines.radicand == 1 and last > 1 else (cosines.radicand,)
     for field in fields:
         complete([], target1, s, sum(weights), field)
-    results = []
-    seen = set()
+    results, seen = [], set()
     for col in columns:
-        ext = extend(col)
         # fresh vertices of equal weight are interchangeable, others are not
-        key = tuple(sorted((outs[f], str(ext.values[f][0])) for f in fresh))
-        if key in seen:
-            continue
-        seen.add(key)
-        results.append(ext)
+        key = tuple(sorted((w, a._x, a._y, a._d, a._p) for w, a in zip(weights, col)))
+        if key not in seen:
+            seen.add(key)
+            results.append(extend(col))
     return results
 
 
@@ -732,15 +762,17 @@ def check_solution_valid(cosines: CosineColumns, diagram: DistributionDiagram):
 
 def _integrality(pair: tuple, k: Optional[int]) -> str:
     """Why k*w is not a bounded algebraic integer for a vertex's cosines w of
-    valency k, or "" when it is (or k is unknown)."""
+    valency k, or "" when it is (or k is unknown).  One _make builds
+    k*w = (x + y*sqrt(p))/d, and the conjugate (x - y*sqrt(p))/d is compared
+    with -k and k by sign tests on the ints."""
     if k is None:
         return ""
-    kq = QuadNumber(k)
-    for x in pair:
-        lam = x * kq
+    for w in pair:
+        lam = _make(k * w._x, k * w._y, w._d, w._p)
         if not is_algebraic_integer(lam):
             return "algebraic-integer"
-        if not (-kq <= lam.conjugate() <= kq):
+        x, y, d, p = lam._x, lam._y, lam._d, lam._p
+        if _sign(x + k * d, -y, p) < 0 or _sign(k * d - x, y, p) < 0:
             return "conjugate-bound"
     return ""
 

@@ -117,7 +117,7 @@ class QuadNumber:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        p = _common_radicand(self, other)
+        p = _common_radicand(self._p, other._p)
         d, e = self._d, other._d
         if d == e:
             return _make(self._x + other._x, self._y + other._y, d, p)
@@ -133,7 +133,7 @@ class QuadNumber:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        p = _common_radicand(self, other)
+        p = _common_radicand(self._p, other._p)
         d, e = self._d, other._d
         if d == e:
             return _make(self._x - other._x, self._y - other._y, d, p)
@@ -147,7 +147,7 @@ class QuadNumber:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        p = _common_radicand(self, other)
+        p = _common_radicand(self._p, other._p)
         x, y, u, v = self._x, self._y, other._x, other._y
         return _make(x * u + y * v * p, x * v + y * u, self._d * other._d, p)
 
@@ -205,7 +205,7 @@ class QuadNumber:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        p = _common_radicand(self, other)
+        p = _common_radicand(self._p, other._p)
         d, e = self._d, other._d
         return _sign(self._x * e - other._x * d, self._y * e - other._y * d, p)
 
@@ -305,8 +305,8 @@ def _coerce(v):
     return NotImplemented
 
 
-def _common_radicand(u: QuadNumber, v: QuadNumber) -> int:
-    p, q = u._p, v._p
+def _common_radicand(p: int, q: int) -> int:
+    """The radicand of a sum or product of values of radicands p and q."""
     if p == q or q == 1:
         return p
     if p == 1:
@@ -713,44 +713,29 @@ def is_algebraic_integer(x: QuadNumber) -> bool:
 def quad_sqrt(x: QuadNumber) -> QuadNumber | None:
     """A square root of x inside its own field Q[sqrt(p)], or None.
 
-    Solves (s + t*sqrt(p))^2 = a + b*sqrt(p) exactly.
-    """
-    if x.sign() < 0:
+    Solves (s + t*sqrt(p))^2 = (X + Y*sqrt(p))/d exactly, on ints.  A rational
+    X/d, in lowest terms, is a square iff X and d are.  Otherwise
+    s^2 + t^2 p = X/d and 2 s t = Y/d, so s^2 solves
+    u^2 - (X/d) u + Y^2 p/(4 d^2) = 0, whose discriminant (X^2 - Y^2 p)/d^2
+    must be a rational square r^2/d^2, and s^2 = (X +- r)/(2d).  At most one
+    sign makes s rational, as the two values of s^2 multiply to Y^2 p/(4 d^2),
+    which is no rational square.  With n = 2d(X +- r) = m^2, s = m/(2d) and
+    t = Y/m, so the root is (n + 2dY*sqrt(p))/(2dm), taken non-negative."""
+    X, Y, d, p = x._x, x._y, x._d, x._p
+    if _sign(X, Y, p) < 0:
         return None
-    if not x:
-        return QuadNumber(0)
-    if not x._y:
-        r = _fraction_sqrt(x.as_fraction())
-        return None if r is None else QuadNumber(r)
-    # s^2 + t^2 p = a, 2 s t = b  =>  s^2 solves u^2 - a u + b^2 p / 4 = 0,
-    # whose discriminant a^2 - b^2 p = (x^2 - y^2 p)/d^2 must be a rational
-    # square: decided on ints before any Fraction is built
-    norm = x._x * x._x - x._y * x._y * x._p
+    if not Y:
+        r, e = isqrt(X), isqrt(d)
+        return _make(r, 0, e, 1) if r * r == X and e * e == d else None
+    norm = X * X - Y * Y * p
     if norm < 0:
         return None
     r = isqrt(norm)
     if r * r != norm:
         return None
-    a, b, p = x.a, x.b, x.p
-    rd = Fraction(r, x._d)
-    for u in ((a + rd) / 2, (a - rd) / 2):
-        if u < 0:
-            continue
-        s = _fraction_sqrt(u)
-        if s is None or s == 0:
-            continue
-        t = b / (2 * s)
-        cand = QuadNumber(s, t, p)
-        if cand * cand == x:
-            return cand if cand.sign() >= 0 else -cand
-    return None
-
-
-def _fraction_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rdn = isqrt(num), isqrt(den)
-    if rn * rn == num and rdn * rdn == den:
-        return Fraction(rn, rdn)
+    for n in (2 * d * (X + r), 2 * d * (X - r)):
+        m = isqrt(n) if n > 0 else 0
+        if m and m * m == n:
+            root = _make(n, 2 * d * Y, 2 * d * m, p)
+            return root if root.sign() >= 0 else -root
     return None

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schemeforge import cli, diagsearch, schemes
@@ -20,7 +20,9 @@ from schemeforge.diagsearch import (
     _cosine_candidates,
     _emission_checks,
     _in_field,
+    _integrality,
     _kissing_prune,
+    _residual,
     _seeds,
     _tail_slice,
     arrangements,
@@ -32,7 +34,13 @@ from schemeforge.diagsearch import (
     scheme_diagram,
     solve_cosines,
 )
-from schemeforge.exactnum import QuadNumber, quad_sqrt
+from schemeforge.exactnum import (
+    FieldMismatchError,
+    QuadNumber,
+    bounded_algebraic_integers,
+    is_algebraic_integer,
+    quad_sqrt,
+)
 from schemeforge.graphs import DEFAULT_BUDGET, named_graph
 from schemeforge.localclass import LOCAL_CASES, classify_local, delsarte_bound
 from schemeforge.schemes import (
@@ -902,6 +910,44 @@ def _solve_planted_surplus(kv, weights, planted):
     ]
 
 
+def reference_residual(k1, outs, v, c, full):
+    """The recurrence residual as QuadNumber sums, as solve_cosines summed it
+    before _residual, kept verbatim as the reference."""
+    res = full[1][c] * full[v][c] * k1
+    for h, w in outs.items():
+        if h < len(full):
+            res = res - full[h][c] * w
+    return res
+
+
+@st.composite
+def residual_cases(draw):
+    """(k1, outs, v, full): pairs of values of Q, Q[sqrt(2)] or Q[sqrt(5)],
+    rational and irrational mixed, and arcs of any int weight out of v, some
+    to vertices past the end of full, as a target leaves the fresh vertices
+    out."""
+    p = draw(st.sampled_from([1, 2, 5]))
+    ints = st.integers(-6, 6)
+    elements = st.builds(lambda x, y, d: QuadNumber(Fraction(x, d), Fraction(y, d), p),
+                         ints, ints if p > 1 else st.just(0), st.integers(1, 6))
+    n = draw(st.integers(2, 6))
+    full = draw(st.lists(st.tuples(elements, elements), min_size=n, max_size=n))
+    v = draw(st.integers(1, n - 1))
+    outs = draw(st.dictionaries(st.integers(0, n + 2), st.integers(-20, 20), max_size=6))
+    return draw(st.integers(-9, 9)), outs, v, full
+
+
+# a residual over Q[sqrt(5)] whose terms have both parts and unequal
+# denominators, and a target term past the end of full
+_R5 = QuadNumber(0, 1, 5)
+RESIDUAL_EXAMPLE = (4, {1: 1, 3: 2, 5: 1}, 2, [
+    (QuadNumber(1), QuadNumber(1)),
+    (QuadNumber(Fraction(1, 2)), QuadNumber(Fraction(1, 3))),
+    ((QuadNumber(1) + _R5) / QuadNumber(4), (QuadNumber(1) - _R5) / QuadNumber(4)),
+    (QuadNumber(Fraction(1, 3), Fraction(1, 3), 5), QuadNumber(Fraction(2, 3))),
+])
+
+
 class TestSolveCosines:
     def test_matches_reference_on_every_search_call(self, checked_searches):
         calls, _stats = checked_searches
@@ -936,6 +982,46 @@ class TestSolveCosines:
         weights = [diagram.weight(2, f) for f in fresh]
         if _tail_root_visible(weights, planted):
             assert got
+
+    @settings(max_examples=400, deadline=None)
+    @given(residual_cases())
+    @example(RESIDUAL_EXAMPLE)
+    def test_integer_residual_is_the_quadnumber_sum(self, case):
+        k1, outs, v, full = case
+        for c in (0, 1):
+            assert _residual(k1, outs, v, c, full) == reference_residual(k1, outs, v, c, full)
+
+    @pytest.mark.parametrize("w1,wv,wh", [
+        (QuadNumber(0, 1, 2), QuadNumber(0, 1, 5), QuadNumber(1)),
+        (QuadNumber(0, 1, 2), QuadNumber(1), QuadNumber(1, 1, 5)),
+        (QuadNumber(Fraction(1, 2)), QuadNumber(0, 1, 2), QuadNumber(0, 1, 5)),
+    ])
+    def test_a_residual_over_two_irrational_radicands_raises(self, w1, wv, wh):
+        full = [(QuadNumber(1), QuadNumber(1)), (w1, w1), (wv, wv), (wh, wh)]
+        with pytest.raises(FieldMismatchError):
+            _residual(4, {1: 1, 3: 2}, 2, 0, full)
+
+    def test_each_class_of_columns_is_built_once(self, monkeypatch):
+        # extend builds column 2 with one phi per fresh relation, so only
+        # for the columns solve_cosines returns: the interchangeable ones are
+        # deduplicated before it
+        phi, built, returned = CosineColumns.second_from_first, [], []
+        solve = diagsearch.solve_cosines
+
+        def counted(self, w1):
+            built.append(w1)
+            return phi(self, w1)
+
+        def recorded(diagram, cosines, v, fresh, config):
+            exts = solve(diagram, cosines, v, fresh, config)
+            returned.append(len(fresh) * len(exts))
+            return exts
+
+        monkeypatch.setattr(CosineColumns, "second_from_first", counted)
+        monkeypatch.setattr(diagsearch, "solve_cosines", recorded)
+        stats = generate_diagrams(SearchConfig(k1=4, a1=0, radicand=5)).stats
+        assert stats == _pinned_stats(4, 0, 5)
+        assert len(built) == sum(returned) > 0
 
     def test_each_surplus_cosine_takes_its_own_candidates(self):
         # Vertex 2 (valency 1) of a k1 = 8 diagram over Q makes fresh
@@ -1141,6 +1227,21 @@ def _pinned_stats(k1, a1, p):
     return {"nodes": nodes, "emitted": emitted, "pruned": dict(zip(REASONS, pruned))}
 
 
+def reference_integrality(pair: tuple, k) -> str:
+    """_integrality as QuadNumber tests, as it was before it ran on ints,
+    kept verbatim as the reference."""
+    if k is None:
+        return ""
+    kq = QuadNumber(k)
+    for x in pair:
+        lam = x * kq
+        if not is_algebraic_integer(lam):
+            return "algebraic-integer"
+        if not (-kq <= lam.conjugate() <= kq):
+            return "conjugate-bound"
+    return ""
+
+
 def _disc(P, Q, R, a):
     return (P * a + Q) * a + R
 
@@ -1279,6 +1380,19 @@ class TestIncrementalChecks:
                 mp.setattr(diagsearch, "_tail_slice", lambda cands, *_: (0, len(cands)))
                 want = solve_cosines(*args)
             assert got == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_integrality_on_ints_is_the_quadnumber_test(self, data):
+        # cosines lambda/k of bounded algebraic integers up to 2k, so that some
+        # miss the conjugate bound, and arbitrary field values
+        p = data.draw(st.sampled_from([1, 2, 5]))
+        k = data.draw(st.integers(1, 12))
+        lams = bounded_algebraic_integers(2 * k, p)
+        cosine = st.one_of(st.sampled_from(lams).map(lambda lam: lam / QuadNumber(k)),
+                           _field_elements(p))
+        pair = (data.draw(cosine), data.draw(cosine))
+        assert _integrality(pair, k) == reference_integrality(pair, k)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -618,6 +618,44 @@ def reference_quad_sqrt(x: QuadNumber) -> QuadNumber | None:
     return None
 
 
+def fraction_quad_sqrt(x: QuadNumber) -> QuadNumber | None:
+    """quad_sqrt as it was before it ran on ints alone, with its norm test on
+    ints and the rest on Fraction, kept verbatim as the reference.
+    Test-only.
+
+    Solves (s + t*sqrt(p))^2 = a + b*sqrt(p) exactly.
+    """
+    if x.sign() < 0:
+        return None
+    if not x:
+        return QuadNumber(0)
+    if not x._y:
+        r = _fraction_sqrt(x.as_fraction())
+        return None if r is None else QuadNumber(r)
+    # s^2 + t^2 p = a, 2 s t = b  =>  s^2 solves u^2 - a u + b^2 p / 4 = 0,
+    # whose discriminant a^2 - b^2 p = (x^2 - y^2 p)/d^2 must be a rational
+    # square: decided on ints before any Fraction is built
+    norm = x._x * x._x - x._y * x._y * x._p
+    if norm < 0:
+        return None
+    r = isqrt(norm)
+    if r * r != norm:
+        return None
+    a, b, p = x.a, x.b, x.p
+    rd = Fraction(r, x._d)
+    for u in ((a + rd) / 2, (a - rd) / 2):
+        if u < 0:
+            continue
+        s = _fraction_sqrt(u)
+        if s is None or s == 0:
+            continue
+        t = b / (2 * s)
+        cand = QuadNumber(s, t, p)
+        if cand * cand == x:
+            return cand if cand.sign() >= 0 else -cand
+    return None
+
+
 def _fraction_sqrt(x: Fraction) -> Fraction | None:
     if x < 0:
         return None
@@ -638,6 +676,16 @@ class TestQuadSqrt:
     def test_matches_reference(self, x):
         assert quad_sqrt(x) == reference_quad_sqrt(x)
 
+    @settings(max_examples=500)
+    @given(st.one_of(
+        quads(),  # almost always a non-square
+        quads().map(lambda s: s * s),
+        quads().map(lambda s: -(s * s)),
+        st.just(QuadNumber(0)),
+    ))
+    def test_matches_the_fraction_square_root(self, x):
+        assert quad_sqrt(x) == fraction_quad_sqrt(x)
+
     @settings(max_examples=200)
     @given(quads())
     def test_root_of_a_square(self, s):
@@ -654,11 +702,11 @@ class TestQuadSqrt:
         if _fraction_sqrt(x.a * x.a - x.b * x.b * x.p) is not None:
             return
 
-        def no_fraction_root(_x):
-            raise AssertionError("a non-square norm reached the Fraction path")
+        def no_fraction(*_args):
+            raise AssertionError("quad_sqrt built a Fraction")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exactnum, "_fraction_sqrt", no_fraction_root)
+            mp.setattr(exactnum, "Fraction", no_fraction)
             assert quad_sqrt(x) is None
 
 

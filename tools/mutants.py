@@ -178,6 +178,13 @@ MUTANTS = [
         ("tests/test_exactnum.py::TestNumberTheory::test_is_algebraic_integer_examples",),
     ),
     Mutant(
+        "quad_sqrt builds its root over d*m, not 2*d*m",
+        "exactnum.py",
+        "root = _make(n, 2 * d * Y, 2 * d * m, p)",
+        "root = _make(n, 2 * d * Y, d * m, p)",
+        ("tests/test_exactnum.py::TestQuadSqrt::test_matches_the_fraction_square_root",),
+    ),
+    Mutant(
         "a wrong rotation in SHA-256",
         "catalogue.py",
         "(e >> 6 | e << 26)",
@@ -209,8 +216,8 @@ MUTANTS = [
     Mutant(
         "the second moment of the fresh cosines without the sum of their weights",
         "diagsearch.py",
-        "q * target1 + sum(weights)) / _FOUR",
-        "q * target1) / _FOUR",
+        " + sum(weights) * qd * ad * bd,",
+        ",",
         ("tests/test_diagsearch.py::TestSolveCosines::test_each_surplus_cosine_takes_its_own_candidates",),
     ),
     Mutant(
@@ -230,8 +237,8 @@ MUTANTS = [
     Mutant(
         "the tail's r^2 without its factor wb",
         "diagsearch.py",
-        "r2 = w * weights[last] * (W * s - t1 * t1)",
-        "r2 = w * (W * s - t1 * t1)",
+        "wab = w * weights[last]",
+        "wab = w",
         ("tests/test_diagsearch.py::TestSolveCosines::test_matches_reference_on_planted_tails",),
     ),
     Mutant(
@@ -266,10 +273,56 @@ MUTANTS = [
         ("tests/test_diagsearch.py::TestSolveCosines::test_each_surplus_cosine_takes_its_own_candidates",),
     ),
     Mutant(
+        "a residual term's rational part is not rescaled to the common denominator",
+        "diagsearch.py",
+        "x * e - w * z._x * d,",
+        "x * e - w * z._x,",
+        ("tests/test_diagsearch.py::TestSolveCosines::test_integer_residual_is_the_quadnumber_sum",),
+    ),
+    Mutant(
+        "a residual term's sqrt(p) part is dropped",
+        "diagsearch.py",
+        "y * e - w * z._y * d,",
+        "y * e,",
+        ("tests/test_diagsearch.py::TestSolveCosines::test_integer_residual_is_the_quadnumber_sum",),
+    ),
+    Mutant(
+        "the dedupe key of a column drops the weights",
+        "diagsearch.py",
+        "key = tuple(sorted((w, a._x, a._y, a._d, a._p) for",
+        "key = tuple(sorted((a._x, a._y, a._d, a._p) for",
+        ("tests/test_diagsearch.py::TestSolveCosines::test_swaps_across_weight_classes_are_distinct",),
+    ),
+    Mutant(
+        "every column is extended before the dedupe",
+        "diagsearch.py",
+        "        if key not in seen:\n            seen.add(key)\n            results.append(extend(col))",
+        "        ext = extend(col)\n        if key not in seen:\n"
+        "            seen.add(key)\n            results.append(ext)",
+        ("tests/test_diagsearch.py::TestSolveCosines::test_each_class_of_columns_is_built_once",),
+    ),
+    Mutant(
+        "W*s - t1^2 takes t1^2 without the sqrt(p) part of t1 squared",
+        "diagsearch.py",
+        "(x * x + y * y * t1._p) * s._d",
+        "(x * x + y * y) * s._d",
+        # the (4, 0) search over Q[sqrt(5)] then solves a column that misses
+        # a recurrence, and extend raises
+        ("tests/test_diagsearch.py::TestSolveCosines::test_matches_reference_on_every_search_call",),
+    ),
+    Mutant(
+        "the conjugate of k*w is bounded below only",
+        "diagsearch.py",
+        "if _sign(x + k * d, -y, p) < 0 or _sign(k * d - x, y, p) < 0:",
+        "if _sign(x + k * d, -y, p) < 0:",
+        ("tests/test_diagsearch.py::TestIncrementalChecks"
+         "::test_integrality_on_ints_is_the_quadnumber_test",),
+    ),
+    Mutant(
         "one cosine left is accepted when W*s > t1^2",
         "diagsearch.py",
-        "if W * s == t1 * t1:",
-        "if W * s >= t1 * t1:",
+        "if not x and not y:",
+        "if _sign(x, y, field) >= 0:",
         # the column then misses the column-2 recurrence, and extend raises
         ("tests/test_diagsearch.py::TestKnownConfigs::test_3_0_matches_exactly_k33",),
     ),
