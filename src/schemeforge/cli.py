@@ -235,7 +235,6 @@ def cmd_search(args) -> tuple[dict, int]:
             k1=args.k1,
             a1=args.a1,
             radicand=_parse_field(args.field),
-            max_depth=args.max_depth,
             budget=args.budget,
         )
     except ValueError as e:
@@ -403,7 +402,7 @@ def cmd_classify(args) -> tuple[dict, int]:
 
 
 def non_negative_int(text: str) -> int:
-    """argparse type of --budget and --max-depth: a count, 0 or more."""
+    """argparse type of --budget: a count, 0 or more."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -434,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k1", type=int, required=True)
     p.add_argument("--a1", type=int, required=True)
     p.add_argument("--field", default="rational", help="rational, quad:<p>, or auto")
-    p.add_argument("--max-depth", type=non_negative_int, default=None)
     p.add_argument("--budget", type=non_negative_int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_search)
 

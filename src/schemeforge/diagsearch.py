@@ -85,9 +85,7 @@ class SearchConfig:
 
     radicand fixes the field: 1 for Q, a square-free p for Q[sqrt(p)], or
     None for every candidate field, each subtree then taking the field of its
-    first irrational cosine.  max_depth caps the class count d below the degree
-    bound; a cap that cuts a node leaves the search incomplete, and a cap at
-    or above the bound cuts nothing.  budget caps the nodes of the search.
+    first irrational cosine.  budget caps the nodes of the search.
     light_tail is forced when k1 = m1 and a1 = 0: the multiplicity bound is
     then attained, so E1 is a light tail and q111 = 0.  k1 is at most 9: the
     neighbourhood of a point is a two-distance set on S^2, whose size
@@ -98,7 +96,6 @@ class SearchConfig:
         k1: int,
         a1: int,
         radicand: Optional[int] = 1,
-        max_depth: Optional[int] = None,
         budget: int = DEFAULT_BUDGET,
     ):
         if k1 < 3:
@@ -113,9 +110,7 @@ class SearchConfig:
             raise ValueError("need 0 <= a1 < k1")
         if radicand not in (None, 1) and (radicand < 2 or squarefree_decompose(radicand)[0] > 1):
             raise ValueError(f"radicand {radicand}: need None, 1 or a square-free p >= 2")
-        self.__dict__.update(
-            k1=k1, a1=a1, radicand=radicand, max_depth=max_depth, budget=budget
-        )
+        self.__dict__.update(k1=k1, a1=a1, radicand=radicand, budget=budget)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"SearchConfig is immutable: cannot set {name!r}")
@@ -202,10 +197,10 @@ class DistributionDiagram:
         self.out.append({})
         return self.n - 1
 
-    def size(self):
-        """|X| = sum of valencies; None while any valency is unknown."""
-        if any(v is None for v in self.valencies):
-            return None
+    def size(self) -> int:
+        """|X| = sum of valencies.  Called only on finished diagrams: the seed
+        sets k0 and k1, and _infer_valencies sets k_v as vertex v is finished,
+        so no valency is None there."""
         return sum(self.valencies)
 
 
@@ -262,7 +257,7 @@ class SearchOutcome(NamedTuple):
     config: SearchConfig
     results: list  # of SearchResult
     stats: dict
-    complete: bool  # False when the node budget or a user depth cap cut a branch
+    complete: bool  # False when the node budget cut a branch
 
 
 @functools.cache
@@ -747,7 +742,7 @@ def check_solution_valid(cosines: CosineColumns, diagram: DistributionDiagram):
     for x in col2[1:]:
         if not (-_ONE <= x <= _ONE):
             return False, "range"
-    if len({str(x) for x in col1}) != len(col1):
+    if len(set(col1)) != len(col1):
         return False, "faithfulness"
     w11 = col1[1]
     for i in range(2, len(col1)):
@@ -811,8 +806,6 @@ def _emission_checks(diagram: DistributionDiagram, cosines: CosineColumns):
     """Final feasibility: integer valencies everywhere, orthogonality of the
     idempotent columns, m1 = 4 recovered, and m2 a positive integer."""
     size = diagram.size()
-    if size is None:
-        return False, "valency-unknown"
     ks = [QuadNumber(k) for k in diagram.valencies]
     col1, col2 = cosines.column(1), cosines.column(2)
     if sum((k * w for k, w in zip(ks, col1)), _ZERO):
@@ -865,7 +858,6 @@ def generate_diagrams(config: SearchConfig) -> SearchOutcome:
     first = list(steps(seed, 1))
 
     def rec(diagram, cosines):
-        nonlocal complete
         stats["nodes"] += 1
         if stats["nodes"] > config.budget:
             stats["pruned"]["budget"] += 1
@@ -897,12 +889,6 @@ def generate_diagrams(config: SearchConfig) -> SearchOutcome:
                 ok, _reason = _check_extension(ext, nd, v, fresh)
                 if not ok:
                     stats["pruned"]["solution"] += 1
-                    continue
-                # the arrangements run to the degree bound, so that a node
-                # past a user depth cap is seen: it is cut, and makes the
-                # search incomplete
-                if config.max_depth is not None and nd.n > config.max_depth + 1:
-                    complete = False
                     continue
                 rec(nd, ext)
 

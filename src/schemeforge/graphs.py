@@ -505,30 +505,20 @@ def _petersen() -> Graph:
 
 
 def named_graph(name: str) -> Graph:
-    """Constructor for the graphs of the catalogue (plus a few helpers)."""
+    """Constructor for the graphs of the catalogue (plus a few helpers), one
+    name per graph; case, spaces and underscores are ignored."""
     key = name.strip().lower().replace(" ", "").replace("_", "")
     fixed = {
         "k3,3": lambda: _complete_multipartite([3, 3]),
         "k2,2,2,2": lambda: _complete_multipartite([2, 2, 2, 2]),
-        "16-cell": lambda: _complete_multipartite([2, 2, 2, 2]),
-        "16cell": lambda: _complete_multipartite([2, 2, 2, 2]),
         "octahedron": lambda: _complete_multipartite([2, 2, 2]),
-        "k2,2,2": lambda: _complete_multipartite([2, 2, 2]),
         "k3xk3": lambda: cartesian_product(_complete(3), _complete(3)),
-        "rook": lambda: cartesian_product(_complete(3), _complete(3)),
         "k3xk2": lambda: cartesian_product(_complete(3), _complete(2)),
-        "prism": lambda: cartesian_product(_complete(3), _complete(2)),
-        "3-prism": lambda: cartesian_product(_complete(3), _complete(2)),
         "j(5,2)": lambda: _johnson(5, 2),
-        "johnson": lambda: _johnson(5, 2),
         "crown": lambda: _crown(),
         "q4": lambda: _hypercube(4),
-        "tesseract": lambda: _hypercube(4),
         "cube": lambda: _hypercube(3),
-        "h(3,2)": lambda: _hypercube(3),
-        "q3": lambda: _hypercube(3),
         "24-cell": lambda: _cell24(),
-        "24cell": lambda: _cell24(),
         "icosahedron": lambda: _icosahedron(),
         "petersen": lambda: _petersen(),
         "2k2": lambda: Graph(4, [(0, 1), (2, 3)]),

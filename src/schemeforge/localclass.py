@@ -238,9 +238,8 @@ def _solve_problem(graph: Graph) -> Optional[LocalSolution]:
         for pair in candidates:
             if len(out) == _MAX_FAMILY_WITNESSES:
                 break
-            key = tuple(str(x) for x in pair)
-            if key not in seen and _constraints_ok(graph, *pair):
-                seen.add(key)
+            if pair not in seen and _constraints_ok(graph, *pair):
+                seen.add(pair)
                 out.append(pair)
         return out
 

@@ -154,8 +154,10 @@ class Spectra(NamedTuple):
     """Exact spectral data of a scheme.
 
     Idempotents are ordered canonically: E_0 first, the rest by decreasing
-    eigenvalue of the generic combination used for diagonalization.  Use
-    ``reordered`` to move to a Q-polynomial ordering."""
+    eigenvalue P[c][1] of A_1; ties keep the order in which
+    split_integer_polynomial returns the roots of the generic combination used
+    for diagonalization.  Use ``reordered`` to move to a Q-polynomial
+    ordering."""
 
     scheme: Scheme
     P: tuple[tuple[QuadNumber, ...], ...]  # P[c][i], c idempotent, i relation

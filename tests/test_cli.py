@@ -356,13 +356,18 @@ class TestExitCodes:
             "error: need k1 <= 9: more than 9 points cannot form a two-distance set on S^2\n"
         )
 
-    def test_negative_max_depth_is_usage_error(self, capsys):
-        argv = ("search", "--k1", "4", "--a1", "0", "--max-depth")
-        code, out, err = run(capsys, *argv, "-1")
-        assert code == EXIT_USAGE
-        assert "argument --max-depth: must be >= 0, got -1" in err and not out
-        # a cap of 0 is in range: it cuts below the degree bound
-        assert run(capsys, *argv, "0")[0] == EXIT_BUDGET
+    def test_max_depth_is_an_unrecognized_argument(self, capsys):
+        # the search stops at the degree bound or at its budget, and at no
+        # depth that the caller sets
+        code, out, err = run(capsys, *"search --k1 3 --a1 0 --max-depth 2".split())
+        assert code == EXIT_USAGE and not out
+        assert "unrecognized arguments: --max-depth 2" in err
+
+    def test_unknown_graph_name_is_usage_error(self, capsys):
+        # each graph has one name: Q4's alias "tesseract" is not one
+        code, out, err = run(capsys, *"recognize --local tesseract --n-max 16".split())
+        assert code == EXIT_USAGE and not out
+        assert err == "error: unknown graph name 'tesseract'\n"
 
     def test_search_budget_exhaustion(self, capsys):
         code, out, _ = run(
@@ -388,7 +393,7 @@ REPORTED = {
     "search": (
         "search --k1 3 --a1 0",
         EXIT_OK,
-        {"k1": 3, "a1": 0, "field": "rational", "max_depth": None, "budget": DEFAULT_BUDGET},
+        {"k1": 3, "a1": 0, "field": "rational", "budget": DEFAULT_BUDGET},
     ),
     "recognize": (
         "recognize --local C5 --n-max 12 --budget 1",
@@ -533,26 +538,6 @@ class TestSubcommands:
     def test_square_free_field_is_unchanged(self):
         assert cli._parse_field("quad:5") == 5
         assert cli._parse_field("quad:2") == 2
-
-    def test_depth_cap_that_cuts_is_incomplete(self, capsys):
-        code, out, _ = run(
-            capsys, "search", "--k1", "4", "--a1", "0", "--field", "quad:5",
-            "--max-depth", "2",
-        )
-        assert code == EXIT_BUDGET
-        payload = payload_of(out)
-        assert payload["complete"] is False
-        assert payload["runs"][0]["complete"] is False
-
-    def test_depth_cap_at_or_above_the_bound_changes_nothing(self, capsys):
-        argv = ("search", "--k1", "3", "--a1", "0", "--field", "rational")
-        code, out, _ = run(capsys, *argv)
-        assert code == EXIT_OK
-        # the degree bound over Q is 2*k1 + 1 = 7
-        for cap in ("7", "8"):
-            capped_code, capped_out, _ = run(capsys, *argv, "--max-depth", cap)
-            assert capped_code == EXIT_OK
-            assert payload_of(capped_out) == payload_of(out)
 
     def test_bound_delsarte(self, capsys):
         code, out, _ = run(capsys, "bound", "delsarte", "3", "2")

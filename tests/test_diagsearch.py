@@ -107,11 +107,6 @@ class TestConfig:
         assert SearchConfig(k1=4, a1=0, radicand=5).degree_bound == 17
         assert SearchConfig(k1=4, a1=0, radicand=None).degree_bound == 17
 
-    def test_degree_bound(self):
-        # a depth cap is a cut in the search and does not move the bound
-        assert SearchConfig(k1=4, a1=0, max_depth=3).degree_bound == 9
-        assert SearchConfig(k1=4, a1=0, radicand=None, max_depth=3).degree_bound == 17
-
     def test_fields(self):
         assert SearchConfig(k1=4, a1=0).fields == (1,)
         assert SearchConfig(k1=4, a1=0, radicand=5).fields == (5,)
@@ -370,21 +365,6 @@ class TestLocalStageBySearch:
             "emitted": emitted,
             "pruned": dict(zip(REASONS, pruned)),
         }
-
-
-class TestDepthCap:
-    @pytest.mark.parametrize("k1,a1", [(3, 0), (4, 1)])
-    def test_complete_exactly_when_the_cap_cuts_no_node(self, k1, a1):
-        base = generate_diagrams(SearchConfig(k1=k1, a1=a1))
-        keys = [res.canonical_key() for res in base.results]
-        verdicts = set()
-        for cap in range(1, base.config.degree_bound + 2):
-            capped = generate_diagrams(SearchConfig(k1=k1, a1=a1, max_depth=cap))
-            assert capped.complete == (capped.stats == base.stats), cap
-            if capped.complete:
-                assert [res.canonical_key() for res in capped.results] == keys
-            verdicts.add(capped.complete)
-        assert verdicts == {True, False}
 
 
 class TestEmittedInvariants:
@@ -854,6 +834,12 @@ def planted_tails(draw):
     surplus = max(m - 2, 0)
     planted = [draw(st.sampled_from(cands)) for _ in range(surplus)]
     planted += draw(st.lists(elements, min_size=m - surplus, max_size=m - surplus))
+    return _planted_case(p, q111, weights, cands, planted)
+
+
+def _planted_case(p, q111, weights, cands, planted):
+    """The planted_tails case of these draws."""
+    m = len(weights)
     cosines = CosineColumns(p, q111, [(QuadNumber(1), QuadNumber(1))] * 2)
     phi = cosines.second_from_first
     t1 = sum((QuadNumber(w) * x for w, x in zip(weights, planted)), QuadNumber(0))
@@ -948,6 +934,13 @@ RESIDUAL_EXAMPLE = (4, {1: 1, 3: 2, 5: 1}, 2, [
 ])
 
 
+# two tails over Q whose cosines are 0 and 1, of unequal weights: the tail of
+# two fresh relations, and the tail after one surplus draw
+_Q0, _Q1 = QuadNumber(0), QuadNumber(1)
+PLANTED_TAIL_EXAMPLE = _planted_case(1, _Q0, [1, 2], (_Q0,), [_Q0, _Q1])
+PLANTED_SURPLUS_TAIL_EXAMPLE = _planted_case(1, _Q0, [1, 1, 2], (_Q0,), [_Q0, _Q0, _Q1])
+
+
 class TestSolveCosines:
     def test_matches_reference_on_every_search_call(self, checked_searches):
         calls, _stats = checked_searches
@@ -967,6 +960,8 @@ class TestSolveCosines:
 
     @settings(max_examples=300, deadline=None)
     @given(planted_tails())
+    @example(PLANTED_TAIL_EXAMPLE)
+    @example(PLANTED_SURPLUS_TAIL_EXAMPLE)
     def test_matches_reference_on_planted_tails(self, case):
         diagram, cosines, fresh, config, cands, planted = case
 

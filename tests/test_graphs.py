@@ -52,7 +52,8 @@ class TestNamedGraphs:
     def test_identify_round_trip(self):
         for name in NAMED_ORDERS:
             got = identify_graph(named_graph(name))
-            # 16-cell and K2,2,2,2 are the same graph under two names
+            # each graph has one name, and identify_graph answers with it;
+            # the round trip checks the graph that name builds
             assert named_graph(got).n == named_graph(name).n
             assert is_isomorphic(named_graph(got), named_graph(name))
 

@@ -126,6 +126,13 @@ MUTANTS = [
         ("tests/test_diagsearch.py::TestBudget::test_search_stops_at_the_first_node_past_the_budget",),
     ),
     Mutant(
+        "an exhausted diagram search is reported complete",
+        "diagsearch.py",
+        "complete = False",
+        "complete = True",
+        ("tests/test_diagsearch.py::TestBudget::test_exhaustion_is_reported",),
+    ),
+    Mutant(
         "extend_locally returns at the node past the budget instead of raising",
         "graphs.py",
         "raise BudgetExhausted",
