@@ -41,7 +41,7 @@ def resolve_by_search(case):
 
 def main():
     print("stage 1: feasible neighbourhoods of a point")
-    local = classify_local(9)
+    local = classify_local()
     names = [s.name for s in local]
     print(f"  {', '.join(names)}\n")
     print("stage 2: resolve each local case")

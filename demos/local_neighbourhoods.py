@@ -15,7 +15,7 @@ from schemeforge.localclass import classify_local
 
 
 def main():
-    result = classify_local(9)
+    result = classify_local()
     print(f"{len(result)} feasible neighbourhood graphs:\n")
     for sol in result:
         kind = "family" if sol.family else "point"

@@ -160,25 +160,17 @@ def cmd_spectra(args) -> tuple[dict, int]:
 
 
 def cmd_classify_local(args) -> tuple[dict, int]:
-    try:
-        result = classify_local(args.k_max)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    solutions = []
-    for sol in result:
-        solutions.append(
-            {
-                "name": sol.name,
-                "graph6": to_graph6(sol.graph),
-                "n": sol.graph.n,
-                "geometric_label": sol.geometric_label,
-                "family": sol.family,
-                "witnesses": [
-                    [None if b is None else str(b) for b in pair]
-                    for pair in sol.solutions
-                ],
-            }
-        )
+    solutions = [
+        {
+            "name": sol.name,
+            "graph6": to_graph6(sol.graph),
+            "n": sol.graph.n,
+            "geometric_label": sol.geometric_label,
+            "family": sol.family,
+            "witnesses": [[None if b is None else str(b) for b in pair] for pair in sol.solutions],
+        }
+        for sol in classify_local()
+    ]
     return {
         "graphs": solutions,
         "graph_count": len(solutions),
@@ -204,31 +196,6 @@ def _parse_field(spec: str) -> Optional[int]:
     raise ValueError(f"bad field spec {spec!r} (rational, quad:<p>, or auto)")
 
 
-def _search_run(config: SearchConfig) -> dict:
-    outcome = generate_diagrams(config)
-    results = []
-    for res in outcome.results:
-        d = res.diagram
-        results.append(
-            {
-                "layers": d.layers,
-                "valencies": d.valencies,
-                "size": d.size(),
-                "arcs": {f"{j}->{h}": w for (j, h), w in sorted(d.arcs.items())},
-                "q111": res.cosines.q111,
-                "cosines": [[w1, w2] for w1, w2 in res.cosines.values],
-                "matched": res.matched,
-            }
-        )
-    return {
-        "radicand": config.radicand,
-        "light_tail": config.light_tail,
-        "complete": outcome.complete,
-        "stats": outcome.stats,
-        "results": results,
-    }
-
-
 def cmd_search(args) -> tuple[dict, int]:
     try:
         config = SearchConfig(
@@ -239,13 +206,31 @@ def cmd_search(args) -> tuple[dict, int]:
         )
     except ValueError as e:
         raise UsageError(str(e)) from None
-    run = _search_run(config)
+    outcome = generate_diagrams(config)
+    results = [
+        {
+            "layers": res.diagram.layers,
+            "valencies": res.diagram.valencies,
+            "size": res.diagram.size(),
+            "arcs": {f"{j}->{h}": w for (j, h), w in sorted(res.diagram.arcs.items())},
+            "q111": res.cosines.q111,
+            "cosines": [[w1, w2] for w1, w2 in res.cosines.values],
+            "matched": res.matched,
+        }
+        for res in outcome.results
+    ]
     return {
-        "runs": [run],
-        "matched": sorted({r["matched"] for r in run["results"] if r["matched"]}),
-        "unmatched_count": sum(1 for r in run["results"] if not r["matched"]),
-        "complete": run["complete"],
-    }, EXIT_OK if run["complete"] else EXIT_BUDGET
+        "runs": [{
+            "radicand": config.radicand,
+            "light_tail": config.light_tail,
+            "complete": outcome.complete,
+            "stats": outcome.stats,
+            "results": results,
+        }],
+        "matched": sorted({r["matched"] for r in results if r["matched"]}),
+        "unmatched_count": sum(1 for r in results if not r["matched"]),
+        "complete": outcome.complete,
+    }, EXIT_OK if outcome.complete else EXIT_BUDGET
 
 
 def cmd_recognize(args) -> tuple[dict, int]:
@@ -364,7 +349,7 @@ def _classify_search_case(name: str, budget: int) -> dict:
 def cmd_classify(args) -> tuple[dict, int]:
     if args.case is not None and args.case not in CASE_NAMES:
         raise UsageError(f"unknown case {args.case!r}; choose from {CASE_NAMES}")
-    local = classify_local(9)
+    local = classify_local()
     cases = []
     for sol in local:
         if sol.name not in cases:
@@ -426,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectra)
 
     p = sub.add_parser("classify-local", help="feasible nearest neighbourhoods")
-    p.add_argument("--k-max", type=int, default=9)
     p.set_defaults(func=cmd_classify_local)
 
     p = sub.add_parser("search", help="relation-distribution diagram search")

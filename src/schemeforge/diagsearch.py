@@ -559,14 +559,14 @@ def solve_cosines(
     candidates, only those that leave moments the rest can meet (the
     concave quadratic of _tail_slice), the last draw through the square r^2
     of the tail's root.  The residuals and targets (_residual) and the
-    second moment s are summed on ints, one _make building each, and the
-    test W*s = t1^2 and each r^2 run on ints; the draws' moment updates and
-    _tail_slice run on QuadNumbers.  Fresh vertices of equal weight are interchangeable, so the
-    columns are deduplicated by their multiset of (weight, cosine) before
-    column 2 is built and both recurrences are checked: each class is built
-    once, from its first column.  The fresh vertices are the last of the
-    diagram, as arrangements appends them.  Returns a list of CosineColumns
-    (empty = prune)."""
+    second moment s are summed on ints, one _make building each; the test
+    W*s = t1^2, each r^2 and each draw's bound (_draw_bound) run on ints,
+    the draws' moment updates on QuadNumbers.  Fresh vertices of equal
+    weight are interchangeable, so the columns are deduplicated by their
+    multiset of (weight, cosine) before column 2 is built and both
+    recurrences are checked: each class is built once, from its first
+    column.  The fresh vertices are the last of the diagram, as arrangements
+    appends them.  Returns a list of CosineColumns (empty = prune)."""
     outs = diagram.out[v]
     residual = functools.partial(_residual, diagram.k1, outs, v)
     values = cosines.values
@@ -642,38 +642,18 @@ def solve_cosines(
             wab = w * weights[last]
             pair(prefix, t1, _tail_root(wab * x, wab * y, d, field))
             return
-        # A draw a leaves (t1 - w*a, s - w*a^2) to the rest, of weight W - w,
-        # which real cosines meet iff (W - w)*(s - w*a^2) >= (t1 - w*a)^2,
-        # that is P*a^2 + Q*a + R >= 0 with the int P = -w*W < 0,
-        # Q = 2*w*t1 and R = (W - w)*s - t1^2.
-        P, Q, R = -w * W, 2 * w * t1, (W - w) * s - t1 * t1
+        bound = _draw_bound(-w * W, 2 * w * t1, (W - w) * s - t1 * t1, field)
         cands = _cosine_candidates(kv * outs[fresh[i]], field)
-        lo, hi = _tail_slice(cands, P, Q, R)
+        lo, hi = _tail_slice(cands, t1 / W, bound, field)
         if i < last - 2:
             for a in cands[lo:hi]:
                 complete(prefix + [a], t1 - w * a, s - w * a * a, W - w, field)
             return
-        if lo == hi:
-            return
-        # The draw leaves two cosines, whose r^2 is wa*wb*(P*a^2 + Q*a + R).
-        # With Q and R over one denominator den and a written
-        # (x + y*sqrt(field))/e, den*e^2 times r^2 is, by Horner,
-        # X + Y*sqrt(field): on ints as far as _tail_root can refuse it.
+        # the draw leaves two cosines, whose r^2 is wa*wb times the bound at a
         wab = weights[-2] * weights[-1]
-        den = lcm(Q._d, R._d)
-        p0 = wab * P * den
-        q0, q1, r0, r1 = (wab * n * (den // z._d) for z in (Q, R) for n in (z._x, z._y))
         for a in cands[lo:hi]:
-            x, y, e = a._x, a._y, a._d
-            m0 = p0 * x + q0 * e
-            m1 = p0 * y + q1 * e
-            ee = e * e
-            root = _tail_root(
-                m0 * x + m1 * y * field + r0 * ee,
-                m0 * y + m1 * x + r1 * ee,
-                den * ee,
-                field,
-            )
+            x, y, d = bound(a)
+            root = _tail_root(wab * x, wab * y, d, field)
             if root is not None:
                 pair(prefix + [a], t1 - w * a, root)
 
@@ -707,18 +687,35 @@ def _tail_root(x: int, y: int, d: int, p: int) -> Optional[QuadNumber]:
     return quad_sqrt(_make(x, y, d, p))
 
 
-def _tail_slice(cands: tuple, P: QuadNumber, Q: QuadNumber, R: QuadNumber):
-    """(lo, hi) such that cands[lo:hi] are exactly the sorted candidates a
-    with P*a^2 + Q*a + R >= 0, for P < 0.
+def _draw_bound(P: int, Q: QuadNumber, R: QuadNumber, p: int):
+    """A draw a of weight w leaves (t1 - w*a, s - w*a^2) to the rest, of
+    weight W - w, which real cosines meet iff (W - w)*(s - w*a^2) >=
+    (t1 - w*a)^2: P*a^2 + Q*a + R >= 0 for the int P = -w*W, Q = 2*w*t1 and
+    R = (W - w)*s - t1^2, with vertex t1/W.  Returns that quadratic on ints:
+    a = (x + y*sqrt(p))/e goes to (X, Y, den*e^2), the value being
+    (X + Y*sqrt(p))/(den*e^2), with den the lcm of Q's and R's denominators."""
+    den = lcm(Q._d, R._d)
+    p0 = P * den
+    q0, q1, r0, r1 = (n * (den // z._d) for z in (Q, R) for n in (z._x, z._y))
 
-    The quadratic is concave, so its non-negative set is one interval around
-    the vertex -Q/2P: rising on the candidates left of the vertex and falling
-    on the rest.  Each end is found by bisection on exact sign tests."""
+    def at(a: QuadNumber) -> tuple:
+        x, y, e = a._x, a._y, a._d
+        m0, m1, ee = p0 * x + q0 * e, p0 * y + q1 * e, e * e  # Horner
+        return m0 * x + m1 * y * p + r0 * ee, m0 * y + m1 * x + r1 * ee, den * ee
+
+    return at
+
+
+def _tail_slice(cands: tuple, vertex: QuadNumber, bound, p: int):
+    """(lo, hi) such that cands[lo:hi] are exactly the sorted candidates a at
+    which bound, a concave quadratic of _draw_bound, is >= 0: it rises left
+    of its vertex and falls right of it, so each end is found by bisection."""
 
     def nonnegative(a):
-        return ((P * a + Q) * a + R).sign() >= 0
+        x, y, _d = bound(a)
+        return _sign(x, y, p) >= 0
 
-    top = bisect.bisect_left(cands, -Q / (P + P))
+    top = bisect.bisect_left(cands, vertex)
     lo = bisect.bisect_left(cands, True, 0, top, key=nonnegative)
     hi = bisect.bisect_left(cands, True, top, len(cands),
                             key=lambda a: not nonnegative(a))
@@ -777,16 +774,16 @@ def _check_extension(cosines: CosineColumns, diagram: DistributionDiagram,
     """check_solution_valid for an extension, at v, of cosines that passed it.
 
     Only the fresh vertices' values are new and only k_v became known, so
-    these checks run, in the order of the full check: field and range of the
-    fresh values, their faithfulness against every earlier value, their
+    these checks run, in the order of the full check: range of the fresh
+    values, their faithfulness against every earlier value, their
     nearest-dominance, and the algebraic-integer tests of v and of the fresh
-    vertices.  A seed passes every check but vertex 1's algebraic-integer
-    test by construction (_seeds), and its first arrangement is at
-    v = 1, which runs that test."""
+    vertices.  No field test, as solve_cosines makes each fresh value in the
+    field: a drawn cosine from _cosine_candidates, t1/W and a pair from t1
+    and _tail_root, and phi(a) in the field of a and q111.  A seed passes
+    every check but vertex 1's algebraic-integer test by construction
+    (_seeds), and its first arrangement is at v = 1, which runs that test."""
     values = cosines.values
     new = [values[f] for f in fresh]
-    if not all(_in_field(x, cosines.radicand) for pair in new for x in pair):
-        return False, "field"
     if not all(-_ONE <= a < _ONE and -_ONE <= b <= _ONE for a, b in new):
         return False, "range"
     col1 = [a for a, _ in values]

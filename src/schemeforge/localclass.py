@@ -303,10 +303,10 @@ def _solve_problem(graph: Graph) -> Optional[LocalSolution]:
     return finish(pairs, family)
 
 
-def classify_local(k_max: int = 9) -> list[LocalSolution]:
-    """Feasible neighbourhood graphs among all regular graphs on <= k_max
-    vertices.  The size cap is the two-distance bound on S^2, and the
-    smallest neighbourhood searched has 3 vertices.
+def classify_local() -> list[LocalSolution]:
+    """Feasible neighbourhood graphs among all regular graphs on 3 up to
+    delsarte_bound(3, 2) = 9 vertices: a neighbourhood is a two-distance set
+    on S^2, and the smallest one searched has 3 vertices.
 
     One pass per (n, k) over the labelled graphs of ``regular_labellings``
     solves each graph, or above valency (n - 1)/2 its complement, and keeps
@@ -315,15 +315,8 @@ def classify_local(k_max: int = 9) -> list[LocalSolution]:
     none of it, and the solutions come out for the representatives of
     ``enumerate_regular_graphs``, in its order: for a complement, the
     canonical order of its source."""
-    if k_max < 3:
-        raise ValueError(f"k_max must be at least 3, got {k_max}")
-    if k_max > delsarte_bound(3, 2):
-        raise ValueError(
-            f"more than {delsarte_bound(3, 2)} points cannot form a "
-            "two-distance set on S^2"
-        )
     solutions = []
-    for n in range(3, k_max + 1):
+    for n in range(3, delsarte_bound(3, 2) + 1):
         labelled = [regular_labellings(n, k) for k in range((n + 1) // 2)]
         for k in range(n):
             flip = 2 * k > n - 1

@@ -72,7 +72,7 @@ def test_1_cosine_table_reproduction():
 def test_2_local_classification():
     with criterion(2, "nine local graphs, six geometric cases, exact witnesses, < 60 s"):
         start = time.monotonic()
-        result = classify_local(9)
+        result = classify_local()
         names = {s.name for s in result}
         assert names == {
             "N3", "K3", "N4", "K4", "2K2", "C4", "C5", "K3xK2", "octahedron",

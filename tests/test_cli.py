@@ -324,9 +324,6 @@ class TestExitCodes:
             "recognize --local C5 --n-max -3",
             "search --k1 0 --a1 0",
             "search --k1 4 --a1 9",
-            "classify-local --k-max 100",
-            "classify-local --k-max 2",
-            "classify-local --k-max -5",
             "bound light-tail 4 4 0 3",  # theta = k
             "bound light-tail 4 -2 1 0",  # zero denominator
         ],
@@ -363,6 +360,12 @@ class TestExitCodes:
         assert code == EXIT_USAGE and not out
         assert "unrecognized arguments: --max-depth 2" in err
 
+    def test_k_max_is_an_unrecognized_argument(self, capsys):
+        # the local stage always searches up to the two-distance bound
+        code, out, err = run(capsys, *"classify-local --k-max 5".split())
+        assert code == EXIT_USAGE and not out
+        assert "unrecognized arguments: --k-max 5" in err
+
     def test_unknown_graph_name_is_usage_error(self, capsys):
         # each graph has one name: Q4's alias "tesseract" is not one
         code, out, err = run(capsys, *"recognize --local tesseract --n-max 16".split())
@@ -389,7 +392,7 @@ class TestExitCodes:
 REPORTED = {
     "verify": ("verify {tmp}/p3.scheme", EXIT_NEGATIVE, {"file": "{tmp}/p3.scheme"}),
     "spectra": ("spectra {tmp}/p3.scheme", EXIT_NEGATIVE, {"file": "{tmp}/p3.scheme"}),
-    "classify-local": ("classify-local --k-max 5", EXIT_OK, {"k_max": 5}),
+    "classify-local": ("classify-local", EXIT_OK, {}),
     "search": (
         "search --k1 3 --a1 0",
         EXIT_OK,

@@ -1,5 +1,6 @@
 """Relation-distribution diagram generation and its pruning rules."""
 
+import bisect
 import itertools
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from schemeforge.diagsearch import (
     _check_arrangement,
     _check_extension,
     _cosine_candidates,
+    _draw_bound,
     _emission_checks,
     _in_field,
     _integrality,
@@ -329,10 +331,10 @@ class TestLocalStageBySearch:
 
     @pytest.fixture(scope="class")
     def classified(self):
-        """(k1, a1) -> the scheme ids of the local cases of classify_local(6)
-        there, each resolved by its route in LOCAL_CASES."""
+        """(k1, a1) -> the scheme ids of the local cases of classify_local
+        with k1 <= 6 there, each resolved by its route in LOCAL_CASES."""
         out = {}
-        for sol in classify_local(6):
+        for sol in [s for s in classify_local() if s.graph.n <= 6]:
             n_max = LOCAL_CASES[sol.name].n_max
             if n_max is None:
                 outcome = cli._classify_search_case(sol.name, DEFAULT_BUDGET)
@@ -1241,6 +1243,30 @@ def _disc(P, Q, R, a):
     return (P * a + Q) * a + R
 
 
+@st.composite
+def _quadratic_at(draw):
+    """(p, P, Q, R, a) with Q, R and a in Q[sqrt(p)] and P a negative int, as
+    P = -w*W is in a search."""
+    p = draw(st.sampled_from([1, 2, 5]))
+    elements = _field_elements(p)
+    P = draw(st.integers(-12, -1))
+    return p, P, draw(elements), draw(elements), draw(elements)
+
+
+def reference_tail_slice(cands: tuple, P: QuadNumber, Q: QuadNumber, R: QuadNumber):
+    """_tail_slice as QuadNumber sign tests, as it was before it ran on ints,
+    kept verbatim as the reference."""
+
+    def nonnegative(a):
+        return ((P * a + Q) * a + R).sign() >= 0
+
+    top = bisect.bisect_left(cands, -Q / (P + P))
+    lo = bisect.bisect_left(cands, True, 0, top, key=nonnegative)
+    hi = bisect.bisect_left(cands, True, top, len(cands),
+                            key=lambda a: not nonnegative(a))
+    return lo, hi
+
+
 @pytest.fixture(scope="module")
 def recorded_runs():
     """The searches of DIFFERENTIAL_RUNS, recording: each arrangement's
@@ -1250,7 +1276,9 @@ def recorded_runs():
     rec = {"arrangements": [], "extensions": [], "slices": [], "surplus": [], "stats": {}}
     check_arrangement = diagsearch._check_arrangement
     check_extension = diagsearch._check_extension
+    draw_bound = diagsearch._draw_bound
     tail_slice = diagsearch._tail_slice
+    quadratics = {}  # each bound of _draw_bound -> its (P, Q, R)
     solve = diagsearch.solve_cosines
 
     def arrangement(diagram, v):
@@ -1263,9 +1291,14 @@ def recorded_runs():
         rec["extensions"].append((got, check_solution_valid(cosines, diagram)))
         return got
 
-    def recorded_slice(cands, P, Q, R):
-        got = tail_slice(cands, P, Q, R)
-        rec["slices"].append((cands, P, Q, R, got))
+    def recorded_bound(P, Q, R, p):
+        got = draw_bound(P, Q, R, p)
+        quadratics[got] = (P, Q, R)
+        return got
+
+    def recorded_slice(cands, vertex, bound, p):
+        got = tail_slice(cands, vertex, bound, p)
+        rec["slices"].append((cands, *quadratics[bound], got))
         return got
 
     def recorded_solve(diagram, cosines, v, fresh, config):
@@ -1276,6 +1309,7 @@ def recorded_runs():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(diagsearch, "_check_arrangement", arrangement)
         mp.setattr(diagsearch, "_check_extension", extension)
+        mp.setattr(diagsearch, "_draw_bound", recorded_bound)
         mp.setattr(diagsearch, "_tail_slice", recorded_slice)
         mp.setattr(diagsearch, "solve_cosines", recorded_solve)
         for k1, a1, p in DIFFERENTIAL_RUNS:
@@ -1361,6 +1395,7 @@ class TestIncrementalChecks:
             signs = [_disc(P, Q, R, a).sign() for a in cands]
             assert all(sign >= 0 for sign in signs[lo:hi])
             assert all(sign < 0 for sign in signs[:lo] + signs[hi:])
+            assert reference_tail_slice(cands, P, Q, R) == (lo, hi)
         assert any(hi > lo for _c, _P, _Q, _R, (lo, hi) in slices)
         assert any(hi == lo for _c, _P, _Q, _R, (lo, hi) in slices)
 
@@ -1394,8 +1429,19 @@ class TestIncrementalChecks:
     def test_tail_slice_on_concave_quadratics(self, data):
         p = data.draw(st.sampled_from([1, 2, 5]))
         elements = _field_elements(p)
-        P = data.draw(elements.filter(lambda x: x.sign() < 0))
+        P = data.draw(st.integers(-12, -1))
         Q, R = data.draw(elements), data.draw(elements)
         cands = tuple(sorted(set(data.draw(st.lists(elements, max_size=12)))))
-        lo, hi = _tail_slice(cands, P, Q, R)
+        lo, hi = _tail_slice(cands, -Q / (2 * P), _draw_bound(P, Q, R, p), p)
         assert list(cands[lo:hi]) == [a for a in cands if _disc(P, Q, R, a).sign() >= 0]
+        assert reference_tail_slice(cands, P, Q, R) == (lo, hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_quadratic_at())
+    # -a^2 at a = sqrt(5), which needs the sqrt(p) term's p
+    @example((5, -1, QuadNumber(0), QuadNumber(0), QuadNumber(0, 1, 5)))
+    def test_draw_bound_is_the_quadnumber_quadratic(self, case):
+        p, P, Q, R, a = case
+        x, y, d = _draw_bound(P, Q, R, p)(a)
+        assert d > 0
+        assert QuadNumber(Fraction(x, d), Fraction(y, d), p) == _disc(P, Q, R, a)

@@ -71,7 +71,7 @@ def rank_constraints(g: Graph, b1=None, b2=None) -> list:
 
 @pytest.fixture(scope="module")
 def result():
-    return classify_local(9)
+    return classify_local()
 
 
 class TestDelsarteBound:
@@ -93,7 +93,7 @@ class TestClassifyLocal:
 
     def test_nothing_unresolved(self, result, monkeypatch, capsys):
         # every adjacency spectrum is real, so the payload lists no graph
-        monkeypatch.setattr(cli, "classify_local", lambda _k_max: result)
+        monkeypatch.setattr(cli, "classify_local", lambda: result)
         assert cli.main(["classify-local"]) == cli.EXIT_OK
         payload = json.loads(capsys.readouterr().out)["payload"]
         assert payload["graph_count"] == 9
@@ -122,10 +122,6 @@ class TestClassifyLocal:
         # free (or a whole eigenvalue block vanishes along a line)
         families = {s.name for s in result if s.family}
         assert families == {"N3", "K3", "2K2", "C4", "C5"}
-
-    def test_k_max_beyond_two_distance_bound_rejected(self):
-        with pytest.raises(ValueError):
-            classify_local(delsarte_bound(3, 2) + 1)
 
 
 class TestRankConstraints:
@@ -170,13 +166,13 @@ def _screen_off(monkeypatch):
     monkeypatch.setattr(localclass, "_repeated_part_degree", lambda coeffs, m: len(coeffs) - 1)
 
 
-def _reference_classify_local(k_max: int, monkeypatch) -> list:
+def _reference_classify_local(monkeypatch) -> list:
     """classify_local without the screen: _solve_problem on every class of
     enumerate_regular_graphs.  Test-only reference."""
     out = []
     with monkeypatch.context() as m:
         _screen_off(m)
-        for n in range(3, k_max + 1):
+        for n in range(3, delsarte_bound(3, 2) + 1):
             for k in range(n):
                 for g in enumerate_regular_graphs(n, k):
                     sol = _solve_problem(g)
@@ -238,10 +234,8 @@ class TestSpectralScreen:
         assert _solve_problem(g) is not None
 
     def test_classify_local_matches_the_unscreened_loop(self, monkeypatch):
-        reference = _reference_classify_local(9, monkeypatch)
-        for k_max in range(3, 10):
-            want = [_as_strings(sol) for sol in reference if sol.graph.n <= k_max]
-            assert [_as_strings(sol) for sol in classify_local(k_max)] == want, k_max
+        reference = _reference_classify_local(monkeypatch)
+        assert [_as_strings(sol) for sol in classify_local()] == list(map(_as_strings, reference))
 
     def test_at_most_thirty_canonical_forms(self, monkeypatch):
         # the loop over enumerate_regular_graphs computes 144, most for
@@ -255,7 +249,7 @@ class TestSpectralScreen:
         monkeypatch.setattr(graphs, "_canonical_form", lambda g: forms.append(g) or canonical_form(g))
         monkeypatch.setattr(localclass, "integer_char_poly",
                             lambda rows: polys.append(rows) or char_poly(rows))
-        assert len(classify_local(9)) == 9
+        assert len(classify_local()) == 9
         assert len(forms) <= 20
         assert len(polys) <= 81
 
@@ -264,7 +258,7 @@ class TestSpectralScreen:
         splits, split = [], localclass.split_integer_polynomial
         monkeypatch.setattr(localclass, "split_integer_polynomial",
                             lambda coeffs: splits.append(coeffs) or split(coeffs))
-        assert len(classify_local(9)) == 9
+        assert len(classify_local()) == 9
         assert len(splits) <= 23
 
 
@@ -302,5 +296,5 @@ class TestRepeatedPartDegree:
 
 def test_runtime_under_a_minute():
     start = time.monotonic()
-    classify_local(9)
+    classify_local()
     assert time.monotonic() - start < 60

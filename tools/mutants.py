@@ -230,9 +230,32 @@ MUTANTS = [
     Mutant(
         "the leading coefficient of a draw's bound takes W - w, not W",
         "diagsearch.py",
-        "P, Q, R = -w * W,",
-        "P, Q, R = -w * (W - w),",
+        "_draw_bound(-w * W,",
+        "_draw_bound(-w * (W - w),",
         ("tests/test_diagsearch.py::TestSolveCosines::test_each_surplus_cosine_takes_its_own_candidates",),
+    ),
+    Mutant(
+        "a draw's bound takes sqrt(p)*sqrt(p) as 1",
+        "diagsearch.py",
+        "m0 * x + m1 * y * p + r0 * ee,",
+        "m0 * x + m1 * y + r0 * ee,",
+        ("tests/test_diagsearch.py::TestIncrementalChecks"
+         "::test_draw_bound_is_the_quadnumber_quadratic",),
+    ),
+    Mutant(
+        "a draw's slice drops the candidates where its bound is zero",
+        "diagsearch.py",
+        "return _sign(x, y, p) >= 0",
+        "return _sign(x, y, p) > 0",
+        # a draw of -1/2 leaves two cosines 1/6, so its bound there is 0
+        ("tests/test_diagsearch.py::TestSolveCosines::test_a_tail_with_a_double_root_is_solved",),
+    ),
+    Mutant(
+        "a draw's slice bisects around t1, not the vertex t1/W",
+        "diagsearch.py",
+        "_tail_slice(cands, t1 / W, bound, field)",
+        "_tail_slice(cands, t1, bound, field)",
+        ("tests/test_diagsearch.py::TestIncrementalChecks::test_tail_slice_is_the_nonnegative_candidates",),
     ),
     Mutant(
         "an outer surplus draw lowers the second moment by w*a, not w*a^2",
