@@ -78,15 +78,13 @@ EXIT_BUDGET = 3
 # reporting
 
 
-def exactify(obj):
-    """Recursively replace exact numbers by their string form for JSON."""
+def exact_string(obj):
+    """The json.dumps default: an exact number's string form.  Anything else
+    that JSON cannot encode raises TypeError, so it is never stringified
+    silently."""
     if isinstance(obj, (QuadNumber, Fraction)):
         return str(obj)
-    if isinstance(obj, dict):
-        return {k: exactify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [exactify(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 class UsageError(Exception):
@@ -457,10 +455,10 @@ def main(argv=None) -> int:
         "command": args.subcommand,
         # the parsed arguments, in the order argparse sets them
         "config": {k: v for k, v in vars(args).items() if k not in ("subcommand", "func")},
-        "payload": exactify(payload),
+        "payload": payload,
         "elapsed_seconds": round(time.monotonic() - started, 3),
     }
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, default=exact_string))
     return code
 
 

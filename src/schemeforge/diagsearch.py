@@ -65,7 +65,6 @@ __all__ = [
     "match_known",
     "match_catalogue",
     "scheme_diagram",
-    "candidate_radicands",
     "KISSING_NUMBER_R4",
 ]
 
@@ -286,22 +285,22 @@ def _seeds(config: SearchConfig):
     in the light-tail case and enumerated otherwise.  A
     seed is kept only when the Krein value q111 = ((m1-1)*w2 - m1*w1^2 + 1)
     / (w2 - w1) satisfies 0 <= q111 < m1 - 1; q111 = m1 - 1 collapses
-    column 1 onto two values, which is the complete-graph degeneracy."""
+    column 1 onto two values, which is the complete-graph degeneracy.
+    A candidate lambda/k1 lies in [-1, 1], with the ends -1 and 1 from
+    lambda = -k1 and k1, as an irrational lambda has |lambda| < k1.  So w1 in
+    (-1, 1) is cands[1:-1], and no w2 needs a range test: an enumerated one
+    is a candidate, and the light-tail one, (4*w1^2 - 1)/3, is in [-1/3, 1)."""
     for field in config.fields:
         cands = _cosine_candidates(config.k1, field)
-        for w1 in cands:
-            if not (-_ONE < w1 < _ONE):
-                continue
+        for w1 in cands[1:-1]:
             if config.light_tail:
                 w2 = _second_from_first(w1, _ZERO)
-                if w2 == w1 or not (-_ONE <= w2 <= _ONE):
-                    continue
-                pairs = [(w2, _ZERO)]
+                pairs = [] if w2 == w1 else [(w2, _ZERO)]
             else:
                 pairs = []
                 rest = _ONE - _FOUR * w1 * w1
                 for w2 in cands:
-                    if w2 == w1 or not (-_ONE <= w2 <= _ONE):
+                    if w2 == w1:
                         continue
                     q111 = (_THREE * w2 + rest) / (w2 - w1)
                     if _ZERO <= q111 < _THREE:
@@ -326,11 +325,6 @@ def _weight_assignments(total: int, minimums: list):
 
 def _partitions(total: int, max_parts: int):
     """Non-increasing positive partitions of total into <= max_parts parts."""
-    if total == 0:
-        yield ()
-        return
-    if max_parts == 0:
-        return
 
     def rec(left, cap, parts):
         if left == 0:
@@ -380,13 +374,13 @@ def arrangements(diagram: DistributionDiagram, v: int, config: SearchConfig):
     max_fresh = remaining
     if lv == 1:
         max_fresh = 1  # partial metricity: distance 2 is one relation
-    if fresh_layer > config.degree_bound:
-        max_fresh = 0
 
     for weights, leftover in _weight_assignments(
         remaining, [1] * len(mandatory) + [0] * len(optional)
     ):
         for parts in _partitions(leftover, max_fresh):
+            # as a vertex's layer is at most its index, this also refuses
+            # every fresh vertex above layer degree_bound
             if diagram.n + len(parts) > config.degree_bound + 1:
                 continue
             nd = diagram.copy()
@@ -776,12 +770,13 @@ def _check_extension(cosines: CosineColumns, diagram: DistributionDiagram,
     Only the fresh vertices' values are new and only k_v became known, so
     these checks run, in the order of the full check: range of the fresh
     values, their faithfulness against every earlier value, their
-    nearest-dominance, and the algebraic-integer tests of v and of the fresh
-    vertices.  No field test, as solve_cosines makes each fresh value in the
-    field: a drawn cosine from _cosine_candidates, t1/W and a pair from t1
-    and _tail_root, and phi(a) in the field of a and q111.  A seed passes
-    every check but vertex 1's algebraic-integer test by construction
-    (_seeds), and its first arrangement is at v = 1, which runs that test."""
+    nearest-dominance, and the algebraic-integer test of v alone, which a
+    fresh vertex would pass: its valency stays None until it is finished.
+    No field test, as solve_cosines makes each fresh value in the field: a
+    drawn cosine from _cosine_candidates, t1/W and a pair from t1 and
+    _tail_root, and phi(a) in the field of a and q111.  A seed passes every
+    check but vertex 1's algebraic-integer test by construction (_seeds),
+    and its first arrangement is at v = 1, which runs that test."""
     values = cosines.values
     new = [values[f] for f in fresh]
     if not all(-_ONE <= a < _ONE and -_ONE <= b <= _ONE for a, b in new):
@@ -792,34 +787,29 @@ def _check_extension(cosines: CosineColumns, diagram: DistributionDiagram,
     w11 = col1[1]
     if not all(a < w11 for a, _ in new):
         return False, "nearest-dominance"
-    for i in (v, *fresh):
-        reason = _integrality(values[i], diagram.valencies[i])
-        if reason:
-            return False, reason
-    return True, ""
+    reason = _integrality(values[v], diagram.valencies[v])
+    return (False, reason) if reason else (True, "")
 
 
 def _emission_checks(diagram: DistributionDiagram, cosines: CosineColumns):
-    """Final feasibility: integer valencies everywhere, orthogonality of the
-    idempotent columns, m1 = 4 recovered, and m2 a positive integer."""
-    size = diagram.size()
+    """Final feasibility: column 2 orthogonal to the trivial column, and m2
+    an integer.  The rest of the paper's test follows from what the search
+    enforced.  Every vertex i is finished, so the column-c recurrence holds
+    at each, every arc has its back arc with k_i*p^i_{h1} = k_h*p^h_{i1},
+    and every out-weight is k1.  Summing k_i times the recurrence gives
+    (w(1,c) - 1)*sum k*w(.,c) = 0, and the seeds have w(1,1) < 1: column 1
+    sums to 0.  The same symmetry gives (w(1,1) - w(1,2))*sum k*w1*w2 = 0,
+    and the seeds have w(1,2) != w(1,1).  Summing k times the dual
+    recurrence gives 4*sum k*w1^2 = |X| + q111*S1 + (3 - q111)*S2, which is
+    |X|, so m1 = 4, once S2 = 0.  And 1 <= sum k*w2^2 <= |X|, as w(0,2) = 1
+    and |w2| <= 1 everywhere, so m2 >= 1.  Column 2 can fail, as w(1,2) = 1
+    is a legal seed."""
     ks = [QuadNumber(k) for k in diagram.valencies]
-    col1, col2 = cosines.column(1), cosines.column(2)
-    if sum((k * w for k, w in zip(ks, col1)), _ZERO):
-        return False, "orthogonality"
+    col2 = cosines.column(2)
     if sum((k * w for k, w in zip(ks, col2)), _ZERO):
         return False, "orthogonality"
-    if sum((k * w * w for k, w in zip(ks, col1)), _ZERO) * _FOUR != QuadNumber(size):
-        return False, "multiplicity-m1"
-    if sum((k * a * b for k, a, b in zip(ks, col1, col2)), _ZERO):
-        return False, "orthogonality"
-    s2 = sum((k * w * w for k, w in zip(ks, col2)), _ZERO)
-    if not s2:
-        return False, "multiplicity-m2"
-    m2 = QuadNumber(size) / s2
-    if not (m2.is_rational and Fraction(m2.a).denominator == 1 and m2.a >= 1):
-        return False, "multiplicity-m2"
-    return True, ""
+    m2 = QuadNumber(diagram.size()) / sum((k * w * w for k, w in zip(ks, col2)), _ZERO)
+    return (True, "") if m2.is_integer else (False, "multiplicity-m2")
 
 
 def _kissing_prune(diagram: DistributionDiagram, cosines: CosineColumns) -> bool:

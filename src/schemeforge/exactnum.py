@@ -181,18 +181,6 @@ class QuadNumber:
             return NotImplemented
         return other * self.inverse()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = QuadNumber(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- comparisons (exact) ----------------------------------------------
 
     def sign(self) -> int:
@@ -640,11 +628,7 @@ def _variations(chain: list[list[int]], x: Fraction) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _floor_fraction(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def bounded_algebraic_integers(k: RationalLike, radicand: int = 1) -> list[QuadNumber]:
+def bounded_algebraic_integers(k: int, radicand: int = 1) -> list[QuadNumber]:
     """All algebraic integers of Q (radicand 1) or Q[sqrt(p)] with minimal
     polynomial degree <= 2 whose conjugates all lie in [-k, k], sorted and
     distinct.
@@ -658,27 +642,25 @@ def bounded_algebraic_integers(k: RationalLike, radicand: int = 1) -> list[QuadN
     two distinct candidates differ by a non-zero algebraic integer whose
     conjugate is at most 2k, and so by at least 1/(2k).
     """
-    k = Fraction(k)
     if k <= 0:
         raise ValueError("k must be positive")
-    hi = _floor_fraction(k)
     if radicand == 1:
-        return [QuadNumber(i) for i in range(-hi, hi + 1)]
+        return [QuadNumber(i) for i in range(-k, k + 1)]
     _, p = squarefree_decompose(radicand)
     if p == 1:
         raise ValueError("radicand must not be a perfect square")
-    n, d = (2 * k).numerator, (2 * k).denominator  # 4k*lambda = n*(x + y*sqrt(p))/d
-    keyed = [(2 * n * i // d, QuadNumber(i)) for i in range(-hi, hi + 1)]
+    n = 2 * k  # 4k*lambda = n*(x + y*sqrt(p))
+    keyed = [(2 * n * i, QuadNumber(i)) for i in range(-k, k + 1)]
     step = 1 if p % 4 == 1 else 2
-    for x in range(-(n // d), n // d + 1):
+    for x in range(-n, n + 1):
         if x % step:
             continue
         # |y|*sqrt(p) <= 2k - |x|, which no y meets with equality
-        top = n - abs(x) * d
-        for y in range(2 - x % 2, isqrt(top * top // (p * d * d)) + 1, 2):
+        top = n - abs(x)
+        for y in range(2 - x % 2, isqrt(top * top // p) + 1, 2):
             r = isqrt(n * n * y * y * p)  # floor(n*y*sqrt(p)), never exact
-            keyed.append(((n * x + r) // d, _make(x, y, 2, p)))
-            keyed.append(((n * x - r - 1) // d, _make(x, -y, 2, p)))
+            keyed.append((n * x + r, _make(x, y, 2, p)))
+            keyed.append((n * x - r - 1, _make(x, -y, 2, p)))
     keyed.sort(key=lambda pair: pair[0])
     return [lam for _key, lam in keyed]
 

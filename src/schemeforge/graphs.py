@@ -669,10 +669,10 @@ def _embeds_induced(nb: list[int], adj: list[int], h: Graph, saturated_upto: int
     A pair (a, b) in nb is decided iff min(a, b) <= saturated_upto (edges of
     processed vertices are final).  Undecided pairs impose no constraint, so
     we require a mapping into h respecting decided edges and decided
-    non-edges only."""
+    non-edges only.  nb has at most h.n vertices, as extend_locally lets no
+    degree pass k = h.n: its candidates are below degree k, and v takes
+    exactly the edges it still needs."""
     m = len(nb)
-    if m > h.n:
-        return False
     used = 0
     assign = [-1] * m
 

@@ -451,13 +451,12 @@ def light_tail_bound(k, theta, a1, b1):
         m >= k - k (theta+1)^2 a1 (a1+1) / (((a1+1) theta + k)^2 + k a1 b1)
 
     Equality characterizes a light tail."""
-    k_ = QuadNumber(k) if not isinstance(k, QuadNumber) else k
-    th = theta if isinstance(theta, QuadNumber) else QuadNumber(theta)
-    if th == k_ or th == -k_:
+    # every term that reaches the division involves k, so it alone is wrapped
+    k = k if isinstance(k, QuadNumber) else QuadNumber(k)
+    if theta == k or theta == -k:
         raise ValueError("bound undefined for theta = +-k")
-    a1q = a1 if isinstance(a1, QuadNumber) else QuadNumber(a1)
-    b1q = b1 if isinstance(b1, QuadNumber) else QuadNumber(b1)
-    denom = ((a1q + 1) * th + k_) ** 2 + k_ * a1q * b1q
+    u = (a1 + 1) * theta + k
+    denom = u * u + k * a1 * b1
     if not denom:
         raise ValueError("bound undefined when ((a1+1) theta + k)^2 + k a1 b1 = 0")
-    return k_ - k_ * (th + 1) ** 2 * a1q * (a1q + 1) / denom
+    return k - k * (theta + 1) * (theta + 1) * a1 * (a1 + 1) / denom

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from schemeforge.catalogue import (
     parse_scheme_file,
 )
 from schemeforge.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
+from schemeforge.exactnum import QuadNumber
 from schemeforge.graphs import DEFAULT_BUDGET, cell24_vertices, named_graph
 from schemeforge.schemes import Scheme, scheme_from_graph_distances, verify_scheme
 
@@ -450,6 +452,15 @@ class TestReportContract:
         argv, message = USAGE_ERRORS[kind]
         code, out, err = run(capsys, *argv.format(tmp=tmp).split())
         assert (code, out, err) == (EXIT_USAGE, "", f"error: {message.format(tmp=tmp)}\n")
+
+    def test_only_exact_numbers_are_stringified(self):
+        # the report's json.dumps default: tuples are lists already, and a
+        # stray object is an error, not its repr
+        exact = [QuadNumber(Fraction(1, 2), 1, 5), (Fraction(-3, 4), QuadNumber(2))]
+        assert json.loads(json.dumps(exact, default=cli.exact_string)) == [
+            "1/2+1*sqrt(5)", ["-3/4", "2"]]
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            json.dumps({"x": object()}, default=cli.exact_string)
 
 
 class TestSubcommands:

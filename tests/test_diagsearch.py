@@ -12,6 +12,10 @@ from hypothesis import strategies as st
 from schemeforge import cli, diagsearch, schemes
 from schemeforge.catalogue import CATALOGUE, load_bundled
 from schemeforge.diagsearch import (
+    _FOUR,
+    _ONE,
+    _THREE,
+    _ZERO,
     KISSING_NUMBER_R4,
     CosineColumns,
     DistributionDiagram,
@@ -24,11 +28,12 @@ from schemeforge.diagsearch import (
     _in_field,
     _integrality,
     _kissing_prune,
+    _partitions,
     _residual,
+    _second_from_first,
     _seeds,
     _tail_slice,
     arrangements,
-    candidate_radicands,
     check_diagram_valid,
     check_solution_valid,
     generate_diagrams,
@@ -40,6 +45,7 @@ from schemeforge.exactnum import (
     FieldMismatchError,
     QuadNumber,
     bounded_algebraic_integers,
+    candidate_radicands,
     is_algebraic_integer,
     quad_sqrt,
 )
@@ -1270,12 +1276,16 @@ def reference_tail_slice(cands: tuple, P: QuadNumber, Q: QuadNumber, R: QuadNumb
 @pytest.fixture(scope="module")
 def recorded_runs():
     """The searches of DIFFERENTIAL_RUNS, recording: each arrangement's
-    (incremental, full) diagram verdicts; each extension's (incremental,
-    full) cosine verdicts; each tail slice's (cands, P, Q, R, (lo, hi)); the
-    arguments of each solve_cosines call with a surplus; the stats per run."""
-    rec = {"arrangements": [], "extensions": [], "slices": [], "surplus": [], "stats": {}}
+    (incremental, full) diagram verdicts and its layers; each extension's
+    (incremental, full) cosine verdicts and its fresh vertices' valencies;
+    each tail slice's (cands, P, Q, R, (lo, hi)); the arguments of each
+    solve_cosines call with a surplus; each emission's (diagram, cosines,
+    verdict); the stats per run."""
+    rec = {"arrangements": [], "layers": [], "extensions": [], "fresh_valencies": set(),
+           "slices": [], "surplus": [], "emissions": [], "stats": {}}
     check_arrangement = diagsearch._check_arrangement
     check_extension = diagsearch._check_extension
+    emission_checks = diagsearch._emission_checks
     draw_bound = diagsearch._draw_bound
     tail_slice = diagsearch._tail_slice
     quadratics = {}  # each bound of _draw_bound -> its (P, Q, R)
@@ -1284,11 +1294,18 @@ def recorded_runs():
     def arrangement(diagram, v):
         got = check_arrangement(diagram, v)
         rec["arrangements"].append((got, check_diagram_valid(diagram)))
+        rec["layers"].append(diagram.layers)
         return got
 
     def extension(cosines, diagram, v, fresh):
         got = check_extension(cosines, diagram, v, fresh)
         rec["extensions"].append((got, check_solution_valid(cosines, diagram)))
+        rec["fresh_valencies"].update(diagram.valencies[f] for f in fresh)
+        return got
+
+    def emission(diagram, cosines):
+        got = emission_checks(diagram, cosines)
+        rec["emissions"].append((diagram, cosines, got))
         return got
 
     def recorded_bound(P, Q, R, p):
@@ -1312,6 +1329,7 @@ def recorded_runs():
         mp.setattr(diagsearch, "_draw_bound", recorded_bound)
         mp.setattr(diagsearch, "_tail_slice", recorded_slice)
         mp.setattr(diagsearch, "solve_cosines", recorded_solve)
+        mp.setattr(diagsearch, "_emission_checks", emission)
         for k1, a1, p in DIFFERENTIAL_RUNS:
             outcome = generate_diagrams(SearchConfig(k1=k1, a1=a1, radicand=p))
             rec["stats"][k1, a1, p] = outcome.stats
@@ -1445,3 +1463,154 @@ class TestIncrementalChecks:
         x, y, d = _draw_bound(P, Q, R, p)(a)
         assert d > 0
         assert QuadNumber(Fraction(x, d), Fraction(y, d), p) == _disc(P, Q, R, a)
+
+
+# -- the checks that the search drops, as their inputs always pass them
+
+
+def reference_seeds(config: SearchConfig):
+    """_seeds as it was before it dropped the range tests that every
+    candidate passes, kept verbatim as the reference."""
+    for field in config.fields:
+        cands = _cosine_candidates(config.k1, field)
+        for w1 in cands:
+            if not (-_ONE < w1 < _ONE):
+                continue
+            if config.light_tail:
+                w2 = _second_from_first(w1, _ZERO)
+                if w2 == w1 or not (-_ONE <= w2 <= _ONE):
+                    continue
+                pairs = [(w2, _ZERO)]
+            else:
+                pairs = []
+                rest = _ONE - _FOUR * w1 * w1
+                for w2 in cands:
+                    if w2 == w1 or not (-_ONE <= w2 <= _ONE):
+                        continue
+                    q111 = (_THREE * w2 + rest) / (w2 - w1)
+                    if _ZERO <= q111 < _THREE:
+                        pairs.append((w2, q111))
+            for w2, q111 in pairs:
+                # rational seeds lie in every field: only the first takes them
+                if field != config.fields[0] and w1.is_rational and w2.is_rational:
+                    continue
+                yield CosineColumns(field, q111, [(_ONE, _ONE), (w1, w2)])
+
+
+def reference_emission_checks(diagram: DistributionDiagram, cosines: CosineColumns):
+    """_emission_checks as it was before it dropped the three sums that the
+    recurrences settle, kept verbatim as the reference."""
+    size = diagram.size()
+    ks = [QuadNumber(k) for k in diagram.valencies]
+    col1, col2 = cosines.column(1), cosines.column(2)
+    if sum((k * w for k, w in zip(ks, col1)), _ZERO):
+        return False, "orthogonality"
+    if sum((k * w for k, w in zip(ks, col2)), _ZERO):
+        return False, "orthogonality"
+    if sum((k * w * w for k, w in zip(ks, col1)), _ZERO) * _FOUR != QuadNumber(size):
+        return False, "multiplicity-m1"
+    if sum((k * a * b for k, a, b in zip(ks, col1, col2)), _ZERO):
+        return False, "orthogonality"
+    s2 = sum((k * w * w for k, w in zip(ks, col2)), _ZERO)
+    if not s2:
+        return False, "multiplicity-m2"
+    m2 = QuadNumber(size) / s2
+    if not (m2.is_rational and Fraction(m2.a).denominator == 1 and m2.a >= 1):
+        return False, "multiplicity-m2"
+    return True, ""
+
+
+@pytest.fixture(scope="module")
+def emission_calls(recorded_runs):
+    """(diagram, cosines, verdict) of each emission of the searches of
+    DIFFERENTIAL_RUNS and of the open (6, 4) search."""
+    calls = list(recorded_runs["emissions"])
+    emission_checks = diagsearch._emission_checks
+
+    def emission(diagram, cosines):
+        got = emission_checks(diagram, cosines)
+        calls.append((diagram, cosines, got))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagsearch, "_emission_checks", emission)
+        generate_diagrams(SearchConfig(k1=6, a1=4, radicand=None))
+    return calls
+
+
+def _weighted_sum(ks: list, *columns) -> QuadNumber:
+    """sum over the vertices of k times the product of the columns' values."""
+    total = _ZERO
+    for k, *values in zip(ks, *columns):
+        for w in values:
+            k = k * w
+        total = total + k
+    return total
+
+
+class TestDroppedChecks:
+    def test_emission_checks_match_the_reference(self, emission_calls):
+        assert all(got == reference_emission_checks(d, c) for d, c, got in emission_calls)
+        verdicts = {got for _d, _c, got in emission_calls}
+        assert verdicts == {(True, ""), (False, "orthogonality")}
+
+    def test_the_dropped_emission_sums_hold_at_every_emission(self, emission_calls):
+        # every vertex is finished, so the recurrences, the handshake and the
+        # out-weights k1 give (w(1,c) - 1)*S_c = 0 and
+        # (w(1,1) - w(1,2))*sum k*w1*w2 = 0, and the dual recurrence gives
+        # 4*sum k*w1^2 = |X| + q111*S_1 + (3 - q111)*S_2; w(0,2) = 1 and
+        # |w2| <= 1 give 1 <= sum k*w2^2 <= |X|, so m2 >= 1
+        for diagram, cosines, _got in emission_calls:
+            ks = [QuadNumber(k) for k in diagram.valencies]
+            col1, col2 = cosines.column(1), cosines.column(2)
+            assert not _weighted_sum(ks, col1)
+            assert not _weighted_sum(ks, col1, col2)
+            assert _ONE <= _weighted_sum(ks, col2, col2) <= QuadNumber(diagram.size())
+            if _weighted_sum(ks, col2):
+                # so column 2 fails only where w(1,2) = 1
+                assert col2[1] == _ONE
+            else:
+                assert _FOUR * _weighted_sum(ks, col1, col1) == QuadNumber(diagram.size())
+
+    def test_emission_refuses_a_fractional_m2(self):
+        # no search here meets one, so made-up valencies and a column 2 that
+        # sums to 1 - 2/4 - 1/2 = 0, with m2 = 4/(1 + 2/16 + 1/4) = 32/11;
+        # the test reads neither the arcs nor column 1
+        diagram = DistributionDiagram(2, [0, 1, 2], {}, [1, 2, 1], 3)
+        half, quarter = QuadNumber(Fraction(1, 2)), QuadNumber(Fraction(1, 4))
+        cosines = CosineColumns(1, _ZERO, [(_ONE, _ONE), (_ZERO, -quarter), (_ZERO, -half)])
+        assert _emission_checks(diagram, cosines) == (False, "multiplicity-m2")
+
+    @pytest.mark.parametrize(
+        "k1,a1,p",
+        [(k1, a1, None) for k1 in range(3, 7) for a1 in range(k1)] + [(4, 0, 5), (4, 0, 1)],
+    )
+    def test_seeds_match_the_reference(self, k1, a1, p):
+        config = SearchConfig(k1=k1, a1=a1, radicand=p)
+        assert list(_seeds(config)) == list(reference_seeds(config))
+
+    @pytest.mark.parametrize("k", range(3, 10))
+    def test_cosine_candidates_lie_in_the_closed_unit_interval(self, k):
+        # so the seeds' w1 in (-1, 1) is the slice cands[1:-1]
+        for p in [1, *candidate_radicands(k)]:
+            cands = _cosine_candidates(k, p)
+            assert cands[0] == -_ONE and cands[-1] == _ONE
+            assert all(x != _ONE and x != -_ONE for x in cands[1:-1])
+
+    def test_fresh_vertices_have_no_valency_when_their_extension_is_checked(
+        self, recorded_runs
+    ):
+        # so _check_extension runs the integrality test at v alone
+        assert recorded_runs["fresh_valencies"] == {None}
+
+    def test_no_vertex_lies_above_its_index(self, recorded_runs):
+        # so arrangements' order test also keeps every fresh vertex at a
+        # layer of at most degree_bound
+        assert recorded_runs["layers"]
+        for layers in recorded_runs["layers"]:
+            assert all(layer <= j for j, layer in enumerate(layers))
+
+    def test_partitions_into_no_parts(self):
+        assert list(_partitions(0, 0)) == [()]
+        assert list(_partitions(3, 0)) == []
+        assert list(_partitions(3, 1)) == [(3,)]

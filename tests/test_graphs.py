@@ -259,10 +259,12 @@ class TestLocalStructure:
         made = 0
         embeds = graphs._embeds_induced
 
-        def counted(*args):
+        def counted(nb, adj, h, saturated_upto):
             nonlocal made
             made += 1
-            return embeds(*args)
+            # no degree passes |h|, so _embeds_induced needs no size test
+            assert len(nb) <= h.n
+            return embeds(nb, adj, h, saturated_upto)
 
         monkeypatch.setattr(graphs, "_embeds_induced", counted)
         extend_locally(named_graph(name), n_max)

@@ -373,6 +373,42 @@ MUTANTS = [
         ("tests/test_diagsearch.py::TestBudget::test_budget_bounds_the_seed_walk",),
     ),
     Mutant(
+        "a seed's w1 may be -1",
+        "diagsearch.py",
+        "for w1 in cands[1:-1]:",
+        "for w1 in cands[:-1]:",
+        ("tests/test_diagsearch.py::TestDroppedChecks::test_seeds_match_the_reference",),
+    ),
+    Mutant(
+        "the emission's column-2 sum is taken over column 1",
+        "diagsearch.py",
+        "    col2 = cosines.column(2)\n    if sum((k * w for k, w in zip(ks, col2)), _ZERO):",
+        "    col2 = cosines.column(2)\n"
+        "    if sum((k * w for k, w in zip(ks, cosines.column(1))), _ZERO):",
+        ("tests/test_diagsearch.py::TestDroppedChecks::test_emission_checks_match_the_reference",),
+    ),
+    Mutant(
+        "m2 is only asked to be rational",
+        "diagsearch.py",
+        'return (True, "") if m2.is_integer else',
+        'return (True, "") if m2.is_rational else',
+        ("tests/test_diagsearch.py::TestDroppedChecks::test_emission_refuses_a_fractional_m2",),
+    ),
+    Mutant(
+        "an extension is tested for integrality at its first fresh vertex, not at v",
+        "diagsearch.py",
+        "reason = _integrality(values[v], diagram.valencies[v])",
+        "reason = _integrality(values[fresh[0] if fresh else v], diagram.valencies[v])",
+        ("tests/test_diagsearch.py::TestIncrementalChecks::test_extension_check_is_the_full_check",),
+    ),
+    Mutant(
+        "a light-tail seed keeps w2 = w1",
+        "diagsearch.py",
+        "pairs = [] if w2 == w1 else [(w2, _ZERO)]",
+        "pairs = [(w2, _ZERO)]",
+        ("tests/test_diagsearch.py::TestDroppedChecks::test_seeds_match_the_reference",),
+    ),
+    Mutant(
         "a golden file is loaded without its hash comparison",
         "catalogue.py",
         "if digest != expected:",
@@ -448,9 +484,16 @@ MUTANTS = [
     Mutant(
         "main exits 0 whatever the subcommand returns",
         "cli.py",
-        "    print(json.dumps(report, indent=2))\n    return code",
-        "    print(json.dumps(report, indent=2))\n    return EXIT_OK",
+        "    print(json.dumps(report, indent=2, default=exact_string))\n    return code",
+        "    print(json.dumps(report, indent=2, default=exact_string))\n    return EXIT_OK",
         ("tests/test_cli.py::TestReportContract::test_exit_code_and_config_echo[verify]",),
+    ),
+    Mutant(
+        "the report stringifies any object JSON cannot encode",
+        "cli.py",
+        'raise TypeError(f"{type(obj).__name__} is not JSON serializable")',
+        "return str(obj)",
+        ("tests/test_cli.py::TestReportContract::test_only_exact_numbers_are_stringified",),
     ),
     Mutant(
         "an unreadable scheme file is not a usage error",
@@ -483,8 +526,8 @@ EQUIVALENT = [
         Mutant(
             "the sort key of a negative-y candidate rounds up",
             "exactnum.py",
-            "(n * x - r - 1) // d",
-            "(n * x - r) // d",
+            "n * x - r - 1,",
+            "n * x - r,",
         ),
         "4k*lambda of two distinct candidates differ by at least 2, so any "
         "key between its floor and its ceiling sorts them alike",
